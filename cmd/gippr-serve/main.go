@@ -10,8 +10,6 @@
 //	            [-timeout dur] [-max-timeout dur] [-retry-after dur]
 //	            [-drain-timeout dur] [-store dir] [-store-max-bytes N]
 //	            [-http-timeout dur] [-max-body N]
-//	            [-peers host:port,...] [-shard-of name]
-//	            [-sub-job-timeout dur] [-health-interval dur]
 //
 // With -store, results persist in a disk-backed content-addressed store
 // keyed by the result fingerprint: across restarts, a repeat submission is
@@ -19,18 +17,6 @@
 // and /metrics reports store_hits / store_misses / store_corrupt /
 // store_entries / store_bytes. -store-max-bytes bounds the store's size by
 // evicting oldest entries first (0 = unbounded).
-//
-// Clustering (see DESIGN.md section 12): -peers turns the daemon into a
-// coordinator that rendezvous-hashes grid cells across the listed shard
-// workers, fans sub-jobs out over this same HTTP API, retries transient
-// failures with backoff, health-checks every peer behind a per-peer
-// circuit breaker, and fails cells over — to the next peer in their
-// ranking, then to the local engine — so a killed or slow worker degrades
-// throughput, never correctness: the merged manifest stays byte-identical
-// to a single node's. -shard-of labels a worker with its cluster name in
-// /healthz; workers are plain daemons and need nothing else. /metrics on
-// a coordinator gains a "cluster" section (per-peer breaker state, probe
-// and sub-job counters, failovers, local-fallback cells).
 //
 // API (see DESIGN.md section 10 and the README "serving" section):
 //
@@ -41,9 +27,9 @@
 //	GET    /v1/jobs/{id}/stream NDJSON per-cell results as they complete
 //	DELETE /v1/jobs/{id}        cancel a queued or running job
 //	GET    /metrics             queue depth, jobs in flight, records/sec,
-//	                            per-policy latency histograms, cluster state
-//	GET    /healthz             liveness (503 while draining), role, scale
-//	                            and cache geometry (peer compatibility)
+//	                            per-policy latency histograms
+//	GET    /healthz             liveness (503 while draining), scale and
+//	                            cache geometry
 //	GET    /debug/vars,/debug/pprof/  live gauges and profiling
 //
 // Submissions beyond the queue bound are rejected with 429 + Retry-After,
@@ -60,13 +46,10 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"strings"
 	"time"
 
-	"gippr/internal/cluster"
 	"gippr/internal/experiments"
 	"gippr/internal/resultstore"
-	"gippr/internal/retry"
 	"gippr/internal/runctx"
 	"gippr/internal/serve"
 )
@@ -88,10 +71,6 @@ func main() {
 	storeMaxBytes := flag.Int64("store-max-bytes", 0, "evict oldest result-store entries beyond this total size (0 = unbounded)")
 	httpTimeout := flag.Duration("http-timeout", 10*time.Second, "HTTP read-header timeout (slowloris guard; idle timeout is 12x this)")
 	maxBody := flag.Int64("max-body", 1<<20, "job-submission body cap in bytes; larger bodies get 413")
-	peers := flag.String("peers", "", "comma-separated shard worker addresses; makes this daemon a cluster coordinator")
-	shardOf := flag.String("shard-of", "", "cluster name this worker shards for (informational, shown in /healthz)")
-	subJobTimeout := flag.Duration("sub-job-timeout", 2*time.Minute, "per-attempt deadline for one sub-job dispatched to a peer")
-	healthInterval := flag.Duration("health-interval", 2*time.Second, "active peer health-probe period")
 	flag.Parse()
 
 	scale := experiments.ScaleFromEnv()
@@ -116,18 +95,6 @@ func main() {
 			wf = *warm
 		}
 		scale = experiments.CustomScale(r, wf)
-	}
-
-	peerList := splitPeers(*peers)
-	role := "single"
-	switch {
-	case len(peerList) > 0 && *shardOf != "":
-		fmt.Fprintln(os.Stderr, "gippr-serve: -peers (coordinator) and -shard-of (worker) are mutually exclusive")
-		os.Exit(runctx.ExitUsage)
-	case len(peerList) > 0:
-		role = "coordinator"
-	case *shardOf != "":
-		role = "worker"
 	}
 
 	ctx, stop := runctx.Setup(0)
@@ -156,8 +123,6 @@ func main() {
 		RetryAfter:     *retryAfter,
 		Store:          store,
 		MaxBodyBytes:   *maxBody,
-		Role:           role,
-		ShardOf:        *shardOf,
 	})
 
 	ln, err := net.Listen("tcp", *addr)
@@ -172,29 +137,8 @@ func main() {
 			os.Exit(runctx.ExitFailure)
 		}
 	}
-	fmt.Fprintf(os.Stderr, "gippr-serve: listening on http://%s (scale %s, %d job workers, queue %d, role %s)\n",
-		bound, scale.Name, *jobs, *queue, role)
-
-	// A coordinator never dispatches to itself: drop the bound address (and
-	// common spellings of it) from the peer list so self-referential
-	// configs degrade to plain peers instead of job deadlock.
-	var coord *cluster.Coordinator
-	if role == "coordinator" {
-		peerList = dropSelf(peerList, bound, *addr)
-		coord = cluster.New(cluster.Config{
-			Peers:          peerList,
-			Signature:      cluster.SignatureOf(srv.Health()),
-			SubJobTimeout:  *subJobTimeout,
-			HealthInterval: *healthInterval,
-			Retry:          retry.Policy{MaxAttempts: 3},
-			Logf: func(format string, args ...any) {
-				fmt.Fprintf(os.Stderr, "gippr-serve: "+format+"\n", args...)
-			},
-		})
-		srv.SetRunner(coord)
-		fmt.Fprintf(os.Stderr, "gippr-serve: coordinating %d shard workers: %s\n",
-			len(peerList), strings.Join(peerList, ", "))
-	}
+	fmt.Fprintf(os.Stderr, "gippr-serve: listening on http://%s (scale %s, %d job workers, queue %d)\n",
+		bound, scale.Name, *jobs, *queue)
 
 	// ReadHeaderTimeout closes slowloris connections that trickle header
 	// bytes forever; IdleTimeout reaps keep-alive connections. No global
@@ -228,39 +172,9 @@ func main() {
 		code = runctx.ExitFailure
 	}
 	dcancel()
-	if coord != nil {
-		coord.Close()
-	}
 	hctx, hcancel := context.WithTimeout(context.Background(), 5*time.Second)
 	httpSrv.Shutdown(hctx) //nolint:errcheck // best-effort close on exit
 	hcancel()
 	fmt.Fprintln(os.Stderr, "gippr-serve: drained, exiting")
 	os.Exit(code)
-}
-
-// splitPeers parses the -peers list, dropping empty entries.
-func splitPeers(s string) []string {
-	var out []string
-	for _, p := range strings.Split(s, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-// dropSelf removes the coordinator's own addresses from the peer list.
-func dropSelf(peers []string, bound, flagAddr string) []string {
-	self := map[string]bool{bound: true, flagAddr: true}
-	if _, port, err := net.SplitHostPort(bound); err == nil {
-		self["localhost:"+port] = true
-		self["127.0.0.1:"+port] = true
-	}
-	var out []string
-	for _, p := range peers {
-		if !self[p] {
-			out = append(out, p)
-		}
-	}
-	return out
 }

@@ -43,9 +43,6 @@
 // same versioned document gippr-report's diff section prints and
 // gippr-serve's /v1/explain serves.
 //
-// Pre-Session constructors (DefaultHierarchy, NewEvolveEnv) remain as thin
-// deprecated wrappers; new code should go through a Session.
-//
 // The experiment harness reproducing every figure in the paper lives in
 // internal/experiments and is driven by cmd/gippr-report and the benchmarks
 // in bench_test.go; cmd/gippr-serve serves the same evaluation engine as a

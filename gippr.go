@@ -97,19 +97,6 @@ func NewCache(cfg CacheConfig, pol Policy) *Cache { return cache.New(cfg, pol) }
 // NewHierarchy assembles an L1/L2/L3 hierarchy from three caches.
 func NewHierarchy(l1, l2, l3 *Cache) *Hierarchy { return cache.NewHierarchy(l1, l2, l3) }
 
-// DefaultHierarchy builds the paper's hierarchy with LRU-managed L1/L2 and
-// the given policy at the LLC.
-//
-// Deprecated: build a Session with New(LLCConfig()) and call its Hierarchy
-// method, which additionally honours WithSampling and WithTelemetry.
-func DefaultHierarchy(llc Policy) *Hierarchy {
-	s, err := New(cache.L3Config)
-	if err != nil {
-		panic(err) // unreachable: the paper geometry is valid
-	}
-	return s.Hierarchy(llc)
-}
-
 // Replacement policies. Each constructor takes the cache geometry (sets,
 // ways) and returns a fresh, unshared policy instance.
 
@@ -194,21 +181,6 @@ func Workloads() []Workload { return workload.Suite() }
 func WorkloadByName(name string) (Workload, error) { return workload.ByName(name) }
 
 // Evolution (paper §4).
-
-// NewEvolveEnv builds a GIPPR fitness environment over LLC-filtered
-// streams: estimated speedup over true LRU under the linear CPI model, with
-// warmFrac of each stream used for cache warm-up.
-//
-// Deprecated: build a Session with New(cfg) and call its EvolveEnv method;
-// invalid geometries then surface as ErrBadGeometry instead of panicking
-// deep inside the cache constructor.
-func NewEvolveEnv(cfg CacheConfig, warmFrac float64, streams []EvolveStream) *EvolveEnv {
-	s, err := New(cfg)
-	if err != nil {
-		panic(err) // preserved historical behaviour: bad geometry panics
-	}
-	return s.EvolveEnv(warmFrac, streams)
-}
 
 // Evolve runs the genetic algorithm and returns the best vector, its
 // fitness, and the per-generation best-fitness history.

@@ -59,9 +59,15 @@ func TestAllPolicyConstructors(t *testing.T) {
 	}
 }
 
+// The paper's default hierarchy, built through the v1 entry point: LRU
+// L1/L2 with 4-DGIPPR at the LLC.
 func TestDefaultHierarchyEndToEnd(t *testing.T) {
-	//lint:ignore SA1019 the deprecated wrapper's behaviour is the contract under test
-	h := DefaultHierarchy(NewDGIPPR4(LLCConfig().Sets(), LLCConfig().Ways, PaperWI4DGIPPR))
+	sess, err := New(LLCConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := sess.Config()
+	h := sess.Hierarchy(NewDGIPPR4(cfg.Sets(), cfg.Ways, PaperWI4DGIPPR))
 	w, err := WorkloadByName("lbm_like")
 	if err != nil {
 		t.Fatal(err)

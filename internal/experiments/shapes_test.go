@@ -131,8 +131,8 @@ func TestHeadlineNumbersFrozen(t *testing.T) {
 	// Everything in this repository is deterministic, so the headline
 	// Figure 11 geomeans can be pinned exactly (to float-printing
 	// precision). If a workload, policy or model change moves these, the
-	// change is real and EXPERIMENTS.md + report_output.txt must be
-	// regenerated alongside updating this test.
+	// change is real: regenerate the report (go run ./cmd/gippr-report
+	// -scale default) and update EXPERIMENTS.md alongside this test.
 	lab := defaultLab(t)
 	tbl := Fig11(lab)
 	want := map[string]float64{

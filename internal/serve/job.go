@@ -59,8 +59,8 @@ type JobRequest struct {
 	TimeoutSec float64 `json:"timeout_sec,omitempty"`
 	// Exact disables the default-policy fallback: an empty Policies list
 	// then means "no registry policies" (the IPV spec alone, when set)
-	// instead of the gippr-sim default set. The cluster coordinator uses
-	// this to dispatch sub-jobs that carry exactly the cells a peer owns.
+	// instead of the gippr-sim default set, so a job carries exactly the
+	// cells it names — one GIPPR cell per workload for an IPV-search probe.
 	Exact bool `json:"exact,omitempty"`
 	// Sweep switches the job to the one-pass all-geometry engine: instead
 	// of a {workloads x policies} grid, the job scores the full LRU lattice
@@ -114,6 +114,7 @@ type Job struct {
 	ipvCanon string                   // canonical form of Req.IPV (ipv.Parse -> String), "" if unset
 	sweep    *experiments.LatticeSpec // non-nil switches the job to the one-pass engine
 	explain  bool                     // true switches the job to the policy-diff engine (specs = [A, B])
+	metrics  *Metrics                 // the server's counters; settle bumps one per terminal transition
 
 	mu       sync.Mutex
 	state    State
@@ -178,49 +179,56 @@ func (j *Job) setRunning(cancel context.CancelFunc) bool {
 	return true
 }
 
-// finish transitions to a terminal state exactly once and reports whether
-// this call performed the transition — the caller's metrics must count a
-// state change only when it actually happened, not on every attempt.
-func (j *Job) finish(state State, err error) bool {
+// finish transitions to a terminal state unless the job already reached
+// one (a DELETE may have settled it first).
+func (j *Job) finish(state State, err error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.state.Terminal() {
-		return false
+	if !j.state.Terminal() {
+		j.settle(state, err)
 	}
+}
+
+// settle performs a terminal transition; call it with mu held on a job
+// that is not yet terminal, so each job is counted exactly once. The
+// state's counter is bumped before watchers are woken, inside the same
+// critical section, so a client that observes the terminal state never
+// reads metrics that miss it.
+func (j *Job) settle(state State, err error) {
 	j.state = state
 	j.err = err
 	j.finished = time.Now()
+	j.metrics.settled(state)
 	j.broadcast()
-	return true
 }
 
 // Cancel requests cooperative cancellation of a running job; a queued job
-// cancels immediately. Cancelling a terminal job is a no-op. The decision
-// is made in one critical section with the state transitions above, so a
-// DELETE racing the worker's pickup resolves to exactly one of two
+// cancels immediately, and Cancel reports whether this call made that
+// queued -> cancelled transition (a running job settles later, on its
+// worker). Cancelling a terminal job is a no-op. The decision is made in
+// one critical section with the state transitions above, so a DELETE
+// racing the worker's pickup resolves to exactly one of two
 // serializations: the cancel lands first and setRunning refuses, or the
 // pickup lands first and the job's context is cancelled.
-func (j *Job) Cancel() {
+func (j *Job) Cancel() bool {
 	j.mu.Lock()
-	if j.state.Terminal() {
+	switch j.state {
+	case StateQueued:
+		// Terminal immediately, under the same lock the worker's
+		// setRunning will take — no resurrection window.
+		j.settle(StateCancelled, context.Canceled)
 		j.mu.Unlock()
-		return
-	}
-	if j.state == StateRunning {
+		return true
+	case StateRunning:
 		cancel := j.cancel
 		j.mu.Unlock()
 		if cancel != nil {
 			cancel() // the run loop observes ctx and finishes as cancelled
 		}
-		return
+		return false
 	}
-	// Still queued: terminal immediately, under the same lock the worker's
-	// setRunning will take — no resurrection window.
-	j.state = StateCancelled
-	j.err = context.Canceled
-	j.finished = time.Now()
-	j.broadcast()
 	j.mu.Unlock()
+	return false
 }
 
 // snapshotFrom returns the cells appended at or after index i, the channel

@@ -53,6 +53,20 @@ func (m *Metrics) cellDone(c experiments.GridCell, sinceStart time.Duration) {
 	m.mu.Unlock()
 }
 
+// settled counts one terminal job transition under its state's counter.
+func (m *Metrics) settled(state State) {
+	switch state {
+	case StateDone:
+		m.done.Add(1)
+	case StateFailed:
+		m.failed.Add(1)
+	case StateCancelled:
+		m.cancelled.Add(1)
+	case StateRejected:
+		m.rejectedDrain.Add(1)
+	}
+}
+
 // MetricsSnapshot is the /metrics JSON document.
 type MetricsSnapshot struct {
 	UptimeSec     float64 `json:"uptime_sec"`
@@ -86,50 +100,6 @@ type MetricsSnapshot struct {
 	// job start to each of that policy's cells becoming available
 	// (time-to-result as a client streaming NDJSON would see it).
 	PolicyLatencyUS map[string]telemetry.HistogramSnapshot `json:"policy_latency_us"`
-	// Cluster reports the coordinator's peer, breaker, and failover state;
-	// absent when no cluster runner is installed.
-	Cluster *ClusterSnapshot `json:"cluster,omitempty"`
-}
-
-// ClusterPeer is one shard worker as the coordinator sees it.
-type ClusterPeer struct {
-	Addr string `json:"addr"`
-	// Breaker is the circuit state gating dispatch to this peer: "closed"
-	// (healthy traffic), "open" (tripped; no dispatch until the cooldown
-	// elapses), or "half-open" (probing after a cooldown).
-	Breaker string `json:"breaker"`
-	// Healthy reports the last active health probe's outcome; Compatible
-	// whether the peer's scale and cache geometry match the coordinator's
-	// (an incompatible peer is never dispatched to — its cells would not
-	// merge bit-identically).
-	Healthy    bool   `json:"healthy"`
-	Compatible bool   `json:"compatible"`
-	ConsecFail int    `json:"consecutive_failures"`
-	Probes     uint64 `json:"health_probes"`
-	ProbeFails uint64 `json:"health_probe_failures"`
-	SubJobs    uint64 `json:"sub_jobs"`
-	SubJobFail uint64 `json:"sub_job_failures"`
-	LastError  string `json:"last_error,omitempty"`
-}
-
-// ClusterSnapshot is the /metrics "cluster" section: the robustness
-// counters the chaos suite and the smoke test assert on.
-type ClusterSnapshot struct {
-	Peers []ClusterPeer `json:"peers"`
-	// SubJobsSent counts dispatch attempts (retries included); Retries the
-	// re-attempts alone.
-	SubJobsSent uint64 `json:"sub_jobs_sent"`
-	Retries     uint64 `json:"sub_job_retries"`
-	// Failovers counts cells rerouted away from their rendezvous owner —
-	// because it was tripped at assignment or failed during dispatch.
-	// LocalCells counts cells that degraded all the way to the
-	// coordinator's own in-process Lab; RemoteCells those served by peers.
-	Failovers   uint64 `json:"failovers"`
-	LocalCells  uint64 `json:"local_fallback_cells"`
-	RemoteCells uint64 `json:"remote_cells"`
-	// Breaker transition counters, summed over peers.
-	BreakerOpens  uint64 `json:"breaker_opens"`
-	BreakerCloses uint64 `json:"breaker_closes"`
 }
 
 // Snapshot renders the current metrics.
@@ -168,12 +138,5 @@ func (s *Server) Snapshot() MetricsSnapshot {
 		snap.PolicyLatencyUS[name] = h.Snapshot()
 	}
 	m.mu.Unlock()
-	s.mu.Lock()
-	runner := s.cfg.Runner
-	s.mu.Unlock()
-	if cr, ok := runner.(ClusterReporter); ok {
-		cs := cr.ClusterSnapshot()
-		snap.Cluster = &cs
-	}
 	return snap
 }

@@ -7,21 +7,14 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"gippr/internal/experiments"
 	"gippr/internal/parallel"
 	"gippr/internal/resultstore"
-	"gippr/internal/workload"
 )
-
-// runnerFunc adapts a function to GridRunner for test stubs.
-type runnerFunc func(ctx context.Context, local *experiments.Lab, plan GridPlan, emit func(experiments.GridCell)) error
-
-func (f runnerFunc) RunGrid(ctx context.Context, local *experiments.Lab, plan GridPlan, emit func(experiments.GridCell)) error {
-	return f(ctx, local, plan, emit)
-}
 
 // TestPanickingJobFailsNotTheDaemon is the panic-boundary regression test:
 // a grid body that panics must fail exactly that job — panic value and
@@ -32,9 +25,15 @@ func TestPanickingJobFailsNotTheDaemon(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	s.SetRunner(runnerFunc(func(context.Context, *experiments.Lab, GridPlan, func(experiments.GridCell)) error {
-		panic("kaboom: nil policy state")
-	}))
+	// Only the first grid body panics; later jobs run the real engine.
+	realGrid := s.runGrid
+	var calls atomic.Int32
+	s.runGrid = func(ctx context.Context, lab *experiments.Lab, job *Job) error {
+		if calls.Add(1) == 1 {
+			panic("kaboom: nil policy state")
+		}
+		return realGrid(ctx, lab, job)
+	}
 
 	req := JobRequest{Workloads: []string{"mcf_like"}, Policies: []string{"lru"}}
 	st, resp := postJob(t, ts, req)
@@ -63,8 +62,7 @@ func TestPanickingJobFailsNotTheDaemon(t *testing.T) {
 		t.Fatalf("panicked/failed = %d/%d, want 1/1", snap.JobsPanicked, snap.JobsFailed)
 	}
 
-	// The daemon survived: with the stub removed, the next job completes.
-	s.SetRunner(nil)
+	// The daemon survived: the next job runs the real grid and completes.
 	st2, _ := postJob(t, ts, req)
 	waitState(t, ts, st2.ID, StateDone)
 }
@@ -77,9 +75,9 @@ func TestPanicPreservesWorkerStack(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	s.SetRunner(runnerFunc(func(context.Context, *experiments.Lab, GridPlan, func(experiments.GridCell)) error {
+	s.runGrid = func(context.Context, *experiments.Lab, *Job) error {
 		panic(&parallel.Panic{Value: "index out of range", Stack: []byte("goroutine 42 [running]:\nworker.frame()")})
-	}))
+	}
 
 	st, _ := postJob(t, ts, JobRequest{Workloads: []string{"mcf_like"}, Policies: []string{"lru"}})
 	failed := waitState(t, ts, st.ID, StateFailed)
@@ -109,16 +107,14 @@ func TestDrainRacesInflightPersist(t *testing.T) {
 
 	started := make(chan struct{})
 	release := make(chan struct{})
-	s1.SetRunner(runnerFunc(func(ctx context.Context, local *experiments.Lab, plan GridPlan, emit func(experiments.GridCell)) error {
+	realGrid := s1.runGrid
+	s1.runGrid = func(ctx context.Context, lab *experiments.Lab, job *Job) error {
 		close(started)
 		<-release
-		// From here the job is the real thing: compute through the local
-		// Lab so the persisted entry is a genuine manifest.
-		var wls []workload.Workload
-		wls = append(wls, plan.Workloads...)
-		_, err := local.Grid(ctx, plan.Specs, wls, emit)
-		return err
-	}))
+		// From here the job is the real thing: compute through the Lab so
+		// the persisted entry is a genuine manifest.
+		return realGrid(ctx, lab, job)
+	}
 
 	req := JobRequest{Workloads: []string{"mcf_like"}, Policies: []string{"lru", "plru"}}
 	st, _ := postJob(t, ts, req)
@@ -166,10 +162,10 @@ func TestDrainRacesInflightPersist(t *testing.T) {
 		t.Fatal(err)
 	}
 	s2 := newTestServer(t, Config{Workers: 1, QueueDepth: 2, Store: st2})
-	s2.SetRunner(runnerFunc(func(context.Context, *experiments.Lab, GridPlan, func(experiments.GridCell)) error {
+	s2.runGrid = func(context.Context, *experiments.Lab, *Job) error {
 		t.Error("restarted server ran the grid; the drained persist should have fed it")
 		return nil
-	}))
+	}
 	ts2 := httptest.NewServer(s2.Handler())
 	defer ts2.Close()
 	st2nd, _ := postJob(t, ts2, req)

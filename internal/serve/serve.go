@@ -64,7 +64,7 @@ var (
 )
 
 // maxNameList bounds the workload and policy lists a single request may
-// carry. The full suite is 26 workloads and the registry under 20 policies,
+// carry. The full suite is 29 workloads and the registry under 20 policies,
 // so the cap only rejects hostile or corrupted requests before resolve
 // loops over them.
 const maxNameList = 1024
@@ -99,45 +99,6 @@ type Config struct {
 	// MaxBodyBytes caps a job-submission request body; oversized bodies
 	// get HTTP 413. Values <= 0 mean the 1 MiB default.
 	MaxBodyBytes int64
-	// Runner, when non-nil, replaces the in-process grid engine for job
-	// execution — the cluster coordinator implements it to fan cells out
-	// across shard workers. Nil (or SetRunner(nil)) runs every job on the
-	// server's own Lab. See GridRunner.
-	Runner GridRunner
-	// Role labels this daemon in /healthz: "single" (default),
-	// "coordinator", or "worker". ShardOf optionally names the cluster a
-	// worker belongs to. Both are informational.
-	Role    string
-	ShardOf string
-}
-
-// GridPlan is a job's resolved, immutable execution plan as handed to a
-// GridRunner: the concrete specs and workloads (the cell cross-product),
-// the sampling shift selecting the Lab view, and the canonicalized IPV (""
-// when the request had none) for rebuilding the IPV spec on a remote peer.
-type GridPlan struct {
-	Specs     []experiments.Spec
-	Workloads []workload.Workload
-	Shift     uint
-	IPVCanon  string
-}
-
-// GridRunner executes one job's grid. local is the server's own Lab view
-// for the plan's sampling shift — the engine a distributed runner degrades
-// to, so a fully-degraded cluster and a single-node daemon are the same
-// code path. emit must be called exactly once per settled cell and is safe
-// for concurrent use; the server routes it into the job record, so NDJSON
-// streaming, /result rendering, late-connect replay, and the result store
-// are untouched by how cells were computed.
-type GridRunner interface {
-	RunGrid(ctx context.Context, local *experiments.Lab, plan GridPlan, emit func(experiments.GridCell)) error
-}
-
-// ClusterReporter is implemented by runners (the cluster coordinator) that
-// expose per-peer health, breaker, and failover state; /metrics embeds the
-// snapshot when the installed Runner provides one.
-type ClusterReporter interface {
-	ClusterSnapshot() ClusterSnapshot
 }
 
 // Server is the job daemon: a bounded queue, a worker pool, and the shared
@@ -165,8 +126,9 @@ type Server struct {
 	metrics *Metrics
 	prog    *runctx.Progress
 
-	// runGrid is the job execution hook; tests substitute a blocking stub
-	// to hold workers busy deterministically.
+	// runGrid is the grid-job body (runGridReal in production) and the one
+	// execution seam: tests substitute blocking, panicking, or gated stubs
+	// to drive the queue, the panic boundary, and drain deterministically.
 	runGrid func(ctx context.Context, lab *experiments.Lab, job *Job) error
 }
 
@@ -187,9 +149,6 @@ func New(cfg Config) *Server {
 	}
 	if cfg.MaxBodyBytes <= 0 {
 		cfg.MaxBodyBytes = 1 << 20
-	}
-	if cfg.Role == "" {
-		cfg.Role = "single"
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
@@ -363,6 +322,7 @@ func (s *Server) resolve(req JobRequest) (*Job, error) {
 		ipvCanon: ipvCanon,
 		sweep:    sweep,
 		explain:  explainJob,
+		metrics:  s.metrics,
 		state:    StateQueued,
 		created:  time.Now(),
 		updated:  make(chan struct{}),
@@ -429,9 +389,7 @@ func (s *Server) worker() {
 		draining := s.draining
 		s.mu.Unlock()
 		if draining {
-			if job.finish(StateRejected, ErrDraining) {
-				s.metrics.rejectedDrain.Add(1)
-			}
+			job.finish(StateRejected, ErrDraining)
 			continue
 		}
 		s.run(job)
@@ -473,22 +431,16 @@ func (s *Server) run(job *Job) {
 		// entry on disk, never a window where the job is done but the
 		// write-behind is still racing.
 		s.persist(job, fp)
-		if job.finish(StateDone, nil) {
-			s.metrics.done.Add(1)
-		}
+		job.finish(StateDone, nil)
 	case runctx.Cancelled(err):
-		if job.finish(StateCancelled, err) {
-			s.metrics.cancelled.Add(1)
-		}
+		job.finish(StateCancelled, err)
 	default:
-		if job.finish(StateFailed, err) {
-			s.metrics.failed.Add(1)
-		}
+		job.finish(StateFailed, err)
 	}
 }
 
-// execute runs one job's grid through the installed Runner (cluster
-// coordinator) or, without one, the in-process engine. It is the panic
+// execute runs one job on the engine its kind selects: the policy-diff
+// engine, the one-pass sweep, or, for grid jobs, runGrid. It is the panic
 // boundary of the worker pool: a panicking grid run — a policy bug, a bad
 // vector deep in the replay kernel — fails only this job, with the panic
 // value and goroutine stack captured in the job error (following the
@@ -506,10 +458,9 @@ func (s *Server) execute(ctx context.Context, job *Job) (err error) {
 		}
 	}()
 	if job.explain {
-		// Explain jobs always run locally, like sweeps: both policies settle
-		// from one instrumented walk per workload phase on this Lab, so the
-		// pair cannot be split across peers without breaking the shared
-		// captures the decomposition identity rides on.
+		// Both policies settle from one instrumented walk per workload
+		// phase, so the pair shares the captures the decomposition identity
+		// rides on; workloads fan out over the Lab's workers.
 		lab := s.labFor(job.shift)
 		errs := make([]error, len(job.wls))
 		err := parallel.ForCtx(ctx, lab.Workers, len(job.wls), func(i int) {
@@ -532,10 +483,8 @@ func (s *Server) execute(ctx context.Context, job *Job) (err error) {
 		return nil
 	}
 	if job.sweep != nil {
-		// Sweep jobs always run on the local one-pass engine, cluster or
-		// not: the whole lattice is one cheap stream walk per workload, so
-		// sharding cells across peers would cost more in dispatch than the
-		// compute it saves.
+		// The whole lattice is one stream walk per workload on the one-pass
+		// engine; cells settle as each walk finishes.
 		start := time.Now()
 		_, err := s.labFor(job.shift).SweepGrid(ctx, *job.sweep, job.wls, func(c experiments.GridCell) {
 			job.appendCell(c)
@@ -544,28 +493,7 @@ func (s *Server) execute(ctx context.Context, job *Job) (err error) {
 		})
 		return err
 	}
-	s.mu.Lock()
-	runner := s.cfg.Runner
-	s.mu.Unlock()
-	if runner != nil {
-		start := time.Now()
-		plan := GridPlan{Specs: job.specs, Workloads: job.wls, Shift: job.shift, IPVCanon: job.ipvCanon}
-		return runner.RunGrid(ctx, s.labFor(job.shift), plan, func(c experiments.GridCell) {
-			job.appendCell(c)
-			s.metrics.cellDone(c, time.Since(start))
-			s.prog.Add(1)
-		})
-	}
 	return s.runGrid(ctx, s.labFor(job.shift), job)
-}
-
-// SetRunner installs (or, with nil, removes) the distributed grid engine.
-// Call it during wiring, before the server receives traffic; jobs already
-// running keep the engine they started with.
-func (s *Server) SetRunner(r GridRunner) {
-	s.mu.Lock()
-	s.cfg.Runner = r
-	s.mu.Unlock()
 }
 
 // serveFromStore attempts the read-through path: on a verified store hit
@@ -588,9 +516,7 @@ func (s *Server) serveFromStore(job *Job, fp string) bool {
 	for _, e := range stored.Explanations {
 		job.appendExplanation(e)
 	}
-	if job.finish(StateDone, nil) {
-		s.metrics.done.Add(1)
-	}
+	job.finish(StateDone, nil)
 	return true
 }
 
@@ -781,13 +707,11 @@ func (s *Server) Close() { s.baseCancel() }
 
 // Health is the GET /healthz document. Beyond liveness it carries the
 // daemon's result-determining configuration — scale and cache geometry —
-// so a cluster coordinator can refuse to shard cells onto a peer whose
-// results would not merge bit-identically with its own.
+// so a client can tell which configuration its results will be computed
+// under before it submits.
 type Health struct {
 	OK       bool    `json:"ok"`
 	Draining bool    `json:"draining"`
-	Role     string  `json:"role"`
-	ShardOf  string  `json:"shard_of,omitempty"`
 	Records  int     `json:"records_per_phase"`
 	WarmFrac float64 `json:"warm_frac"`
 	Cache    string  `json:"cache"`
@@ -802,8 +726,6 @@ func (s *Server) Health() Health {
 	return Health{
 		OK:       !draining,
 		Draining: draining,
-		Role:     s.cfg.Role,
-		ShardOf:  s.cfg.ShardOf,
 		Records:  s.cfg.Scale.PhaseRecords,
 		WarmFrac: s.cfg.Scale.WarmFrac,
 		Cache: fmt.Sprintf("%s;size=%d;ways=%d;block=%d;sets=%d",

@@ -17,6 +17,8 @@ import (
 	"time"
 
 	"gippr/internal/experiments"
+	"gippr/internal/ipv"
+	"gippr/internal/workload"
 )
 
 // testScale keeps daemon tests fast; it is also the scale the equivalence
@@ -87,81 +89,93 @@ func waitState(t *testing.T, ts *httptest.Server, id string, want State) JobStat
 // manifest must be bit-identical to what the gippr-sim CLI computes for the
 // same grid. Both run Lab.Grid, so the test rebuilds the CLI side as a
 // fresh Lab at the daemon's scale and compares cells with exact equality —
-// every float bit included.
+// every float bit included. The exact row is the IPV-search probe shape:
+// no registry policies, so the job carries the one GIPPR* cell alone.
 func TestServedGridBitIdentical(t *testing.T) {
-	s := newTestServer(t, Config{Workers: 2, QueueDepth: 4, LabWorkers: 2})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	req := JobRequest{
-		Workloads: []string{"mcf_like", "libquantum_like"},
-		Policies:  []string{"lru", "plru"},
-	}
-	st, resp := postJob(t, ts, req)
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("submit: status %d, want 202", resp.StatusCode)
-	}
-	if st.CellsTotal != 4 {
-		t.Fatalf("CellsTotal = %d, want 4", st.CellsTotal)
-	}
-	done := waitState(t, ts, st.ID, StateDone)
-	if done.ResultURL == "" {
-		t.Fatal("done status missing result_url")
-	}
-
-	rresp, err := http.Get(ts.URL + done.ResultURL)
-	if err != nil {
-		t.Fatalf("GET result: %v", err)
-	}
-	defer rresp.Body.Close()
-	if rresp.StatusCode != http.StatusOK {
-		t.Fatalf("result: status %d, want 200", rresp.StatusCode)
-	}
-	var res Result
-	if err := json.NewDecoder(rresp.Body).Decode(&res); err != nil {
-		t.Fatalf("decode result: %v", err)
-	}
-
-	// The CLI side: a fresh Lab at the same scale, same specs, same
-	// workloads — the exact computation gippr-sim prints as its table.
-	var specs []experiments.Spec
-	for _, n := range req.Policies {
+	var registry []experiments.Spec
+	for _, n := range []string{"lru", "plru"} {
 		sp, err := experiments.SpecFromRegistry(n)
 		if err != nil {
 			t.Fatal(err)
 		}
-		specs = append(specs, sp)
+		registry = append(registry, sp)
 	}
-	job, err := s.Get(st.ID)
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name  string
+		req   JobRequest
+		specs []experiments.Spec // the CLI side's specs for req
+	}{
+		{
+			name: "registry policies",
+			req: JobRequest{
+				Workloads: []string{"mcf_like", "libquantum_like"},
+				Policies:  []string{"lru", "plru"},
+			},
+			specs: registry,
+		},
+		{
+			name: "exact ipv",
+			req: JobRequest{
+				Workloads: []string{"mcf_like"},
+				IPV:       ipv.PaperWIGIPPR.String(),
+				Exact:     true,
+			},
+			specs: []experiments.Spec{experiments.SpecForIPV("GIPPR*", ipv.PaperWIGIPPR)},
+		},
 	}
-	want, err := experiments.NewLab(testScale).Grid(context.Background(), specs, job.wls, nil)
-	if err != nil {
-		t.Fatalf("reference Grid: %v", err)
-	}
-	if !reflect.DeepEqual(res.Cells, want) {
-		t.Errorf("served cells are not bit-identical to the CLI engine:\n served %+v\n want   %+v", res.Cells, want)
-	}
-	if !strings.Contains(res.Fingerprint, "records=4000") {
-		t.Errorf("fingerprint %q missing scale", res.Fingerprint)
-	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s := newTestServer(t, Config{Workers: 2, QueueDepth: 4, LabWorkers: 2})
+			ts := httptest.NewServer(s.Handler())
+			defer ts.Close()
 
-	// Resubmitting the same grid is served from the shared Lab's memo and
-	// must reproduce the identical manifest cells.
-	st2, _ := postJob(t, ts, req)
-	waitState(t, ts, st2.ID, StateDone)
-	r2, err := http.Get(ts.URL + "/v1/jobs/" + st2.ID + "/result")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r2.Body.Close()
-	var res2 Result
-	if err := json.NewDecoder(r2.Body).Decode(&res2); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(res.Cells, res2.Cells) {
-		t.Error("repeat job disagrees with first (memo reads must be identical)")
+			// The CLI side: a fresh Lab at the same scale, same specs, same
+			// workloads — the exact computation gippr-sim prints as its table.
+			var wls []workload.Workload
+			for _, n := range tc.req.Workloads {
+				w, err := workload.ByName(n)
+				if err != nil {
+					t.Fatal(err)
+				}
+				wls = append(wls, w)
+			}
+			want, err := experiments.NewLab(testScale).Grid(context.Background(), tc.specs, wls, nil)
+			if err != nil {
+				t.Fatalf("reference Grid: %v", err)
+			}
+
+			st, resp := postJob(t, ts, tc.req)
+			if resp.StatusCode != http.StatusAccepted {
+				t.Fatalf("submit: status %d, want 202", resp.StatusCode)
+			}
+			if st.CellsTotal != len(want) {
+				t.Fatalf("CellsTotal = %d, want %d", st.CellsTotal, len(want))
+			}
+			done := waitState(t, ts, st.ID, StateDone)
+			if done.ResultURL == "" {
+				t.Fatal("done status missing result_url")
+			}
+			res := getResult(t, ts, st.ID)
+			if !reflect.DeepEqual(res.Cells, want) {
+				t.Errorf("served cells are not bit-identical to the CLI engine:\n served %+v\n want   %+v", res.Cells, want)
+			}
+			if !strings.Contains(res.Fingerprint, "records=4000") {
+				t.Errorf("fingerprint %q missing scale", res.Fingerprint)
+			}
+			if tc.req.Exact {
+				if len(res.Cells) != 1 || res.Cells[0].Policy != "GIPPR*" {
+					t.Errorf("exact ipv job returned %+v, want exactly one GIPPR* cell", res.Cells)
+				}
+			}
+
+			// Resubmitting the same grid is served from the shared Lab's memo
+			// and must reproduce the identical manifest cells.
+			st2, _ := postJob(t, ts, tc.req)
+			waitState(t, ts, st2.ID, StateDone)
+			if res2 := getResult(t, ts, st2.ID); !reflect.DeepEqual(res.Cells, res2.Cells) {
+				t.Error("repeat job disagrees with first (memo reads must be identical)")
+			}
+		})
 	}
 }
 
@@ -421,6 +435,7 @@ func TestSubmitValidation(t *testing.T) {
 		{Workloads: []string{"lbm_like"}, Sample: -1},
 		{Workloads: []string{"lbm_like"}, Sample: 64},
 		{Workloads: []string{"lbm_like"}, TimeoutSec: -1},
+		{Workloads: []string{"lbm_like"}, Exact: true}, // exact, yet names no policy and no IPV
 	}
 	for i, req := range bad {
 		if _, resp := postJob(t, ts, req); resp.StatusCode != http.StatusBadRequest {
@@ -460,7 +475,8 @@ func TestSubmitValidation(t *testing.T) {
 }
 
 // TestCancel: DELETE cancels a running job (its context ends, state becomes
-// cancelled) and a queued job directly.
+// cancelled) and a queued job directly, and /metrics counts both — the
+// queued one is settled by the DELETE itself, never by a worker.
 func TestCancel(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 1, QueueDepth: 2})
 	b := installBlocking(s)
@@ -486,6 +502,21 @@ func TestCancel(t *testing.T) {
 	}
 	waitState(t, ts, running.ID, StateCancelled)
 	waitState(t, ts, queued.ID, StateCancelled)
+	if got := s.Snapshot().JobsCancelled; got != 2 {
+		t.Errorf("metrics jobs_cancelled = %d, want 2", got)
+	}
+
+	// Cancelling a settled job again is a no-op: no transition, no count.
+	qj, err := s.Get(queued.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if qj.Cancel() {
+		t.Error("re-cancelling a cancelled job reported a transition")
+	}
+	if got := s.Snapshot().JobsCancelled; got != 2 {
+		t.Errorf("metrics jobs_cancelled after a repeat cancel = %d, want 2", got)
+	}
 }
 
 // TestJobTimeout: a request deadline cancels the job as cancelled, not

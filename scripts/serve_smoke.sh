@@ -12,22 +12,16 @@
 # A second phase proves the persistent result store: restart the daemon
 # with the same -store directory, resubmit the identical job, and require
 # a store hit in /metrics plus a byte-identical manifest (modulo the
-# per-request job id) with zero recompute. A third phase proves the
-# cluster: a coordinator over two shard workers must produce a manifest
-# byte-identical to phase 1's single node, and after one worker is
-# SIGKILLed mid-cluster a follow-up job must still complete — with
-# /metrics showing failovers and the dead peer's breaker open.
+# per-request job id) with zero recompute.
 #
 # Usage: scripts/serve_smoke.sh   (run from the repo root; `make serve-smoke`)
 set -euo pipefail
 
 workdir=$(mktemp -d)
 cleanup() {
-    for pid in "${serve_pid:-}" "${w1_pid:-}" "${w2_pid:-}"; do
-        if [[ -n "$pid" ]] && kill -0 "$pid" 2>/dev/null; then
-            kill -KILL "$pid" 2>/dev/null || true
-        fi
-    done
+    if [[ -n "${serve_pid:-}" ]] && kill -0 "$serve_pid" 2>/dev/null; then
+        kill -KILL "$serve_pid" 2>/dev/null || true
+    fi
     rm -rf "$workdir"
 }
 trap cleanup EXIT
@@ -229,98 +223,5 @@ rc=0
 wait "$serve_pid" || rc=$?
 serve_pid=
 [[ "$rc" -eq 0 ]] || { echo "store daemon exited $rc after final SIGTERM, want 0" >&2; exit 1; }
-
-# ---------------------------------------------------------------------------
-# Phase 3: fault-tolerant clustering. Two shard workers plus a coordinator;
-# the coordinated manifest must match the single-node one byte for byte.
-# Then kill -9 one worker and submit a wider grid: the coordinator must
-# finish it anyway (failover to the surviving worker / local engine), with
-# /metrics reporting the failovers and the dead peer's breaker open.
-# ---------------------------------------------------------------------------
-
-start_daemon() { # $1 = addr-file suffix, rest = extra flags; sets last_pid/addr
-    "$workdir/gippr-serve" \
-        -addr localhost:0 -addr-file "$workdir/addr$1" \
-        -records 4000 -jobs 2 -queue 4 \
-        "${@:2}" \
-        2>"$workdir/serve$1.log" &
-    last_pid=$!
-    for _ in $(seq 1 100); do
-        [[ -s "$workdir/addr$1" ]] && break
-        if ! kill -0 "$last_pid" 2>/dev/null; then
-            echo "daemon (addr$1) died during startup:" >&2
-            cat "$workdir/serve$1.log" >&2
-            exit 1
-        fi
-        sleep 0.1
-    done
-    addr=$(cat "$workdir/addr$1")
-    [[ -n "$addr" ]] || { echo "no address written for addr$1" >&2; exit 1; }
-}
-
-run_job() { # $1 = body; waits via the stream, echoes the id-stripped manifest
-    local job id
-    job=$(curl -sf "http://$addr/v1/jobs" -d "$1")
-    id=$(sed -n 's/.*"id": "\([0-9a-f]*\)".*/\1/p' <<<"$job" | head -1)
-    [[ -n "$id" ]] || { echo "cluster submit returned no job id: $job" >&2; exit 1; }
-    curl -sfN "http://$addr/v1/jobs/$id/stream" >/dev/null # blocks until terminal
-    curl -sf "http://$addr/v1/jobs/$id/result" | sed '/"id":/d'
-}
-
-echo "== cluster: two workers + coordinator"
-start_daemon "w1" -shard-of smoke; w1_pid=$last_pid; w1_addr=$addr
-start_daemon "w2" -shard-of smoke; w2_pid=$last_pid; w2_addr=$addr
-start_daemon "c" -peers "$w1_addr,$w2_addr" -health-interval 250ms -sub-job-timeout 60s
-serve_pid=$last_pid
-echo "   workers $w1_addr, $w2_addr; coordinator $addr"
-
-clustered=$(run_job "$job_body")
-if [[ "$clustered" != "$cold" ]]; then
-    echo "clustered manifest differs from the single-node one:" >&2
-    diff <(echo "$cold") <(echo "$clustered") >&2 || true
-    exit 1
-fi
-echo "   clustered manifest byte-identical to single-node"
-metrics=$(curl -sf "http://$addr/metrics")
-remote=$(sed -n 's/.*"remote_cells": \([0-9]*\).*/\1/p' <<<"$metrics")
-[[ "${remote:-0}" -eq 4 ]] || { echo "remote_cells = ${remote:-?}, want 4: $metrics" >&2; exit 1; }
-
-echo "== cluster: SIGKILL one worker mid-cluster, job still completes"
-kill -KILL "$w1_pid"
-wait "$w1_pid" 2>/dev/null || true
-w1_pid=
-wide_body='{"workloads": ["mcf_like", "libquantum_like"],
-            "policies": ["lru", "plru", "lip", "bip", "dip", "fifo", "nru", "random"]}'
-wide=$(run_job "$wide_body")
-wcells=$(grep -c '"workload"' <<<"$wide")
-[[ "$wcells" -eq 16 ]] || { echo "post-kill manifest has $wcells cells, want 16" >&2; exit 1; }
-
-metrics=$(curl -sf "http://$addr/metrics")
-failovers=$(sed -n 's/.*"failovers": \([0-9]*\).*/\1/p' <<<"$metrics")
-if [[ "${failovers:-0}" -eq 0 ]]; then
-    echo "no failovers recorded after killing a worker: $metrics" >&2
-    exit 1
-fi
-echo "   job completed with $failovers failovers"
-
-breaker_open=
-for _ in $(seq 1 40); do # probes at 250ms, breaker threshold 3
-    metrics=$(curl -sf "http://$addr/metrics")
-    if grep -q '"breaker": "open"' <<<"$metrics"; then breaker_open=1; break; fi
-    sleep 0.25
-done
-[[ -n "$breaker_open" ]] || { echo "dead worker's breaker never opened: $metrics" >&2; exit 1; }
-echo "   dead worker's breaker is open"
-
-echo "== cluster: SIGTERM drains coordinator and surviving worker, exit 0"
-for pid in "$serve_pid" "$w2_pid"; do
-    kill -TERM "$pid"
-done
-rc=0; wait "$serve_pid" || rc=$?
-serve_pid=
-[[ "$rc" -eq 0 ]] || { echo "coordinator exited $rc after SIGTERM, want 0" >&2; cat "$workdir/servec.log" >&2; exit 1; }
-rc=0; wait "$w2_pid" || rc=$?
-w2_pid=
-[[ "$rc" -eq 0 ]] || { echo "surviving worker exited $rc after SIGTERM, want 0" >&2; cat "$workdir/servew2.log" >&2; exit 1; }
 
 echo "PASS: serve smoke"
