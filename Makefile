@@ -4,15 +4,22 @@
 
 GO ?= go
 
-.PHONY: all build vet test race bench cover fuzz serve-smoke staticcheck check
+.PHONY: all build vet test race bench cover fuzz serve-smoke staticcheck check loc
 
 all: check
 
 build:
 	$(GO) build ./...
 
+# vet also covers the bench/ module, which root `go build ./...` skips (it is
+# a module of its own, resolved offline through its replace directive), and
+# fails on any unformatted Go file. Files are listed from git, so build trees
+# such as .bench_build/ are never scanned.
 vet: build
 	$(GO) vet ./...
+	$(GO) -C bench vet ./...
+	@unformatted=$$(gofmt -l $$(git ls-files --cached --others --exclude-standard '*.go')); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l lists unformatted files:"; echo "$$unformatted"; exit 1; fi
 
 test: vet
 	$(GO) test ./...
@@ -83,3 +90,11 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzExplainDecomposition -fuzztime=$(FUZZTIME) ./internal/explain
 
 check: race cover bench fuzz staticcheck serve-smoke
+
+# Source size per package: non-blank lines that are not // comments, over
+# git-tracked non-test .go files outside the bench/ module, plus the total.
+loc:
+	@git ls-files '*.go' ':!:*_test.go' ':!:bench/**' | xargs awk '{ sub(/^[ \t]+/, "") } \
+		$$0 != "" && !/^\/\// { d = FILENAME; if (!sub(/\/[^\/]*$$/, "", d)) d = "."; n[d]++; t++ } \
+		END { for (d in n) printf "%6d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%6d total\n", t }'
+

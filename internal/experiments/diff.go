@@ -2,14 +2,10 @@ package experiments
 
 import (
 	"context"
-	"sync"
-	"sync/atomic"
 
-	"gippr/internal/cache"
 	"gippr/internal/cpu"
 	"gippr/internal/explain"
 	"gippr/internal/parallel"
-	"gippr/internal/stats"
 	"gippr/internal/telemetry"
 	"gippr/internal/workload"
 )
@@ -26,151 +22,68 @@ type telCapture struct {
 	mpki   float64
 }
 
-// telFlight is the singleflight slot of one capture; same protocol as
-// flight (see its comment for the ready/once contract).
-type telFlight struct {
-	once  sync.Once
-	ready atomic.Bool
-	cap   telCapture
-}
-
-func (f *telFlight) set(c telCapture) {
-	f.cap = c
-	f.ready.Store(true)
-}
-
-// diffFlight memoizes one settled explanation.
-type diffFlight struct {
-	once sync.Once
+// diffResult is one memoized Diff outcome.
+type diffResult struct {
 	expl *explain.Explanation
 	err  error
 }
 
-// claimTel returns the capture slot for key, creating it if absent.
-func (l *Lab) claimTel(key string) *telFlight {
-	l.mu.Lock()
-	f, ok := l.tels[key]
-	if !ok {
-		f = &telFlight{}
-		l.tels[key] = f
-	}
-	l.mu.Unlock()
-	return f
-}
-
-// claimDiff returns the explanation slot for key, creating it if absent.
-func (l *Lab) claimDiff(key string) *diffFlight {
-	l.mu.Lock()
-	f, ok := l.diffs[key]
-	if !ok {
-		f = &diffFlight{}
-		l.diffs[key] = f
-	}
-	l.mu.Unlock()
-	return f
-}
-
 func telKey(spec Spec, w workload.Workload) string { return spec.Key + "|" + w.Name }
 
-// captureTel settles the instrumented captures of every given spec on one
-// workload with a single pass per phase: specs whose capture is already
-// settled are skipped, the rest replay together via cpu.MultiWindowReplay
-// with a private sink each. Like multiPhaseRun, each computed value is
-// bit-identical to a standalone instrumented replay, so concurrent
-// captures of overlapping spec sets agree on every value.
-func (l *Lab) captureTel(specs []Spec, w workload.Workload) {
-	type slot struct {
-		f    *telFlight
-		spec Spec
-	}
-	var todo []slot
-	seen := make(map[string]bool, len(specs))
-	for _, s := range specs {
-		if seen[s.Key] {
-			continue
-		}
-		seen[s.Key] = true
-		f := l.claimTel(telKey(s, w))
-		if !f.ready.Load() {
-			todo = append(todo, slot{f: f, spec: s})
-		}
-	}
-	if len(todo) == 0 {
-		return
-	}
-	caps := make([]telCapture, len(todo))
-	merged := make([]*telemetry.Sink, len(todo))
-	vals := make([][]float64, len(todo))
-	for i := range todo {
+// capture walks each phase of w once under every given spec, each with a
+// fresh policy, window model and private telemetry sink
+// (cpu.MultiWindowReplay), and returns their instrumented captures in spec
+// order. Like replay, each capture is bit-identical to a standalone
+// instrumented replay of its spec, so a value does not depend on which
+// batch computed it.
+func (l *Lab) capture(specs []Spec, w workload.Workload) []telCapture {
+	caps := make([]telCapture, len(specs))
+	merged := make([]*telemetry.Sink, len(specs))
+	for i := range specs {
 		merged[i] = &telemetry.Sink{}
-		vals[i] = make([]float64, len(w.Phases))
 	}
-	wts := make([]float64, len(w.Phases))
 	for pi, ph := range w.Phases {
 		st := l.Streams(w)[pi]
-		pols := make([]cache.Policy, len(todo))
-		models := make([]*cpu.WindowModel, len(todo))
-		sinks := make([]*telemetry.Sink, len(todo))
-		for i, s := range todo {
-			pols[i] = s.spec.New(w.Name, l.Cfg.Sets(), l.Cfg.Ways)
-			models[i] = cpu.DefaultWindowModel()
+		pols, models := l.instances(specs, w)
+		sinks := make([]*telemetry.Sink, len(specs))
+		for i := range sinks {
 			sinks[i] = &telemetry.Sink{}
 		}
 		results := cpu.MultiWindowReplay(st.Records, l.Cfg, pols, l.warm(len(st.Records)), models, sinks)
-		wts[pi] = ph.Weight
-		for i := range todo {
+		for i, r := range results {
 			caps[i].phases = append(caps[i].phases, explain.PhaseStats{
 				Weight:       ph.Weight,
-				Misses:       results[i].Misses,
-				Hits:         results[i].Hits,
-				Accesses:     results[i].Accesses,
-				Instructions: results[i].Instructions,
+				Misses:       r.Misses,
+				Hits:         r.Hits,
+				Accesses:     r.Accesses,
+				Instructions: r.Instructions,
 				HitReuse:     sinks[i].HitReuse.Snapshot(),
 			})
 			merged[i].Merge(sinks[i])
-			vals[i][pi] = l.phaseMPKI(results[i].Misses, results[i].Instructions)
 		}
 	}
-	for i, s := range todo {
-		caps[i].merged = merged[i].Report()
-		caps[i].mpki = stats.WeightedMean(vals[i], wts)
-		c := caps[i]
-		s.f.once.Do(func() { s.f.set(c) })
+	for i := range caps {
+		c := &caps[i]
+		c.merged = merged[i].Report()
+		c.mpki = weighted(w, func(p int) float64 {
+			return l.phaseMPKI(c.phases[p].Misses, c.phases[p].Instructions)
+		})
 	}
+	return caps
 }
 
-// telOf returns the memoized capture of one (spec, workload), computing it
-// alone if no batch capture settled it first.
+// telOf returns the capture of one (spec, workload), capturing it alone if
+// no batch settled it first.
 func (l *Lab) telOf(spec Spec, w workload.Workload) telCapture {
-	f := l.claimTel(telKey(spec, w))
-	f.once.Do(func() {
-		merged := &telemetry.Sink{}
-		vals := make([]float64, len(w.Phases))
-		wts := make([]float64, len(w.Phases))
-		var c telCapture
-		for pi, ph := range w.Phases {
-			st := l.Streams(w)[pi]
-			pol := spec.New(w.Name, l.Cfg.Sets(), l.Cfg.Ways)
-			var sink telemetry.Sink
-			res := cpu.WindowReplayTel(st.Records, l.Cfg, pol, l.warm(len(st.Records)),
-				cpu.DefaultWindowModel(), &sink)
-			c.phases = append(c.phases, explain.PhaseStats{
-				Weight:       ph.Weight,
-				Misses:       res.Misses,
-				Hits:         res.Hits,
-				Accesses:     res.Accesses,
-				Instructions: res.Instructions,
-				HitReuse:     sink.HitReuse.Snapshot(),
-			})
-			merged.Merge(&sink)
-			vals[pi] = l.phaseMPKI(res.Misses, res.Instructions)
-			wts[pi] = ph.Weight
-		}
-		c.merged = merged.Report()
-		c.mpki = stats.WeightedMean(vals, wts)
-		f.set(c)
-	})
-	return f.cap
+	return l.tels.get(telKey(spec, w), func() telCapture { return l.capture([]Spec{spec}, w)[0] })
+}
+
+// captureTel settles the captures of every given spec on w with a single
+// walk per phase, skipping specs that are settled or being captured
+// elsewhere.
+func (l *Lab) captureTel(specs []Spec, w workload.Workload) {
+	batch(&l.tels, specs, func(s Spec) string { return telKey(s, w) },
+		func(todo []Spec) []telCapture { return l.capture(todo, w) })
 }
 
 // side assembles one explain input from a settled capture.
@@ -200,14 +113,12 @@ func (l *Lab) side(spec Spec, c telCapture) explain.Side {
 // are shared across diffs — Diff(A, B, w) then Diff(A, C, w) replays A
 // once. The headline MPKIs equal Lab.MPKI bit for bit.
 func (l *Lab) Diff(a, b Spec, w workload.Workload) (*explain.Explanation, error) {
-	f := l.claimDiff(a.Key + "|" + b.Key + "|" + w.Name)
-	f.once.Do(func() {
+	d := l.diffs.get(a.Key+"|"+b.Key+"|"+w.Name, func() diffResult {
 		l.captureTel([]Spec{a, b}, w)
-		sa := l.side(a, l.telOf(a, w))
-		sb := l.side(b, l.telOf(b, w))
-		f.expl, f.err = explain.Diff(w.Name, sa, sb)
+		e, err := explain.Diff(w.Name, l.side(a, l.telOf(a, w)), l.side(b, l.telOf(b, w)))
+		return diffResult{e, err}
 	})
-	return f.expl, f.err
+	return d.expl, d.err
 }
 
 // DiffAll explains b relative to a on every given workload, fanning the

@@ -5,7 +5,6 @@ import (
 
 	"gippr/internal/parallel"
 	"gippr/internal/stats"
-	"gippr/internal/telemetry"
 	"gippr/internal/workload"
 )
 
@@ -86,14 +85,4 @@ func (l *Lab) Grid(ctx context.Context, specs []Spec, wls []workload.Workload, o
 		}
 	})
 	return cells, err
-}
-
-// TelemetryEntries replays every spec on one workload with event sinks
-// attached and returns the per-spec manifest entries (one coherent
-// instrumented run per entry, bypassing the terminal-number memo — see
-// TelemetryEntry). It is the exported face of the single-pass instrumented
-// engine for callers that pick their own workload subset, such as
-// gippr-sim's -telemetry path.
-func (l *Lab) TelemetryEntries(specs []Spec, w workload.Workload) []telemetry.Entry {
-	return l.multiTelemetryEntries(specs, w)
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"gippr/internal/cache"
 	"gippr/internal/cpu"
@@ -12,6 +11,7 @@ import (
 	"gippr/internal/ipv"
 	"gippr/internal/parallel"
 	"gippr/internal/policy"
+	"gippr/internal/stackdist"
 	"gippr/internal/stats"
 	"gippr/internal/trace"
 	"gippr/internal/workload"
@@ -38,63 +38,14 @@ type phaseResult struct {
 	Accesses uint64
 }
 
-// flight is a per-key singleflight slot: the first goroutine to claim the
-// key runs the computation inside once; everyone else blocks on the same
-// once and reads the settled value. Values are only read after once.Do
-// returns, which establishes the happens-before edge. ready lets batch
-// engines (multiPhaseRun) cheaply test "already settled?" without entering
-// the once — it is advisory for work-skipping only; readers of res still
-// synchronize through once.Do.
-type flight struct {
-	once  sync.Once
-	ready atomic.Bool
-	res   phaseResult
-}
-
-// set stores the settled value; call only from inside once.Do.
-func (f *flight) set(res phaseResult) {
-	f.res = res
-	f.ready.Store(true)
-}
-
-// streamFlight is the per-workload equivalent for LLC stream construction.
-type streamFlight struct {
-	once    sync.Once
-	streams []ga.Stream
-}
-
-// streamTable is a share-able memo of built LLC streams, keyed by workload
-// name, with its own lock so several Labs (a full-fidelity lab and its
-// WithSampling views) can hand out the same streams without racing on a
-// per-lab mutex. Sharing is sound because stream capture is independent of
-// both the LLC replacement policy (records are captured before L3 lookup)
-// and set sampling (capture always runs at full fidelity).
-type streamTable struct {
-	mu sync.Mutex
-	m  map[string]*streamFlight
-}
-
-func newStreamTable() *streamTable {
-	return &streamTable{m: make(map[string]*streamFlight)}
-}
-
-// claim returns the singleflight slot for a workload, creating it if absent.
-func (t *streamTable) claim(name string) *streamFlight {
-	t.mu.Lock()
-	f, ok := t.m[name]
-	if !ok {
-		f = &streamFlight{}
-		t.m[name] = f
-	}
-	t.mu.Unlock()
-	return f
-}
-
 // Lab owns the streams and memoized results for one scale. It is safe for
-// concurrent use: stream builds and replays for distinct keys proceed in
-// parallel, while concurrent requests for the same key are coalesced into a
-// single computation (singleflight) — the lab-wide mutex only guards the
-// memoization map lookups, never a replay.
+// concurrent use: all six memos follow the memo type's rules, so stream
+// builds and replays for distinct keys proceed in parallel, concurrent
+// requests for the same key wait for its one computation, a batch replay
+// settles only the keys nobody else is computing, and a computation that
+// panics leaves its keys to be recomputed. Memos wait on each other in one
+// direction only — diffs on tels on streams, and results, optimal and
+// sweeps on streams — so no wait cycle can form.
 type Lab struct {
 	Scale Scale
 	Cfg   cache.Config // the LLC under study
@@ -112,15 +63,17 @@ type Lab struct {
 	// cancellation truncates a run, it never corrupts one.
 	ctx context.Context
 
-	suite   []workload.Workload
-	streams *streamTable            // workload -> one LLC stream per phase
-	results map[string]*flight      // key: policyKey|workload|phase
-	optimal map[string]*flight      // key: workload|phase
-	sweeps  map[string]*sweepFlight // key: latticeKey|workload|phase
-	tels    map[string]*telFlight   // key: policyKey|workload
-	diffs   map[string]*diffFlight  // key: policyKeyA|policyKeyB|workload
-
-	mu sync.Mutex // guards the result maps' entries, not their computation
+	suite []workload.Workload
+	// streams maps a workload to its LLC stream per phase. WithSampling
+	// views share it by pointer: capture is independent of both the LLC
+	// replacement policy (records are captured before the L3 lookup) and set
+	// sampling (capture always runs at full fidelity).
+	streams *memo[[]ga.Stream]
+	results memo[phaseResult]      // key: policyKey|workload|phase
+	optimal memo[phaseResult]      // key: workload|phase
+	sweeps  memo[*stackdist.Sweep] // key: latticeKey|workload|phase
+	tels    memo[telCapture]       // key: policyKey|workload
+	diffs   memo[diffResult]       // key: policyKeyA|policyKeyB|workload
 
 	factorOnce sync.Once // lazily caches Cfg.SampleFactor()
 	factor     float64
@@ -135,12 +88,7 @@ func NewLab(s Scale) *Lab {
 		Workers: parallel.DefaultWorkers(),
 		ctx:     context.Background(),
 		suite:   workload.Suite(),
-		streams: newStreamTable(),
-		results: make(map[string]*flight),
-		optimal: make(map[string]*flight),
-		sweeps:  make(map[string]*sweepFlight),
-		tels:    make(map[string]*telFlight),
-		diffs:   make(map[string]*diffFlight),
+		streams: &memo[[]ga.Stream]{},
 	}
 }
 
@@ -159,11 +107,6 @@ func (l *Lab) WithSampling(shift uint) *Lab {
 		ctx:     l.ctx,
 		suite:   l.suite,
 		streams: l.streams,
-		results: make(map[string]*flight),
-		optimal: make(map[string]*flight),
-		sweeps:  make(map[string]*sweepFlight),
-		tels:    make(map[string]*telFlight),
-		diffs:   make(map[string]*diffFlight),
 	}
 	n.Cfg.SampleShift = shift
 	return n
@@ -213,9 +156,7 @@ func phaseSeed(name string, phase int) uint64 {
 // second caller asking for a workload mid-build waits for that build only,
 // and memoized lookups never block behind any build.
 func (l *Lab) Streams(w workload.Workload) []ga.Stream {
-	f := l.streams.claim(w.Name)
-	f.once.Do(func() { f.streams = l.buildStreams(w) })
-	return f.streams
+	return l.streams.get(w.Name, func() []ga.Stream { return l.buildStreams(w) })
 }
 
 // buildStreams is the expensive hierarchy replay behind Streams, run exactly
@@ -257,18 +198,6 @@ func (l *Lab) buildStreams(w workload.Workload) []ga.Stream {
 
 func (l *Lab) warm(n int) int { return int(float64(n) * l.Scale.WarmFrac) }
 
-// claim returns the singleflight slot for key in m, creating it if absent.
-func (l *Lab) claim(m map[string]*flight, key string) *flight {
-	l.mu.Lock()
-	f, ok := m[key]
-	if !ok {
-		f = &flight{}
-		m[key] = f
-	}
-	l.mu.Unlock()
-	return f
-}
-
 // phaseMPKI converts sampled-or-full miss/instruction counts into the
 // phase's MPKI. At full fidelity it is exactly stats.MPKI; under sampling
 // the misses describe only the sampled sets and scale up by the measured
@@ -301,73 +230,62 @@ func phaseKey(spec Spec, w workload.Workload, phase int) string {
 	return fmt.Sprintf("%s|%s|%d", spec.Key, w.Name, phase)
 }
 
-// phaseRun replays one phase's stream under one policy, memoized with
-// singleflight semantics: when several goroutines miss on the same key at
-// once, exactly one performs the multi-second replay and the rest wait for
-// its result instead of duplicating the work.
-func (l *Lab) phaseRun(spec Spec, w workload.Workload, phase int) phaseResult {
-	f := l.claim(l.results, phaseKey(spec, w, phase))
-	f.once.Do(func() {
-		st := l.Streams(w)[phase]
-		pol := spec.New(w.Name, l.Cfg.Sets(), l.Cfg.Ways)
-		res := cpu.WindowReplay(st.Records, l.Cfg, pol, l.warm(len(st.Records)), cpu.DefaultWindowModel())
-		f.set(l.resultOf(res))
-	})
-	return f.res
+// replay walks one phase's stream once under every given spec, each with a
+// fresh policy and window model (cpu.MultiWindowReplay), and returns their
+// results in spec order. Each result is bit-identical to a standalone
+// replay of its spec (the kernel's per-model equivalence guarantee), so a
+// value does not depend on which batch computed it.
+func (l *Lab) replay(specs []Spec, w workload.Workload, phase int) []phaseResult {
+	st := l.Streams(w)[phase]
+	pols, models := l.instances(specs, w)
+	res := cpu.MultiWindowReplay(st.Records, l.Cfg, pols, l.warm(len(st.Records)), models, nil)
+	out := make([]phaseResult, len(res))
+	for i, r := range res {
+		out[i] = l.resultOf(r)
+	}
+	return out
 }
 
-// multiPhaseRun settles the flights of every given spec on one (workload,
-// phase) with a single pass over the stream: specs whose flight is already
-// settled are skipped, the rest replay together via cpu.MultiWindowReplay.
-// Each computed value is bit-identical to what phaseRun would have produced
-// (the kernel's per-model equivalence guarantee), so the two engines share
-// one memo safely; a concurrent phaseRun on the same key simply wins or
-// loses the once and both sides agree on the value.
-func (l *Lab) multiPhaseRun(specs []Spec, w workload.Workload, phase int) {
-	type slot struct {
-		f    *flight
-		spec Spec
-	}
-	var todo []slot
-	for _, s := range specs {
-		f := l.claim(l.results, phaseKey(s, w, phase))
-		if !f.ready.Load() {
-			todo = append(todo, slot{f: f, spec: s})
-		}
-	}
-	if len(todo) == 0 {
-		return
-	}
-	st := l.Streams(w)[phase]
-	pols := make([]cache.Policy, len(todo))
-	models := make([]*cpu.WindowModel, len(todo))
-	for i, s := range todo {
-		pols[i] = s.spec.New(w.Name, l.Cfg.Sets(), l.Cfg.Ways)
+// instances builds one fresh policy and window model per spec for a replay
+// on w.
+func (l *Lab) instances(specs []Spec, w workload.Workload) ([]cache.Policy, []*cpu.WindowModel) {
+	pols := make([]cache.Policy, len(specs))
+	models := make([]*cpu.WindowModel, len(specs))
+	for i, s := range specs {
+		pols[i] = s.New(w.Name, l.Cfg.Sets(), l.Cfg.Ways)
 		models[i] = cpu.DefaultWindowModel()
 	}
-	results := cpu.MultiWindowReplay(st.Records, l.Cfg, pols, l.warm(len(st.Records)), models, nil)
-	for i, s := range todo {
-		res := l.resultOf(results[i])
-		s.f.once.Do(func() { s.f.set(res) })
-	}
+	return pols, models
 }
 
-// optimalRun computes Belady MIN for one phase, memoized with the same
-// singleflight coalescing as phaseRun.
+// phaseRun returns one (spec, workload, phase) result, replaying it alone
+// if no batch settled it first.
+func (l *Lab) phaseRun(spec Spec, w workload.Workload, phase int) phaseResult {
+	return l.results.get(phaseKey(spec, w, phase), func() phaseResult {
+		return l.replay([]Spec{spec}, w, phase)[0]
+	})
+}
+
+// multiPhaseRun settles the results of every given spec on one (workload,
+// phase) with a single walk of the stream, skipping specs that are settled
+// or being replayed elsewhere.
+func (l *Lab) multiPhaseRun(specs []Spec, w workload.Workload, phase int) {
+	batch(&l.results, specs, func(s Spec) string { return phaseKey(s, w, phase) },
+		func(todo []Spec) []phaseResult { return l.replay(todo, w, phase) })
+}
+
+// optimalRun computes Belady MIN for one phase, memoized like phaseRun.
 func (l *Lab) optimalRun(w workload.Workload, phase int) phaseResult {
-	key := fmt.Sprintf("%s|%d", w.Name, phase)
-	f := l.claim(l.optimal, key)
-	f.once.Do(func() {
+	return l.optimal.get(fmt.Sprintf("%s|%d", w.Name, phase), func() phaseResult {
 		st := l.Streams(w)[phase]
 		rs := policy.Optimal(st.Records, l.Cfg, l.warm(len(st.Records)))
-		f.set(phaseResult{
+		return phaseResult{
 			MPKI:     l.phaseMPKI(rs.Misses, rs.Instructions),
 			Misses:   rs.Misses,
 			Instrs:   rs.Instructions,
 			Accesses: rs.Accesses,
-		})
+		}
 	})
-	return f.res
 }
 
 // weighted combines per-phase values with the workload's phase weights.

@@ -3,92 +3,35 @@ package experiments
 import (
 	"context"
 
-	"gippr/internal/cache"
-	"gippr/internal/cpu"
 	"gippr/internal/parallel"
-	"gippr/internal/stats"
 	"gippr/internal/telemetry"
 	"gippr/internal/workload"
 )
 
-// TelemetryEntry replays every phase of a workload under a policy with an
-// event sink attached and returns the merged manifest entry: weighted MPKI
-// plus the LLC's event-level report (insertion positions, promotion
-// distances, reuse and dead-time histograms, dueling votes) over the
-// measurement windows of all phases. Instrumented replays bypass the lab's
-// memoized results on purpose — the memo holds terminal numbers only, and an
-// entry must describe a single coherent run.
-func (l *Lab) TelemetryEntry(spec Spec, w workload.Workload) telemetry.Entry {
-	merged := &telemetry.Sink{}
-	vals := make([]float64, len(w.Phases))
-	wts := make([]float64, len(w.Phases))
-	for pi, ph := range w.Phases {
-		st := l.Streams(w)[pi]
-		pol := spec.New(w.Name, l.Cfg.Sets(), l.Cfg.Ways)
-		var sink telemetry.Sink
-		res := cpu.WindowReplayTel(st.Records, l.Cfg, pol, l.warm(len(st.Records)),
-			cpu.DefaultWindowModel(), &sink)
-		merged.Merge(&sink)
-		vals[pi] = l.phaseMPKI(res.Misses, res.Instructions)
-		wts[pi] = ph.Weight
-	}
-	return telemetry.Entry{
-		Workload: w.Name,
-		Policy:   spec.Label,
-		MPKI:     stats.WeightedMean(vals, wts),
-		LLC:      merged.Report(),
-	}
-}
-
-// multiTelemetryEntries builds TelemetryEntry's output for every spec on one
-// workload from a single pass per phase: one cpu.MultiWindowReplay drives
-// all the models with a private telemetry sink each, so N instrumented
-// entries cost one walk of the stream instead of N. Per-model results and
-// events are bit-identical to TelemetryEntry's (the kernel's equivalence
-// guarantee); entries come back in spec order.
-func (l *Lab) multiTelemetryEntries(specs []Spec, w workload.Workload) []telemetry.Entry {
-	merged := make([]*telemetry.Sink, len(specs))
-	vals := make([][]float64, len(specs))
-	for si := range specs {
-		merged[si] = &telemetry.Sink{}
-		vals[si] = make([]float64, len(w.Phases))
-	}
-	wts := make([]float64, len(w.Phases))
-	for pi, ph := range w.Phases {
-		st := l.Streams(w)[pi]
-		pols := make([]cache.Policy, len(specs))
-		models := make([]*cpu.WindowModel, len(specs))
-		sinks := make([]*telemetry.Sink, len(specs))
-		for si, spec := range specs {
-			pols[si] = spec.New(w.Name, l.Cfg.Sets(), l.Cfg.Ways)
-			models[si] = cpu.DefaultWindowModel()
-			sinks[si] = &telemetry.Sink{}
-		}
-		results := cpu.MultiWindowReplay(st.Records, l.Cfg, pols, l.warm(len(st.Records)), models, sinks)
-		wts[pi] = ph.Weight
-		for si := range specs {
-			merged[si].Merge(sinks[si])
-			vals[si][pi] = l.phaseMPKI(results[si].Misses, results[si].Instructions)
-		}
-	}
+// TelemetryEntries returns the manifest entry of every spec on one
+// workload, in spec order: weighted MPKI plus the LLC's event-level report
+// (insertion positions, promotion distances, reuse and dead-time
+// histograms, dueling votes) over the measurement windows of all phases.
+// Entries come from the memoized instrumented captures Diff also reads,
+// kept apart from the terminal-number memo, so each entry still describes
+// one coherent run; the specs not captured yet share one walk per phase.
+// Callers such as gippr-sim's -telemetry path pick their own workloads.
+func (l *Lab) TelemetryEntries(specs []Spec, w workload.Workload) []telemetry.Entry {
+	l.captureTel(specs, w)
 	entries := make([]telemetry.Entry, len(specs))
-	for si, spec := range specs {
-		entries[si] = telemetry.Entry{
-			Workload: w.Name,
-			Policy:   spec.Label,
-			MPKI:     stats.WeightedMean(vals[si], wts),
-			LLC:      merged[si].Report(),
-		}
+	for i, s := range specs {
+		c := l.telOf(s, w)
+		entries[i] = telemetry.Entry{Workload: w.Name, Policy: s.Label, MPKI: c.mpki, LLC: c.merged}
 	}
 	return entries
 }
 
 // Manifest builds a run manifest over specs x the lab's workload suite,
 // replaying each (policy, workload) pair with telemetry attached. Each
-// workload is one parallel task that replays all specs in a single pass
-// over its streams (multiTelemetryEntries), so the manifest costs one
-// stream walk per workload phase rather than one per (spec, phase); entry
-// values are bit-identical to per-spec replays. The entry order is
+// workload is one parallel task that captures all specs in a single pass
+// over its streams (TelemetryEntries), so the manifest costs one stream
+// walk per workload phase rather than one per (spec, phase); entry values
+// are bit-identical to per-spec replays. The entry order is
 // deterministic (spec-major, suite order) regardless of scheduling. On
 // cancellation the partial manifest built so far is returned with ctx's
 // error; a workload's entries are either all present or all absent, never
@@ -114,7 +57,7 @@ func (l *Lab) Manifest(ctx context.Context, tool, fingerprint string, specs []Sp
 	}
 	perWorkload := make([][]telemetry.Entry, len(l.suite))
 	err := parallel.ForCtx(ctx, l.Workers, len(l.suite), func(wi int) {
-		perWorkload[wi] = l.multiTelemetryEntries(specs, l.suite[wi])
+		perWorkload[wi] = l.TelemetryEntries(specs, l.suite[wi])
 	})
 	for si := range specs {
 		for wi := range l.suite {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"sync"
 
 	"gippr/internal/cache"
 	"gippr/internal/parallel"
@@ -78,27 +77,6 @@ func (sp LatticeSpec) Key() string {
 	return b.String()
 }
 
-// sweepFlight is the singleflight slot of one (spec, workload, phase)
-// one-pass run, following the flight contract: res is only read after
-// once.Do returns.
-type sweepFlight struct {
-	once sync.Once
-	res  *stackdist.Sweep
-}
-
-// claimSweep returns the singleflight slot for one sweep key, creating it
-// if absent.
-func (l *Lab) claimSweep(key string) *sweepFlight {
-	l.mu.Lock()
-	f, ok := l.sweeps[key]
-	if !ok {
-		f = &sweepFlight{}
-		l.sweeps[key] = f
-	}
-	l.mu.Unlock()
-	return f
-}
-
 // sweepPhase runs the one-pass engine over one workload phase, memoized
 // like phaseRun: concurrent requests for the same (spec, workload, phase)
 // coalesce into a single stream walk. The engine always runs at full
@@ -107,16 +85,14 @@ func (l *Lab) claimSweep(key string) *sweepFlight {
 // Callers must have validated the spec; an engine error here is a
 // programmer error.
 func (l *Lab) sweepPhase(spec LatticeSpec, w workload.Workload, phase int) *stackdist.Sweep {
-	f := l.claimSweep(fmt.Sprintf("%s|%s|%d", spec.Key(), w.Name, phase))
-	f.once.Do(func() {
+	return l.sweeps.get(fmt.Sprintf("%s|%s|%d", spec.Key(), w.Name, phase), func() *stackdist.Sweep {
 		st := l.Streams(w)[phase]
 		sw, err := stackdist.Run(st.Records, spec.Options(l.Cfg.BlockBytes, l.warm(len(st.Records))))
 		if err != nil {
 			panic(fmt.Sprintf("experiments: one-pass sweep on validated spec: %v", err))
 		}
-		f.res = sw
+		return sw
 	})
-	return f.res
 }
 
 // OnePassSweep evaluates the full lattice on one workload and returns one
