@@ -316,8 +316,7 @@ const samplingErrFloor = 1e-3
 
 // Sampling runs the suite under spec at full fidelity and at each sampling
 // shift, and reports estimate vs truth per workload. Each sampled run uses
-// a WithSampling view of the lab (shared streams, fresh memos) driven by
-// the single-pass engine.
+// a WithSampling view of the lab (shared streams, fresh memos).
 func Sampling(l *Lab, spec Spec, shifts ...uint) SamplingResult {
 	r := SamplingResult{
 		Policy: spec.Label,
@@ -329,9 +328,9 @@ func Sampling(l *Lab, spec Spec, shifts ...uint) SamplingResult {
 		labs[i] = l.WithSampling(s)
 		r.SampledSets = append(r.SampledSets, labs[i].Cfg.SampledSets())
 	}
-	l.PrefetchMulti([]Spec{spec}, false)
+	l.Prefetch([]Spec{spec}, false)
 	for _, sl := range labs {
-		sl.PrefetchMulti([]Spec{spec}, false)
+		sl.Prefetch([]Spec{spec}, false)
 	}
 	t := &Table{
 		Title:      fmt.Sprintf("Set-sampled MPKI estimation (%s)", spec.Label),
