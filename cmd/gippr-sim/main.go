@@ -161,19 +161,11 @@ func main() {
 		// manifest entries replay each cell once more with sinks attached
 		// (streams are already captured and shared, so the extra cost is
 		// the replays, not the capture).
-		geom := telemetry.CacheGeometry{
-			Name: lab.Cfg.Name, SizeBytes: lab.Cfg.SizeBytes, Ways: lab.Cfg.Ways,
-			BlockBytes: lab.Cfg.BlockBytes, Sets: lab.Cfg.Sets(),
-		}
-		if shift > 0 {
-			geom.SampleShift = shift
-			geom.SampledSets = lab.Cfg.SampledSets()
-		}
 		m := &telemetry.Manifest{
 			Tool: "gippr-sim",
 			Fingerprint: fmt.Sprintf("gippr-sim|v1|records=%d|warm=%.6f|sample=%d|workloads=%s|policies=%s|ipv=%s",
 				*records, *warm, shift, *workloadsFlag, *policiesFlag, *ipvFlag),
-			Cache:    geom,
+			Cache:    lab.Geometry(),
 			Records:  *records,
 			WarmFrac: *warm,
 		}

@@ -26,6 +26,23 @@ func (l *Lab) TelemetryEntries(specs []Spec, w workload.Workload) []telemetry.En
 	return entries
 }
 
+// Geometry describes the lab's LLC for a manifest: its shape plus, when
+// the lab samples sets, the sampling shift and the sampled set count.
+func (l *Lab) Geometry() telemetry.CacheGeometry {
+	g := telemetry.CacheGeometry{
+		Name:       l.Cfg.Name,
+		SizeBytes:  l.Cfg.SizeBytes,
+		Ways:       l.Cfg.Ways,
+		BlockBytes: l.Cfg.BlockBytes,
+		Sets:       l.Cfg.Sets(),
+	}
+	if l.Cfg.SampleShift > 0 {
+		g.SampleShift = l.Cfg.SampleShift
+		g.SampledSets = l.Cfg.SampledSets()
+	}
+	return g
+}
+
 // Manifest builds a run manifest over specs x the lab's workload suite,
 // replaying each (policy, workload) pair with telemetry attached. Each
 // workload is one parallel task that captures all specs in a single pass
@@ -37,21 +54,10 @@ func (l *Lab) TelemetryEntries(specs []Spec, w workload.Workload) []telemetry.En
 // error; a workload's entries are either all present or all absent, never
 // truncated mid-workload.
 func (l *Lab) Manifest(ctx context.Context, tool, fingerprint string, specs []Spec) (*telemetry.Manifest, error) {
-	geom := telemetry.CacheGeometry{
-		Name:       l.Cfg.Name,
-		SizeBytes:  l.Cfg.SizeBytes,
-		Ways:       l.Cfg.Ways,
-		BlockBytes: l.Cfg.BlockBytes,
-		Sets:       l.Cfg.Sets(),
-	}
-	if l.Cfg.SampleShift > 0 {
-		geom.SampleShift = l.Cfg.SampleShift
-		geom.SampledSets = l.Cfg.SampledSets()
-	}
 	m := &telemetry.Manifest{
 		Tool:        tool,
 		Fingerprint: fingerprint,
-		Cache:       geom,
+		Cache:       l.Geometry(),
 		Records:     l.Scale.PhaseRecords,
 		WarmFrac:    l.Scale.WarmFrac,
 	}

@@ -172,7 +172,7 @@ func TestExplainBadRequests(t *testing.T) {
 		{"with ipv", JobRequest{Explain: pair, IPV: "0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0"}},
 		{"with exact", JobRequest{Explain: pair, Exact: true}},
 		{"with sample", JobRequest{Explain: pair, Sample: 2}},
-		{"with sweep", JobRequest{Explain: pair, Sweep: &SweepRequest{MinSets: 64, MaxSets: 64, MaxWays: 2}}},
+		{"with sweep", JobRequest{Explain: pair, Sweep: &experiments.LatticeSpec{MinSets: 64, MaxSets: 64, MaxWays: 2}}},
 		{"unknown policy", JobRequest{Explain: &ExplainRequest{PolicyA: "lru", PolicyB: "nope"}}},
 		{"missing spec", JobRequest{Workloads: []string{"mcf_like"}}},
 	}

@@ -38,6 +38,12 @@ func FuzzSubmitRequest(f *testing.F) {
 	f.Add([]byte(`{"policies": ["` + strings.Repeat("x", 4096) + `"]}`))
 	f.Add([]byte(`{"workloads": [` + strings.Repeat(`"a",`, 2000) + `"a"]}`))
 	f.Add([]byte(`{"exact": true}`))
+	f.Add([]byte(`{"workloads": ["mcf_like"], "sweep": {"min_sets": 1024, "max_sets": 4096, "max_ways": 4, "plru": [{"sets": 4096, "ways": 16}]}}`))
+	f.Add([]byte(`{"workloads": ["mcf_like"], "explain": {"policy_a": "lru", "policy_b": "plru"}}`))
+	f.Add([]byte(`{"sweep": {"min_sets": 64, "max_sets": 64, "max_ways": 2}, "explain": {"policy_a": "lru", "policy_b": "plru"}}`))
+	f.Add([]byte(`{"explain": {"policy_a": "lru", "policy_b": "plru"}, "sample": 2}`))
+	f.Add([]byte(`{"workloads": ["mcf_like"], "sweep": {"min_sets": 8589934592, "max_sets": 8589934592, "max_ways": 1}}`))
+	f.Add([]byte(`{"workloads": ["mcf_like"], "sweep": {"min_sets": 1024, "max_sets": 4096, "max_ways": 4, "plru": [{"sets": 8589934592, "ways": 16}]}}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		req, err := decodeJobRequest(bytes.NewReader(data))

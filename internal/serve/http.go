@@ -8,8 +8,6 @@ import (
 	"net/http"
 	"strconv"
 
-	"gippr/internal/experiments"
-	"gippr/internal/explain"
 	"gippr/internal/runctx"
 )
 
@@ -211,30 +209,14 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	enc := json.NewEncoder(w)
 	i := 0
 	for {
-		var n int
-		var ch <-chan struct{}
-		var state State
-		if job.explain {
-			var expls []*explain.Explanation
-			expls, ch, state = job.snapshotExplsFrom(i)
-			for _, e := range expls {
-				if err := enc.Encode(e); err != nil {
-					return // client went away
-				}
+		items, ch, state := job.snapshotFrom(i)
+		for _, it := range items {
+			if err := enc.Encode(it); err != nil {
+				return // client went away
 			}
-			n = len(expls)
-		} else {
-			var cells []experiments.GridCell
-			cells, ch, state = job.snapshotFrom(i)
-			for _, c := range cells {
-				if err := enc.Encode(c); err != nil {
-					return // client went away
-				}
-			}
-			n = len(cells)
 		}
-		i += n
-		if flusher != nil && n > 0 {
+		i += len(items)
+		if flusher != nil && len(items) > 0 {
 			flusher.Flush()
 		}
 		if state.Terminal() {

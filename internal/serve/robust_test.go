@@ -26,9 +26,9 @@ func TestPanickingJobFailsNotTheDaemon(t *testing.T) {
 	defer ts.Close()
 
 	// Only the first grid body panics; later jobs run the real engine.
-	realGrid := s.runGrid
+	realGrid := s.runQuery
 	var calls atomic.Int32
-	s.runGrid = func(ctx context.Context, lab *experiments.Lab, job *Job) error {
+	s.runQuery = func(ctx context.Context, lab *experiments.Lab, job *Job) error {
 		if calls.Add(1) == 1 {
 			panic("kaboom: nil policy state")
 		}
@@ -75,7 +75,7 @@ func TestPanicPreservesWorkerStack(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	s.runGrid = func(context.Context, *experiments.Lab, *Job) error {
+	s.runQuery = func(context.Context, *experiments.Lab, *Job) error {
 		panic(&parallel.Panic{Value: "index out of range", Stack: []byte("goroutine 42 [running]:\nworker.frame()")})
 	}
 
@@ -107,8 +107,8 @@ func TestDrainRacesInflightPersist(t *testing.T) {
 
 	started := make(chan struct{})
 	release := make(chan struct{})
-	realGrid := s1.runGrid
-	s1.runGrid = func(ctx context.Context, lab *experiments.Lab, job *Job) error {
+	realGrid := s1.runQuery
+	s1.runQuery = func(ctx context.Context, lab *experiments.Lab, job *Job) error {
 		close(started)
 		<-release
 		// From here the job is the real thing: compute through the Lab so
@@ -162,7 +162,7 @@ func TestDrainRacesInflightPersist(t *testing.T) {
 		t.Fatal(err)
 	}
 	s2 := newTestServer(t, Config{Workers: 1, QueueDepth: 2, Store: st2})
-	s2.runGrid = func(context.Context, *experiments.Lab, *Job) error {
+	s2.runQuery = func(context.Context, *experiments.Lab, *Job) error {
 		t.Error("restarted server ran the grid; the drained persist should have fed it")
 		return nil
 	}

@@ -242,13 +242,13 @@ func TestStreamNDJSON(t *testing.T) {
 // blockingGrid substitutes the job body with one that parks until released
 // (or its context ends), making queue saturation deterministic.
 type blockingGrid struct {
-	started chan string   // job IDs, as their runGrid begins
+	started chan string   // job IDs, as their runQuery begins
 	release chan struct{} // close to let every parked job finish
 }
 
 func installBlocking(s *Server) *blockingGrid {
 	b := &blockingGrid{started: make(chan string, 64), release: make(chan struct{})}
-	s.runGrid = func(ctx context.Context, _ *experiments.Lab, job *Job) error {
+	s.runQuery = func(ctx context.Context, _ *experiments.Lab, job *Job) error {
 		b.started <- job.ID
 		select {
 		case <-b.release:
@@ -568,7 +568,7 @@ func TestCancelPickupRace(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 2, QueueDepth: n})
 	var mu sync.Mutex
 	ran := make(map[string]bool)
-	s.runGrid = func(_ context.Context, _ *experiments.Lab, job *Job) error {
+	s.runQuery = func(_ context.Context, _ *experiments.Lab, job *Job) error {
 		mu.Lock()
 		ran[job.ID] = true
 		mu.Unlock()

@@ -22,8 +22,8 @@ func TestSweepSubmissionValidation(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	sweep := func(minSets, maxSets, maxWays int, plru ...stackdist.Geometry) *SweepRequest {
-		return &SweepRequest{MinSets: minSets, MaxSets: maxSets, MaxWays: maxWays, PLRU: plru}
+	sweep := func(minSets, maxSets, maxWays int, plru ...stackdist.Geometry) *experiments.LatticeSpec {
+		return &experiments.LatticeSpec{MinSets: minSets, MaxSets: maxSets, MaxWays: maxWays, PLRU: plru}
 	}
 	cases := []struct {
 		name string
@@ -36,6 +36,11 @@ func TestSweepSubmissionValidation(t *testing.T) {
 			Sweep: sweep(1024, 4096, 4, stackdist.Geometry{Sets: 4096, Ways: 3})}},
 		{"plru ways beyond tree capacity", JobRequest{Workloads: []string{"mcf_like"},
 			Sweep: sweep(1024, 4096, 4, stackdist.Geometry{Sets: 4096, Ways: 128})}},
+		// Without the slot bound each resolves, and running it throws
+		// out-of-memory, which no recover catches: the daemon dies.
+		{"lattice beyond slot bound", JobRequest{Workloads: []string{"mcf_like"}, Sweep: sweep(1<<33, 1<<33, 1)}},
+		{"plru geometry beyond slot bound", JobRequest{Workloads: []string{"mcf_like"},
+			Sweep: sweep(1024, 4096, 4, stackdist.Geometry{Sets: 1 << 33, Ways: 16})}},
 		{"sweep with policies", JobRequest{Workloads: []string{"mcf_like"},
 			Policies: []string{"lru"}, Sweep: sweep(1024, 4096, 4)}},
 		{"sweep with ipv", JobRequest{Workloads: []string{"mcf_like"},
@@ -69,7 +74,7 @@ func TestServedSweepBitIdentical(t *testing.T) {
 	cfg := s.Lab().Cfg
 	req := JobRequest{
 		Workloads: []string{"mcf_like", "libquantum_like"},
-		Sweep: &SweepRequest{
+		Sweep: &experiments.LatticeSpec{
 			MinSets: cfg.Sets() / 2,
 			MaxSets: cfg.Sets(),
 			MaxWays: cfg.Ways,

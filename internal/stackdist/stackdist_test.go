@@ -119,6 +119,26 @@ func TestOptionsValidate(t *testing.T) {
 		{"plru ways one", func(o *Options) { o.PLRU = []Geometry{{Sets: 16, Ways: 1}} }, true},
 		{"plru ways not pow2", func(o *Options) { o.PLRU = []Geometry{{Sets: 16, Ways: 6}} }, true},
 		{"plru ways beyond tree capacity", func(o *Options) { o.PLRU = []Geometry{{Sets: 16, Ways: 128}} }, true},
+		// The slot bound: without it each of these resolves, and running
+		// the first throws out-of-memory, which no recover catches.
+		{"lattice beyond slot bound", func(o *Options) {
+			o.MinSets, o.MaxSets, o.MaxWays, o.PLRU = 1<<33, 1<<33, 1, nil
+		}, true},
+		{"plru beyond slot bound", func(o *Options) { o.PLRU = []Geometry{{Sets: 1 << 33, Ways: 16}} }, true},
+		{"slot sum overflows int", func(o *Options) {
+			o.MinSets, o.MaxSets, o.MaxWays, o.PLRU = 1, 1<<62, MaxLatticeWays, nil
+		}, true},
+		{"one slot over the bound", func(o *Options) {
+			o.MinSets, o.MaxSets, o.MaxWays = 1<<13, 1<<13, MaxLatticeWays
+			o.PLRU = []Geometry{{Sets: 1, Ways: 2}}
+		}, true},
+		{"at the slot bound", func(o *Options) {
+			o.MinSets, o.MaxSets, o.MaxWays, o.PLRU = 1<<13, 1<<13, MaxLatticeWays, nil
+		}, false},
+		{"largest benchmark lattice", func(o *Options) {
+			o.MinSets, o.MaxSets, o.MaxWays = 512, 4096, 32
+			o.PLRU = []Geometry{{Sets: 8192, Ways: 16}}
+		}, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

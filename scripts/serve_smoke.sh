@@ -8,7 +8,9 @@
 # engine produced — the two engines must agree bit for bit over HTTP too —
 # and an explain job via /v1/explain whose prose must cite the very MPKI
 # strings the grid manifest carries (the why report explains the numbers it
-# shares a replay with, not a reestimation of them).
+# shares a replay with, not a reestimation of them). Bad submissions must
+# get typed 400s, including a sweep lattice too large to allocate, after
+# which /healthz must still answer 200.
 # A second phase proves the persistent result store: restart the daemon
 # with the same -store directory, resubmit the identical job, and require
 # a store hit in /metrics plus a byte-identical manifest (modulo the
@@ -129,12 +131,19 @@ if ! grep -qF "MPKI $grid_mpki" <<<"$eresult" || ! grep -qF "$plru_mpki" <<<"$er
 fi
 echo "   explanation cites MPKI $grid_mpki / $plru_mpki, matching the grid manifest"
 
-echo "== validation is typed (400 on unknown policy / impossible sweep)"
+echo "== validation is typed (400 on unknown policy / impossible or oversized sweep)"
 code=$(curl -s -o /dev/null -w '%{http_code}' "http://$addr/v1/jobs" -d '{"policies": ["nope"]}')
 [[ "$code" == 400 ]] || { echo "unknown policy returned $code, want 400" >&2; exit 1; }
 code=$(curl -s -o /dev/null -w '%{http_code}' "http://$addr/v1/jobs" \
     -d '{"sweep": {"min_sets": 4096, "max_sets": 4096, "max_ways": 16, "plru": [{"sets": 4096, "ways": 200}]}}')
 [[ "$code" == 400 ]] || { echo "impossible tree-PLRU sweep returned $code, want 400" >&2; exit 1; }
+# A lattice too large to allocate must be refused at submission: running it
+# would throw out-of-memory, which no recover catches, and kill the daemon.
+code=$(curl -s -o /dev/null -w '%{http_code}' "http://$addr/v1/jobs" \
+    -d '{"workloads":["mcf_like"],"sweep":{"min_sets":8589934592,"max_sets":8589934592,"max_ways":1}}')
+[[ "$code" == 400 ]] || { echo "oversized sweep lattice returned $code, want 400" >&2; exit 1; }
+code=$(curl -s -o /dev/null -w '%{http_code}' "http://$addr/healthz")
+[[ "$code" == 200 ]] || { echo "healthz returned $code after an oversized lattice, want 200" >&2; exit 1; }
 
 echo "== metrics"
 metrics=$(curl -sf "http://$addr/metrics")
