@@ -473,7 +473,12 @@ func benchPolicy(b *testing.B, mk func(sets, ways int) cache.Policy) {
 	for i := 0; i < b.N; i++ {
 		cache.ReplayStream(stream, cfg, mk(cfg.Sets(), cfg.Ways), 0)
 	}
-	b.SetBytes(int64(len(stream)))
+	reportPerRecord(b, len(stream))
+}
+
+// reportPerRecord reports the timed region's cost per stream record.
+func reportPerRecord(b *testing.B, records int) {
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(records), "ns/record")
 }
 
 // BenchmarkReplayStream measures the simulator's hot loop on both engines.
@@ -495,35 +500,28 @@ func BenchmarkReplayStream(b *testing.B) {
 			c.SetTelemetry(sink)
 		}
 		b.ReportAllocs()
-		b.SetBytes(int64(len(stream)))
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			for _, r := range stream {
 				c.Access(r)
 			}
 		}
+		reportPerRecord(b, len(stream))
 	}
 	runBatched := func(b *testing.B, sink *telemetry.Sink) {
-		pr, ok := cache.NewPackedReplay(cfg, policy.NewGIPPR(cfg.Sets(), cfg.Ways, ipv.PaperWIGIPPR))
-		if !ok {
+		e := cache.NewEngine(cfg, policy.NewGIPPR(cfg.Sets(), cfg.Ways, ipv.PaperWIGIPPR), sink)
+		if _, scalar := e.(*cache.Cache); scalar {
 			b.Fatal("GIPPR did not dispatch to the batched kernel")
-		}
-		if sink != nil {
-			pr.K.SetTelemetry(sink)
 		}
 		var hits batchreplay.HitBits
 		b.ReportAllocs()
-		b.SetBytes(int64(len(stream)))
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			for off := 0; off < len(stream); off += batchreplay.BlockSize {
-				end := off + batchreplay.BlockSize
-				if end > len(stream) {
-					end = len(stream)
-				}
-				pr.K.AccessBlock(stream[off:end], &hits)
+				e.AccessBlock(stream[off:min(off+batchreplay.BlockSize, len(stream))], &hits)
 			}
 		}
+		reportPerRecord(b, len(stream))
 	}
 	b.Run("scalar/telemetry=off", func(b *testing.B) { runScalar(b, nil) })
 	b.Run("scalar/telemetry=on", func(b *testing.B) { runScalar(b, &telemetry.Sink{}) })
@@ -565,7 +563,7 @@ func BenchmarkBeladyOptimal(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		policy.Optimal(stream, cache.L3Config, 0)
 	}
-	b.SetBytes(int64(len(stream)))
+	reportPerRecord(b, len(stream))
 }
 
 func BenchmarkWindowModel(b *testing.B) {

@@ -1,5 +1,7 @@
-// Package batchreplay is the batched, branch-free LLC replay kernel behind
-// cache.ReplayStream and cpu.MultiWindowReplay.
+// Package batchreplay is the batched, branch-free LLC replay kernel that
+// cache.NewEngine picks for packable policies, so every replay walk
+// (cache.Replay, behind cache.ReplayStream, cpu.MultiWindowReplay and the
+// one-pass sweep's tree-PLRU points) runs on it when it can.
 //
 // The scalar replay path models one record at a time: Cache.Access scans a
 // set's line structs with a short-circuiting compare loop, then the policy
@@ -77,8 +79,9 @@ type Packable interface {
 	PackedIPV() ([]int, bool)
 }
 
-// Stats mirrors cache.Stats field for field (batchreplay cannot import
-// cache — cache imports this package to dispatch onto the kernel).
+// Stats mirrors cache.Stats field for field, in the same order, so cache
+// converts one into the other directly (batchreplay cannot import cache —
+// cache imports this package to build the kernel engine).
 type Stats struct {
 	Accesses   uint64
 	Hits       uint64
@@ -87,13 +90,6 @@ type Stats struct {
 	Writes     uint64
 	Writebacks uint64
 	Skipped    uint64
-}
-
-// Result summarizes a Replay.
-type Result struct {
-	Stats
-	// Instructions is the sum of record gaps in the measured window.
-	Instructions uint64
 }
 
 // Supported reports whether the kernel can model a cache of the given
@@ -324,37 +320,4 @@ func (k *Kernel) access(block uint64, set uint32, write bool) bool {
 	}
 	k.plru[set] = k.ops.Set(k.plru[set], w, k.insPos)
 	return false
-}
-
-// Replay drives a captured LLC stream through the kernel with the
-// ReplayStreamTel protocol: the first warm records warm the model, stats
-// and telemetry are then reset, and the remainder is measured. The result's
-// Instructions is the sum of measured-window gaps.
-func (k *Kernel) Replay(stream []trace.Record, warm int) Result {
-	if warm > len(stream) {
-		warm = len(stream)
-	}
-	var hits HitBits
-	for off := 0; off < warm; off += BlockSize {
-		end := off + BlockSize
-		if end > warm {
-			end = warm
-		}
-		k.AccessBlock(stream[off:end], &hits)
-	}
-	k.ResetStats()
-	var res Result
-	for off := warm; off < len(stream); off += BlockSize {
-		end := off + BlockSize
-		if end > len(stream) {
-			end = len(stream)
-		}
-		blk := stream[off:end]
-		k.AccessBlock(blk, &hits)
-		for i := range blk {
-			res.Instructions += uint64(blk[i].Gap)
-		}
-	}
-	res.Stats = k.stats
-	return res
 }

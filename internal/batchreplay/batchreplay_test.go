@@ -46,8 +46,8 @@ func makeStream(n int, cfg cache.Config, spread float64, seed uint64) []trace.Re
 	return recs
 }
 
-// runScalar replicates ReplayStreamTel's loop with a direct Cache so the
-// comparison side exposes the full Stats struct (ReplayStats drops
+// runScalar is the per-record reference: a direct Cache driven one Access
+// at a time, exposing the full Stats struct (ReplayStats drops
 // evictions/writes/writebacks/skipped) — the kernel must match every
 // counter, not just the hit/miss triple.
 func runScalar(stream []trace.Record, cfg cache.Config, pol cache.Policy, warm int, tel *telemetry.Sink) cache.Stats {
@@ -68,13 +68,15 @@ func runScalar(stream []trace.Record, cfg cache.Config, pol cache.Policy, warm i
 	return c.Stats
 }
 
-// statsOf converts for field-by-field comparison.
-func statsOf(s cache.Stats) batchreplay.Stats {
-	return batchreplay.Stats{
-		Accesses: s.Accesses, Hits: s.Hits, Misses: s.Misses,
-		Evictions: s.Evictions, Writes: s.Writes, Writebacks: s.Writebacks,
-		Skipped: s.Skipped,
+// kernelEngine builds the engine cache.NewEngine picks for (cfg, pol, tel)
+// and fails the test unless it is the batched kernel.
+func kernelEngine(t *testing.T, cfg cache.Config, pol cache.Policy, tel *telemetry.Sink) cache.Engine {
+	t.Helper()
+	e := cache.NewEngine(cfg, pol, tel)
+	if _, scalar := e.(*cache.Cache); scalar {
+		t.Fatalf("%s: fast path did not engage", cfg.Name)
 	}
+	return e
 }
 
 // kernelConfigs is the geometry grid the equivalence tests sweep: every
@@ -133,19 +135,15 @@ func TestKernelMatchesScalarAcrossGeometries(t *testing.T) {
 				stream := makeStream(n, cfg, 2.5, 0xF00D+uint64(vi))
 
 				var fastSink, slowSink telemetry.Sink
-				pr, ok := cache.NewPackedReplay(cfg, fast)
-				if !ok {
-					t.Fatalf("%s vec %d: fast path did not engage", cfg.Name, vi)
-				}
-				pr.K.SetTelemetry(&fastSink)
-				fastRes := pr.K.Replay(stream, warm)
-				pr.Finish()
+				e := kernelEngine(t, cfg, fast, &fastSink)
+				cache.Replay(stream, warm, []cache.Engine{e}, nil)
+				fastStats := e.Finish()
 
 				slowStats := runScalar(stream, cfg, scalarOnly{slow}, warm, &slowSink)
 
-				if fastRes.Stats != statsOf(slowStats) {
+				if fastStats != slowStats {
 					t.Errorf("%s vec %d warm %d: kernel stats %+v != scalar %+v",
-						cfg.Name, vi, warm, fastRes.Stats, slowStats)
+						cfg.Name, vi, warm, fastStats, slowStats)
 				}
 				if !reflect.DeepEqual(&fastSink, &slowSink) {
 					t.Errorf("%s vec %d warm %d: telemetry sinks diverge", cfg.Name, vi, warm)
@@ -231,13 +229,13 @@ func TestDispatchFallsBackForNonPackable(t *testing.T) {
 		case "dgippr2":
 			pol = policy.NewDGIPPR2(sets, ways, vecs)
 		}
-		if _, ok := cache.NewPackedReplay(cfg, pol); ok != want {
-			t.Errorf("%s: kernel engaged = %v, want %v", name, ok, want)
+		if _, scalar := cache.NewEngine(cfg, pol, nil).(*cache.Cache); !scalar != want {
+			t.Errorf("%s: kernel engaged = %v, want %v", name, !scalar, want)
 		}
 	}
 	// A packable policy whose vector does not match the geometry must fall
 	// back rather than model the wrong shape.
-	if _, ok := cache.NewPackedReplay(cfg, policy.NewGIPPR(sets, 8, ipv.LRU(8))); ok {
+	if _, scalar := cache.NewEngine(cfg, policy.NewGIPPR(sets, 8, ipv.LRU(8)), nil).(*cache.Cache); !scalar {
 		t.Error("mismatched-associativity policy engaged the kernel")
 	}
 }
@@ -295,18 +293,13 @@ func TestHitBits(t *testing.T) {
 func TestAccessBlockZeroAllocs(t *testing.T) {
 	cfg := cache.Config{Name: "a", SizeBytes: 16 * 16 * 64, Ways: 16, BlockBytes: 64, HitLatency: 30}
 	stream := makeStream(batchreplay.BlockSize, cfg, 2, 0xA110C)
-	for _, withTel := range []bool{false, true} {
-		pr, ok := cache.NewPackedReplay(cfg, policy.NewPLRU(cfg.Sets(), cfg.Ways))
-		if !ok {
-			t.Fatal("fast path did not engage")
-		}
-		if withTel {
-			pr.K.SetTelemetry(&telemetry.Sink{})
-		}
+	for _, sink := range []*telemetry.Sink{nil, {}} {
+		withTel := sink != nil
+		e := kernelEngine(t, cfg, policy.NewPLRU(cfg.Sets(), cfg.Ways), sink)
 		var hits batchreplay.HitBits
-		pr.K.AccessBlock(stream, &hits) // settle one block before measuring
+		e.AccessBlock(stream, &hits) // settle one block before measuring
 		allocs := testing.AllocsPerRun(100, func() {
-			pr.K.AccessBlock(stream, &hits)
+			e.AccessBlock(stream, &hits)
 		})
 		if allocs != 0 {
 			t.Errorf("telemetry=%v: AccessBlock allocates %v per block, want 0", withTel, allocs)
@@ -318,8 +311,7 @@ func TestAccessBlockZeroAllocs(t *testing.T) {
 // past the end measures nothing and must not panic.
 func TestReplayWarmBeyondStream(t *testing.T) {
 	cfg := cache.Config{Name: "w", SizeBytes: 4 * 4 * 64, Ways: 4, BlockBytes: 64, HitLatency: 30}
-	pr, _ := cache.NewPackedReplay(cfg, policy.NewPLRU(cfg.Sets(), cfg.Ways))
-	res := pr.K.Replay(makeStream(10, cfg, 2, 1), 100)
+	res := cache.ReplayStream(makeStream(10, cfg, 2, 1), cfg, policy.NewPLRU(cfg.Sets(), cfg.Ways), 100)
 	if res.Accesses != 0 || res.Instructions != 0 {
 		t.Fatalf("over-warm replay measured %+v", res)
 	}
@@ -332,14 +324,12 @@ func TestSampledKernelSkips(t *testing.T) {
 	cfg := cache.Config{Name: "sp", SizeBytes: 64 * 16 * 64, Ways: 16, BlockBytes: 64,
 		HitLatency: 30, SampleShift: 2}
 	stream := makeStream(20_000, cfg, 2, 0x5A)
-	pr, ok := cache.NewPackedReplay(cfg, policy.NewPLRU(cfg.Sets(), cfg.Ways))
-	if !ok {
-		t.Fatal("fast path did not engage")
-	}
-	res := pr.K.Replay(stream, 500)
+	e := kernelEngine(t, cfg, policy.NewPLRU(cfg.Sets(), cfg.Ways), nil)
+	cache.Replay(stream, 500, []cache.Engine{e}, nil)
+	res := e.Finish()
 	slow := runScalar(stream, cfg, scalarOnly{policy.NewPLRU(cfg.Sets(), cfg.Ways)}, 500, nil)
-	if res.Stats != statsOf(slow) {
-		t.Fatalf("sampled kernel stats %+v != scalar %+v", res.Stats, slow)
+	if res != slow {
+		t.Fatalf("sampled kernel stats %+v != scalar %+v", res, slow)
 	}
 	if res.Skipped == 0 {
 		t.Fatal("sampling skipped nothing; test is vacuous")

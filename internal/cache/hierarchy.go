@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"gippr/internal/batchreplay"
 	"gippr/internal/telemetry"
 	"gippr/internal/trace"
 )
@@ -61,8 +62,9 @@ func NewHierarchy(l1, l2, l3 *Cache) *Hierarchy {
 // pushed in, so reserving the source's record budget up front turns the
 // capture loop's millions of appends into plain stores — no geometric
 // regrowth, no copying of a multi-megabyte backing array per doubling.
-// Callers that keep the stream long-term should copy it down to its final
-// length (the budget is an upper bound; L1/L2 filter most references out).
+// Callers that keep the stream long-term may copy it down to its final
+// length: the budget is an upper bound, though a close one for most
+// workloads (at default scale 72% of the suite's references reach the LLC).
 func (h *Hierarchy) ReserveLLC(n int) {
 	if n > 0 && cap(h.LLCStream)-len(h.LLCStream) < n {
 		grown := make([]trace.Record, len(h.LLCStream), len(h.LLCStream)+n)
@@ -179,47 +181,22 @@ func ReplayStream(stream []trace.Record, cfg Config, pol Policy, warm int) Repla
 // to the LLC for the duration of the replay. Warm-up events are discarded
 // at the warm boundary (the sink is reset together with the cache stats),
 // so the sink describes exactly the measurement window. A nil sink makes it
-// identical to ReplayStream: the hot loop pays only the per-event nil
-// checks inside Cache.Access.
+// identical to ReplayStream.
 //
-// When the policy opts into the batched fast path (batchreplay.Packable —
-// PLRU and single-vector GIPPR do), the replay runs through the packed
-// branch-free kernel instead of Cache.Access. The two paths are
+// The replay runs on the engine NewEngine picks: the packed branch-free
+// kernel for policies that opt into it (batchreplay.Packable — PLRU and
+// single-vector GIPPR do), Cache.Access otherwise. The two are
 // bit-identical in every observable: stats, telemetry event sequence and
 // final policy state (FuzzBatchedReplayConsistency and the golden-MPKI
-// suite pin this), so the dispatch needs no call-site opt-in.
+// suite pin this), so the choice needs no call-site opt-in.
 func ReplayStreamTel(stream []trace.Record, cfg Config, pol Policy, warm int, tel *telemetry.Sink) ReplayStats {
-	if pr, ok := NewPackedReplay(cfg, pol); ok {
-		if tel != nil {
-			pr.K.SetTelemetry(tel)
+	e := NewEngine(cfg, pol, tel)
+	var instrs uint64
+	Replay(stream, warm, []Engine{e}, func(_ int, blk []trace.Record, _ *batchreplay.HitBits) {
+		for i := range blk {
+			instrs += uint64(blk[i].Gap)
 		}
-		r := pr.K.Replay(stream, warm)
-		pr.Finish()
-		return ReplayStats{
-			Accesses:     r.Accesses,
-			Hits:         r.Hits,
-			Misses:       r.Misses,
-			Instructions: r.Instructions,
-		}
-	}
-	c := New(cfg, pol)
-	if tel != nil {
-		c.SetTelemetry(tel)
-	}
-	if warm > len(stream) {
-		warm = len(stream)
-	}
-	for _, r := range stream[:warm] {
-		c.Access(r)
-	}
-	c.ResetStats()
-	var rs ReplayStats
-	for _, r := range stream[warm:] {
-		c.Access(r)
-		rs.Instructions += uint64(r.Gap)
-	}
-	rs.Accesses = c.Stats.Accesses
-	rs.Hits = c.Stats.Hits
-	rs.Misses = c.Stats.Misses
-	return rs
+	})
+	st := e.Finish()
+	return ReplayStats{Accesses: st.Accesses, Hits: st.Hits, Misses: st.Misses, Instructions: instrs}
 }

@@ -20,138 +20,6 @@ type ReplayResult struct {
 	Skipped uint64
 }
 
-// replayModel is one policy's simulation state inside a (multi-)window
-// replay: either the batched branch-free kernel (when the policy opts in
-// via batchreplay.Packable) or a scalar cache, plus the window timing
-// model. Both paths observe the records of each block in stream order, so
-// every model's result is bit-identical whichever engine carries it.
-type replayModel struct {
-	pr *cache.PackedReplay // batched path; nil for scalar policies
-	c  *cache.Cache        // scalar path; nil when pr is set
-	m  *WindowModel
-}
-
-func newReplayModel(cfg cache.Config, pol cache.Policy, m *WindowModel, tel *telemetry.Sink) replayModel {
-	if pr, ok := cache.NewPackedReplay(cfg, pol); ok {
-		if tel != nil {
-			pr.K.SetTelemetry(tel)
-		}
-		return replayModel{pr: pr, m: m}
-	}
-	c := cache.New(cfg, pol)
-	if tel != nil {
-		c.SetTelemetry(tel)
-	}
-	return replayModel{c: c, m: m}
-}
-
-// warmBlock models one block untimed.
-func (rm *replayModel) warmBlock(blk []trace.Record, hits *batchreplay.HitBits) {
-	if rm.pr != nil {
-		rm.pr.K.AccessBlock(blk, hits)
-		return
-	}
-	for _, r := range blk {
-		rm.c.Access(r)
-	}
-}
-
-// reset discards warm-up stats/telemetry and resets the timing model.
-func (rm *replayModel) reset() {
-	if rm.pr != nil {
-		rm.pr.K.ResetStats()
-	} else {
-		rm.c.ResetStats()
-	}
-	rm.m.Reset()
-}
-
-// measureBlock models one block and steps the window model per record. The
-// batched path fills the hit bitmap first and then walks it; the scalar
-// path interleaves, exactly as the pre-batching loop did — either way each
-// record's timing step follows its own cache access in order.
-func (rm *replayModel) measureBlock(blk []trace.Record, hits *batchreplay.HitBits, hitLat, missLat int) {
-	if rm.pr != nil {
-		rm.pr.K.AccessBlock(blk, hits)
-		for i := range blk {
-			if hits.Bit(i) {
-				rm.m.Step(blk[i].Gap, hitLat)
-			} else {
-				rm.m.StepMiss(blk[i].Gap, missLat)
-			}
-		}
-		return
-	}
-	for i := range blk {
-		if rm.c.Access(blk[i]) {
-			rm.m.Step(blk[i].Gap, hitLat)
-		} else {
-			rm.m.StepMiss(blk[i].Gap, missLat)
-		}
-	}
-}
-
-// result finalizes the model's counters, writing replacement state back to
-// the policy when the batched path carried it.
-func (rm *replayModel) result() ReplayResult {
-	var st batchreplay.Stats
-	if rm.pr != nil {
-		rm.pr.Finish()
-		st = rm.pr.K.Stats()
-	} else {
-		s := rm.c.Stats
-		st = batchreplay.Stats{
-			Accesses: s.Accesses, Hits: s.Hits, Misses: s.Misses,
-			Evictions: s.Evictions, Writes: s.Writes, Writebacks: s.Writebacks,
-			Skipped: s.Skipped,
-		}
-	}
-	res := ReplayResult{
-		Instructions: rm.m.Instructions(),
-		Cycles:       rm.m.Cycles(),
-		Accesses:     st.Accesses,
-		Hits:         st.Hits,
-		Misses:       st.Misses,
-		Skipped:      st.Skipped,
-	}
-	if res.Instructions > 0 {
-		res.CPI = res.Cycles / float64(res.Instructions)
-	}
-	return res
-}
-
-// replayAll drives every model through the stream in BlockSize chunks: the
-// warm prefix untimed, then a reset, then the measured remainder. Each
-// model consumes whole blocks at a time, so per-model event order matches a
-// standalone replay record for record.
-func replayAll(stream []trace.Record, ms []replayModel, warm int, hitLat, missLat int) {
-	if warm > len(stream) {
-		warm = len(stream)
-	}
-	var hits batchreplay.HitBits
-	for off := 0; off < warm; off += batchreplay.BlockSize {
-		end := off + batchreplay.BlockSize
-		if end > warm {
-			end = warm
-		}
-		for i := range ms {
-			ms[i].warmBlock(stream[off:end], &hits)
-		}
-	}
-	for i := range ms {
-		ms[i].reset()
-	}
-	for off := warm; off < len(stream); off += batchreplay.BlockSize {
-		end := off + batchreplay.BlockSize
-		if end > len(stream) {
-			end = len(stream)
-		}
-		for i := range ms {
-			ms[i].measureBlock(stream[off:end], &hits, hitLat, missLat)
-		}
-	}
-}
-
 // WindowReplay replays a captured LLC access stream into an LLC-only cache
 // with the given policy, timing it with a window model. Each record's Gap
 // carries the instructions since the previous LLC access (set when the
@@ -162,37 +30,23 @@ func replayAll(stream []trace.Record, ms []replayModel, warm int, hitLat, missLa
 // untimed.
 func WindowReplay(stream []trace.Record, cfg cache.Config, pol cache.Policy,
 	warm int, m *WindowModel) ReplayResult {
-	return WindowReplayTel(stream, cfg, pol, warm, m, nil)
-}
-
-// WindowReplayTel is WindowReplay with an optional telemetry sink attached
-// to the LLC for the replay's duration. Warm-up events are discarded with
-// the warm-up stats (the sink is reset with them), so the sink describes
-// exactly the timed measurement window. A nil sink makes it identical to
-// WindowReplay. Packable policies run through the batched branch-free
-// kernel (see cache.ReplayStreamTel); results are bit-identical either way.
-func WindowReplayTel(stream []trace.Record, cfg cache.Config, pol cache.Policy,
-	warm int, m *WindowModel, tel *telemetry.Sink) ReplayResult {
-	ms := []replayModel{newReplayModel(cfg, pol, m, tel)}
-	replayAll(stream, ms, warm, cfg.HitLatency, cfg.HitLatency+cache.DRAMLatency)
-	return ms[0].result()
+	return MultiWindowReplay(stream, cfg, []cache.Policy{pol}, warm, []*WindowModel{m}, nil)[0]
 }
 
 // MultiWindowReplay replays one captured LLC stream through several
-// independent cache models in a single pass over the records: model i gets
-// its own cache (policy pols[i]), its own window model models[i], and — when
-// sinks is non-nil — its own telemetry sink sinks[i] (individual entries may
-// be nil). The call sequence each model observes is exactly the sequence
-// WindowReplayTel would issue, so every per-model result is bit-identical
-// to a standalone replay of the same (stream, policy) pair; the saving is
+// independent cache models in a single cache.Replay walk: model i gets its
+// own engine (policy pols[i], on the batched kernel or a scalar cache as
+// cache.NewEngine picks), its own window model models[i], and — when sinks
+// is non-nil — its own telemetry sink sinks[i] (individual entries may be
+// nil). Each window model is reset before the walk and stepped from its
+// engine's hit bits after every measured block; warm-up never steps it, so
+// this is the same as resetting it at the warm boundary. Every per-model
+// result is bit-identical to a WindowReplay of the same (stream, policy)
+// pair, with the sink describing exactly the timed window; the saving is
 // that the stream's records are walked (and stay cache-hot) once instead of
-// once per policy. The pass is blocked: records are consumed in
-// batchreplay.BlockSize chunks, and models whose policy is
-// batchreplay.Packable process each chunk through the branch-free kernel
-// while the rest take the scalar per-record path — the two engines can mix
-// freely within one call. pols, models and (if present) sinks must have
-// equal length; a zero-length pols returns an empty slice without touching
-// the stream.
+// once per policy. pols, models and (if present) sinks must have equal
+// length; a zero-length pols returns an empty slice without touching the
+// stream.
 func MultiWindowReplay(stream []trace.Record, cfg cache.Config, pols []cache.Policy,
 	warm int, models []*WindowModel, sinks []*telemetry.Sink) []ReplayResult {
 	if len(models) != len(pols) {
@@ -204,18 +58,42 @@ func MultiWindowReplay(stream []trace.Record, cfg cache.Config, pols []cache.Pol
 	if len(pols) == 0 {
 		return nil
 	}
-	ms := make([]replayModel, len(pols))
+	engines := make([]cache.Engine, len(pols))
 	for i, pol := range pols {
 		var tel *telemetry.Sink
 		if sinks != nil {
 			tel = sinks[i]
 		}
-		ms[i] = newReplayModel(cfg, pol, models[i], tel)
+		engines[i] = cache.NewEngine(cfg, pol, tel)
+		models[i].Reset()
 	}
-	replayAll(stream, ms, warm, cfg.HitLatency, cfg.HitLatency+cache.DRAMLatency)
+	hitLat, missLat := cfg.HitLatency, cfg.HitLatency+cache.DRAMLatency
+	cache.Replay(stream, warm, engines, func(i int, blk []trace.Record, hits *batchreplay.HitBits) {
+		m := models[i]
+		for j := range blk {
+			if hits.Bit(j) {
+				m.Step(blk[j].Gap, hitLat)
+			} else {
+				m.StepMiss(blk[j].Gap, missLat)
+			}
+		}
+	})
 	results := make([]ReplayResult, len(pols))
-	for i := range ms {
-		results[i] = ms[i].result()
+	for i, e := range engines {
+		st := e.Finish()
+		m := models[i]
+		res := ReplayResult{
+			Instructions: m.Instructions(),
+			Cycles:       m.Cycles(),
+			Accesses:     st.Accesses,
+			Hits:         st.Hits,
+			Misses:       st.Misses,
+			Skipped:      st.Skipped,
+		}
+		if res.Instructions > 0 {
+			res.CPI = res.Cycles / float64(res.Instructions)
+		}
+		results[i] = res
 	}
 	return results
 }

@@ -117,7 +117,7 @@ func TestMultiWindowReplayTelemetry(t *testing.T) {
 	}
 	multi := MultiWindowReplay(stream, cfg, pols, 500, models, sinks)
 	for i, mk := range makers {
-		single := WindowReplayTel(stream, cfg, mk(), 500, DefaultWindowModel(), nil)
+		single := WindowReplay(stream, cfg, mk(), 500, DefaultWindowModel())
 		if multi[i] != single {
 			t.Errorf("model %d: instrumented multi %+v != bare single %+v", i, multi[i], single)
 		}
@@ -163,8 +163,8 @@ func TestMultiWindowReplayEdgeCases(t *testing.T) {
 	}
 }
 
-// scalarEngine hides a policy's PackedIPV method so newReplayModel routes it
-// down the scalar Cache path — the reference side of the packed-vs-scalar
+// scalarEngine hides a policy's PackedIPV method so cache.NewEngine routes
+// it down the scalar Cache path — the reference side of the packed-vs-scalar
 // comparison. SetTelemetry is re-exposed so instrumented runs still reach
 // the wrapped policy.
 type scalarEngine struct{ cache.Policy }
@@ -180,7 +180,7 @@ func (s scalarEngine) SetTelemetry(t *telemetry.Sink) {
 // GIPPR) runs once through the kernel and once wrapped in scalarEngine, plus
 // one policy with no packed form at all. Every kernel model must agree with
 // its scalar twin — timing results and full telemetry sinks — and with a
-// standalone WindowReplayTel of the same pair.
+// standalone one-policy replay of the same pair.
 func TestMultiWindowReplayPackedMatchesScalar(t *testing.T) {
 	cfg := cache.Config{Name: "r", SizeBytes: 32 * 8 * 64, Ways: 8, BlockBytes: 64, HitLatency: 30}
 	const warm = 1500
@@ -208,11 +208,11 @@ func TestMultiWindowReplayPackedMatchesScalar(t *testing.T) {
 	// Sanity-check the routing itself: the first two makers must engage the
 	// kernel, and the scalarEngine wrapper must defeat it.
 	for i, mk := range makers {
-		_, packed := cache.NewPackedReplay(cfg, mk())
-		if want := i < 2; packed != want {
-			t.Fatalf("maker %d: packed dispatch = %v, want %v", i, packed, want)
+		_, scalar := cache.NewEngine(cfg, mk(), nil).(*cache.Cache)
+		if want := i < 2; !scalar != want {
+			t.Fatalf("maker %d: packed dispatch = %v, want %v", i, !scalar, want)
 		}
-		if _, packed := cache.NewPackedReplay(cfg, scalarEngine{mk()}); packed {
+		if _, scalar := cache.NewEngine(cfg, scalarEngine{mk()}, nil).(*cache.Cache); !scalar {
 			t.Fatalf("maker %d: scalarEngine wrapper still dispatched to the kernel", i)
 		}
 	}
@@ -237,7 +237,8 @@ func TestMultiWindowReplayPackedMatchesScalar(t *testing.T) {
 			t.Errorf("maker %d: kernel sink diverged from scalar twin's", i)
 		}
 		sink := &telemetry.Sink{}
-		single := WindowReplayTel(stream, cfg, mk(), warm, DefaultWindowModel(), sink)
+		single := MultiWindowReplay(stream, cfg, []cache.Policy{mk()}, warm,
+			[]*WindowModel{DefaultWindowModel()}, []*telemetry.Sink{sink})[0]
 		if kernel != single {
 			t.Errorf("maker %d: multi %+v != standalone %+v", i, kernel, single)
 		}
@@ -271,10 +272,13 @@ func TestLinearModelSampledCPI(t *testing.T) {
 // FuzzMultiRunConsistency drives random short synthetic streams through the
 // single-pass multi-model kernel and through sequential per-policy replays,
 // and requires exact agreement. Any cross-model state leak in the shared
-// record loop (one model's cache or window state bleeding into another's)
-// shows up as a mismatch. The fuzz input encodes the stream — each record is
-// (addr byte, gap byte) — plus the warm length and an optional sample shift,
-// so the corpus explores full-fidelity and sampled geometries alike.
+// block walk (one model's cache or window state bleeding into another's)
+// shows up as a mismatch. The models mix both engines: the scalar test
+// policies, plus PLRU and GIPPR on the batched kernel next to scalarEngine
+// twins, and each kernel model must also equal its twin. The fuzz input
+// encodes the stream — each record is (addr byte, gap byte) — plus the warm
+// length and an optional sample shift, so the corpus explores full-fidelity
+// and sampled geometries alike.
 func FuzzMultiRunConsistency(f *testing.F) {
 	f.Add([]byte{0, 1, 64, 1, 128, 2, 0, 1}, uint8(2), uint8(0))
 	f.Add([]byte{7, 3, 7, 3, 9, 1, 200, 5, 13, 2}, uint8(0), uint8(1))
@@ -298,6 +302,16 @@ func FuzzMultiRunConsistency(f *testing.F) {
 			HitLatency: 30, SampleShift: uint(shiftByte % 4)}
 		warm := int(warmByte) % (len(stream) + 1)
 		makers := multiTestMakers(cfg)
+		twinsAt := len(makers)
+		for _, mk := range []func() cache.Policy{
+			func() cache.Policy { return policy.NewPLRU(cfg.Sets(), cfg.Ways) },
+			func() cache.Policy { return policy.NewGIPPR(cfg.Sets(), cfg.Ways, ipv.LIP(cfg.Ways)) },
+		} {
+			if _, scalar := cache.NewEngine(cfg, mk(), nil).(*cache.Cache); scalar {
+				t.Fatalf("%s did not engage the kernel", mk().Name())
+			}
+			makers = append(makers, mk, func() cache.Policy { return scalarEngine{mk()} })
+		}
 		pols := make([]cache.Policy, len(makers))
 		models := make([]*WindowModel, len(makers))
 		for i, mk := range makers {
@@ -309,6 +323,11 @@ func FuzzMultiRunConsistency(f *testing.F) {
 			single := WindowReplay(stream, cfg, mk(), warm, DefaultWindowModel())
 			if multi[i] != single {
 				t.Fatalf("model %d diverged:\nmulti  %+v\nsingle %+v", i, multi[i], single)
+			}
+		}
+		for i := twinsAt; i < len(makers); i += 2 {
+			if multi[i] != multi[i+1] {
+				t.Fatalf("model %d diverged from its scalar twin:\nkernel %+v\nscalar %+v", i, multi[i], multi[i+1])
 			}
 		}
 	})

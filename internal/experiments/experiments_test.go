@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -19,6 +20,38 @@ func TestScaleFromEnv(t *testing.T) {
 	t.Setenv("GIPPR_SCALE", "")
 	if ScaleFromEnv().Name != "default" {
 		t.Fatal("default not selected")
+	}
+}
+
+func TestScaleValidate(t *testing.T) {
+	for _, tc := range []struct {
+		records int
+		warm    float64
+		flag    string // "" when the scale is valid
+	}{
+		{600_000, 1.0 / 3, ""},
+		{1, 0, ""},
+		{5000, 0.999, ""},
+		{0, 1.0 / 3, "-records"},
+		{-1, 1.0 / 3, "-records"},
+		{5000, -0.5, "-warm"},
+		{5000, 1, "-warm"},
+		{5000, 1.5, "-warm"},
+		{5000, math.NaN(), "-warm"},
+		{5000, math.Inf(1), "-warm"},
+	} {
+		err := CustomScale(tc.records, tc.warm).Validate()
+		switch {
+		case tc.flag == "" && err != nil:
+			t.Errorf("records %d warm %v: unexpected error %v", tc.records, tc.warm, err)
+		case tc.flag != "" && (err == nil || !strings.HasPrefix(err.Error(), tc.flag+" ")):
+			t.Errorf("records %d warm %v: error %v, want one naming %s", tc.records, tc.warm, err, tc.flag)
+		}
+	}
+	for _, s := range []Scale{Smoke, Default, Full} {
+		if err := s.Validate(); err != nil {
+			t.Errorf("preset %s: %v", s.Name, err)
+		}
 	}
 }
 

@@ -13,6 +13,7 @@
 package experiments
 
 import (
+	"fmt"
 	"os"
 )
 
@@ -67,6 +68,20 @@ func CustomScale(records int, warmFrac float64) Scale {
 	s.WarmFrac = warmFrac
 	s.EvolveRecords = records * Default.EvolveRecords / Default.PhaseRecords
 	return s
+}
+
+// Validate checks the two knobs gippr-sim and gippr-serve set from their
+// -records and -warm flags, and names the flag in its error: at least one
+// record per phase, and a warm-up fraction in [0, 1), so that some of every
+// stream is measured.
+func (s Scale) Validate() error {
+	if s.PhaseRecords < 1 {
+		return fmt.Errorf("-records %d: a phase needs at least one memory reference", s.PhaseRecords)
+	}
+	if !(s.WarmFrac >= 0 && s.WarmFrac < 1) {
+		return fmt.Errorf("-warm %v: the warm-up fraction must be in [0, 1)", s.WarmFrac)
+	}
+	return nil
 }
 
 // ScaleFromEnv returns the preset selected by the GIPPR_SCALE environment

@@ -26,13 +26,13 @@ func benchStream(b *testing.B) []trace.Record {
 // fewer ns/op here.
 func BenchmarkOnePassSweep(b *testing.B) {
 	stream := benchStream(b)
-	b.SetBytes(int64(len(stream) * 8))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Run(stream, benchLattice); err != nil {
 			b.Fatal(err)
 		}
 	}
+	reportPerRecord(b, len(stream))
 }
 
 // BenchmarkPerPointSweep is the pre-one-pass baseline: a full
@@ -43,7 +43,6 @@ func BenchmarkOnePassSweep(b *testing.B) {
 func BenchmarkPerPointSweep(b *testing.B) {
 	stream := benchStream(b)
 	pts := benchLattice.Lattice()
-	b.SetBytes(int64(len(stream) * 8))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, p := range pts {
@@ -54,4 +53,10 @@ func BenchmarkPerPointSweep(b *testing.B) {
 				policy.NewTrueLRU(p.Sets, p.Ways), benchLattice.Warm)
 		}
 	}
+	reportPerRecord(b, len(stream))
+}
+
+// reportPerRecord reports the timed region's cost per stream record.
+func reportPerRecord(b *testing.B, records int) {
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(records), "ns/record")
 }

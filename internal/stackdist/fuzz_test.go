@@ -12,7 +12,8 @@ import (
 // FuzzOnePassConsistency feeds arbitrary byte streams through the one-pass
 // engine and cross-checks every lattice point against the independent naive
 // LRU model (all associativities, including direct-mapped) and the
-// production replay engine (ways >= 2, and the grouped PLRU geometry). Any
+// production replay engine (ways >= 2), and the grouped PLRU geometry
+// against the per-record scalar reference scalarPLRU. Any
 // divergence is a stack-distance bug the differential tests' fixed streams
 // might never hit.
 func FuzzOnePassConsistency(f *testing.F) {
@@ -71,11 +72,10 @@ func FuzzOnePassConsistency(f *testing.F) {
 		}
 		g := opts.PLRU[0]
 		r, _ := sw.Find(PolicyPLRU, g.Sets, g.Ways)
-		rs := cache.ReplayStream(stream, lruConfig(g.Sets, g.Ways, opts.BlockBytes),
-			policy.NewPLRU(g.Sets, g.Ways), opts.Warm)
-		if r.Hits != rs.Hits || r.Misses != rs.Misses {
+		ps := scalarPLRU(stream, g.Sets, g.Ways, opts.BlockBytes, opts.Warm)
+		if r.Hits != ps.Hits || r.Misses != ps.Misses {
 			t.Fatalf("plru: grouped (hits %d, miss %d) != replay (hits %d, miss %d)",
-				r.Hits, r.Misses, rs.Hits, rs.Misses)
+				r.Hits, r.Misses, ps.Hits, ps.Misses)
 		}
 	})
 }

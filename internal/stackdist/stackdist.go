@@ -19,10 +19,12 @@
 //
 // Tree-PLRU has no inclusion property (a taller tree is not a superset of a
 // shorter one), so PLRU points cannot come out of a stack histogram.
-// Instead the engine drives one real cache.Cache with policy.NewPLRU per
-// configured geometry inside the same record loop — grouped simulation in
-// the style of cpu.MultiWindowReplay — so PLRU results are exact by
-// construction, and the stream is still only decoded and walked once.
+// Instead each configured geometry is a real policy.NewPLRU model built by
+// cache.NewEngine, and all of them run through one cache.Replay walk beside
+// the forest loop — grouped simulation in the style of
+// cpu.MultiWindowReplay — so PLRU results are exact by construction. Every
+// geometry Validate admits (power-of-two ways in 2..64) is inside the
+// batched kernel's domain, so the PLRU points run on the kernel.
 package stackdist
 
 import (
@@ -281,9 +283,10 @@ func (f *forest) access(block uint64, maxW int, measured bool) {
 	s[0] = block
 }
 
-// Run walks the stream once and returns exact results for every lattice
-// point and PLRU geometry. The first opts.Warm accesses only warm the
-// stacks and caches (mirroring cache.ReplayStream's warm-up contract);
+// Run returns exact results for every lattice point and PLRU geometry from
+// one walk of the stream through the forests and one cache.Replay walk of
+// the PLRU engines. The first opts.Warm accesses only warm the stacks and
+// caches (mirroring cache.ReplayStream's warm-up contract);
 // counts describe the remainder. Instructions is the sum of record gaps
 // over the measured window, the same denominator every per-geometry replay
 // feeds stats.MPKI, so MPKI values are bit-identical to per-point replays.
@@ -311,7 +314,7 @@ func Run(stream []trace.Record, opts Options) (*Sweep, error) {
 		}
 	}
 
-	plru := make([]*cache.Cache, len(opts.PLRU))
+	plru := make([]cache.Engine, len(opts.PLRU))
 	for i, g := range opts.PLRU {
 		cfg := cache.Config{
 			Name:       fmt.Sprintf("plru-%dx%d", g.Sets, g.Ways),
@@ -319,29 +322,21 @@ func Run(stream []trace.Record, opts Options) (*Sweep, error) {
 			Ways:       g.Ways,
 			BlockBytes: opts.BlockBytes,
 		}
-		plru[i] = cache.New(cfg, policy.NewPLRU(g.Sets, g.Ways))
+		plru[i] = cache.NewEngine(cfg, policy.NewPLRU(g.Sets, g.Ways), nil)
 	}
+	cache.Replay(stream, warm, plru, nil)
 
 	for _, r := range stream[:warm] {
 		block := r.Addr >> blockShift
 		for i := range forests {
 			forests[i].access(block, maxW, false)
 		}
-		for _, c := range plru {
-			c.Access(r)
-		}
-	}
-	for _, c := range plru {
-		c.ResetStats()
 	}
 	var accesses, instrs uint64
 	for _, r := range stream[warm:] {
 		block := r.Addr >> blockShift
 		for i := range forests {
 			forests[i].access(block, maxW, true)
-		}
-		for _, c := range plru {
-			c.Access(r)
 		}
 		accesses++
 		instrs += uint64(r.Gap)
@@ -362,7 +357,7 @@ func Run(stream []trace.Record, opts Options) (*Sweep, error) {
 		}
 	}
 	for i, g := range opts.PLRU {
-		st := plru[i].Stats
+		st := plru[i].Finish()
 		sw.Results = append(sw.Results, GeometryResult{
 			Policy: PolicyPLRU, Sets: g.Sets, Ways: g.Ways,
 			Accesses: st.Accesses, Hits: st.Hits, Misses: st.Misses,

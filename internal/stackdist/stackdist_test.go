@@ -96,6 +96,24 @@ func lruConfig(sets, ways, blockBytes int) cache.Config {
 	}
 }
 
+// scalarPLRU is the per-record tree-PLRU reference: a cache.New +
+// policy.NewPLRU cache driven one Access at a time, with ResetStats at the
+// warm boundary. Run carries its PLRU points on the batched kernel (and so
+// does cache.ReplayStream), so this keeps the check a comparison of two
+// engines.
+func scalarPLRU(stream []trace.Record, sets, ways, blockBytes, warm int) cache.Stats {
+	c := cache.New(lruConfig(sets, ways, blockBytes), policy.NewPLRU(sets, ways))
+	warm = min(warm, len(stream))
+	for _, r := range stream[:warm] {
+		c.Access(r)
+	}
+	c.ResetStats()
+	for _, r := range stream[warm:] {
+		c.Access(r)
+	}
+	return c.Stats
+}
+
 func TestOptionsValidate(t *testing.T) {
 	ok := Options{BlockBytes: 64, MinSets: 16, MaxSets: 64, MaxWays: 8,
 		PLRU: []Geometry{{Sets: 64, Ways: 8}}}
@@ -204,7 +222,7 @@ func TestLatticeOrderAndPoints(t *testing.T) {
 // every LRU lattice point must agree bit for bit with an independent naive
 // per-geometry LRU model, every point with ways >= 2 additionally with the
 // production cache.ReplayStream + policy.NewTrueLRU engine, and every PLRU
-// point with a fresh cache.ReplayStream + policy.NewPLRU replay.
+// point with a per-record scalar policy.NewPLRU replay (scalarPLRU).
 func TestRunDifferential(t *testing.T) {
 	stream := synthStream(6000, 0xF161)
 	opts := Options{
@@ -243,8 +261,7 @@ func TestRunDifferential(t *testing.T) {
 		if !ok {
 			t.Fatalf("missing PLRU result %dx%d", g.Sets, g.Ways)
 		}
-		rs := cache.ReplayStream(stream, lruConfig(g.Sets, g.Ways, opts.BlockBytes),
-			policy.NewPLRU(g.Sets, g.Ways), opts.Warm)
+		rs := scalarPLRU(stream, g.Sets, g.Ways, opts.BlockBytes, opts.Warm)
 		if r.Accesses != rs.Accesses || r.Hits != rs.Hits || r.Misses != rs.Misses {
 			t.Errorf("%s: grouped (acc %d, hits %d, miss %d) != replay (acc %d, hits %d, miss %d)",
 				r.Label(), r.Accesses, r.Hits, r.Misses, rs.Accesses, rs.Hits, rs.Misses)

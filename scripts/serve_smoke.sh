@@ -11,6 +11,7 @@
 # shares a replay with, not a reestimation of them). Bad submissions must
 # get typed 400s, including a sweep lattice too large to allocate, after
 # which /healthz must still answer 200.
+# Before any of that, an out-of-range -warm must exit 2 without listening.
 # A second phase proves the persistent result store: restart the daemon
 # with the same -store directory, resubmit the identical job, and require
 # a store hit in /metrics plus a byte-identical manifest (modulo the
@@ -30,6 +31,18 @@ trap cleanup EXIT
 
 echo "== build"
 go build -o "$workdir/gippr-serve" ./cmd/gippr-serve
+
+echo "== out-of-range -warm exits 2 without listening"
+code=0
+timeout 20 "$workdir/gippr-serve" -addr localhost:0 -addr-file "$workdir/bad-addr" \
+    -warm 1.5 2>"$workdir/bad.log" || code=$?
+if [[ "$code" -ne 2 ]]; then
+    echo "gippr-serve -warm 1.5 exited $code, want 2:" >&2
+    cat "$workdir/bad.log" >&2
+    exit 1
+fi
+[[ ! -e "$workdir/bad-addr" ]] || { echo "gippr-serve -warm 1.5 listened before refusing" >&2; exit 1; }
+grep -q -- '-warm 1.5' "$workdir/bad.log" || { echo "refusal does not name -warm:" >&2; cat "$workdir/bad.log" >&2; exit 1; }
 
 echo "== start"
 "$workdir/gippr-serve" \
