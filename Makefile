@@ -39,11 +39,13 @@ bench:
 
 # Coverage gate: short-mode statement coverage must stay at or above the
 # floor measured when the gate was introduced (75.6% total). The one-pass
-# stack-distance engine, the batched replay kernel, and the policy-diff
-# explain engine each carry PKG_COVER_MIN on top — they are the
-# exactness anchors of the sweep, replay, and why-report paths, so their
-# differential batteries must keep covering them. Raise the floors when
-# coverage durably improves; never lower them to make a PR pass.
+# stack-distance engine, the batched replay kernel, the policy-diff
+# explain engine, and the packed recency stacks behind every exact-LRU
+# policy (the LRU baseline of every figure and the L1/L2 capture) each
+# carry PKG_COVER_MIN on top — they are the exactness anchors of the
+# sweep, replay, why-report and LRU paths, so their differential batteries
+# must keep covering them. Raise the floors when coverage durably
+# improves; never lower them to make a PR pass.
 COVER_MIN ?= 75.0
 PKG_COVER_MIN ?= 85.0
 COVERPROFILE ?= cover.out
@@ -54,7 +56,7 @@ cover: vet
 	awk -v t=$$total -v min=$(COVER_MIN) 'BEGIN { \
 		if (t+0 < min+0) { printf "coverage %.1f%% is below the %.1f%% gate\n", t, min; exit 1 } \
 		printf "coverage %.1f%% meets the %.1f%% gate\n", t, min }'
-	@for pkg in internal/stackdist internal/batchreplay internal/explain; do \
+	@for pkg in internal/stackdist internal/batchreplay internal/explain internal/recency; do \
 		pct=$$($(GO) test -short -count=1 -cover ./$$pkg | awk '{ for (i=1;i<=NF;i++) if ($$i ~ /%/) { gsub("%","",$$i); print $$i } }'); \
 		awk -v p=$$pkg -v t=$$pct -v min=$(PKG_COVER_MIN) 'BEGIN { \
 			if (t+0 < min+0) { printf "%s coverage %.1f%% is below the %.1f%% gate\n", p, t, min; exit 1 } \
@@ -76,8 +78,10 @@ staticcheck:
 	fi
 
 # Fuzz smoke: a few seconds per target over the external-input boundaries
-# (binary trace reader, IPV parser), the single-pass multi-model replay
-# kernel, and the batched branch-free replay kernel's scalar equivalence.
+# (binary trace reader, IPV parser, job submissions), the single-pass
+# multi-model replay kernel, the batched branch-free replay kernel's scalar
+# equivalence, the one-pass sweep, the explain decomposition, and the
+# packed recency stacks against a naive list model.
 # Long campaigns run these by hand with a bigger -fuzztime.
 FUZZTIME ?= 10s
 fuzz:
@@ -88,6 +92,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzSubmitRequest -fuzztime=$(FUZZTIME) ./internal/serve
 	$(GO) test -run=^$$ -fuzz=FuzzOnePassConsistency -fuzztime=$(FUZZTIME) ./internal/stackdist
 	$(GO) test -run=^$$ -fuzz=FuzzExplainDecomposition -fuzztime=$(FUZZTIME) ./internal/explain
+	$(GO) test -run=^$$ -fuzz=FuzzMoveTo -fuzztime=$(FUZZTIME) ./internal/recency
 
 check: race cover bench fuzz staticcheck serve-smoke
 

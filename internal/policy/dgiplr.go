@@ -16,10 +16,9 @@ import (
 // (BenchmarkAblationTreeVsTrueLRU).
 type DGIPLR2 struct {
 	nop
-	vecs   [2]ipv.Vector
-	stacks []*recency.Stack
-	duel   *dueling.Duel
-	ways   int
+	vecs [2]ipv.Vector
+	rec  recency.Lanes
+	duel *dueling.Duel
 }
 
 // NewDGIPLR2 returns a 2-vector dynamic GIPLR.
@@ -33,16 +32,11 @@ func NewDGIPLR2(sets, ways int, vecs [2]ipv.Vector) *DGIPLR2 {
 			panic("policy: DGIPLR2 vector associativity mismatch")
 		}
 	}
-	p := &DGIPLR2{
-		vecs:   [2]ipv.Vector{vecs[0].Clone(), vecs[1].Clone()},
-		stacks: make([]*recency.Stack, sets),
-		duel:   dueling.NewDuel(sets, leadersFor(sets, 2), dueling.CounterBits11),
-		ways:   ways,
+	return &DGIPLR2{
+		vecs: [2]ipv.Vector{vecs[0].Clone(), vecs[1].Clone()},
+		rec:  recency.New(sets, ways),
+		duel: dueling.NewDuel(sets, leadersFor(sets, 2), dueling.CounterBits11),
 	}
-	for i := range p.stacks {
-		p.stacks[i] = recency.New(ways)
-	}
-	return p
 }
 
 // Name implements cache.Policy.
@@ -53,29 +47,28 @@ func (p *DGIPLR2) OnMiss(set uint32, _ trace.Record) { p.duel.OnMiss(set) }
 
 // OnHit implements cache.Policy.
 func (p *DGIPLR2) OnHit(set uint32, way int, _ trace.Record) {
-	p.stacks[set].Touch(way, p.vecs[p.duel.Choose(set)])
+	p.rec.MoveTo(set, way, p.vecs[p.duel.Choose(set)].Promotion(p.rec.Position(set, way)))
 }
 
 // Victim implements cache.Policy.
-func (p *DGIPLR2) Victim(set uint32, _ trace.Record) int { return p.stacks[set].Victim() }
+func (p *DGIPLR2) Victim(set uint32, _ trace.Record) int { return p.rec.Victim(set) }
 
 // OnFill implements cache.Policy.
 func (p *DGIPLR2) OnFill(set uint32, way int, _ trace.Record) {
-	p.stacks[set].Fill(way, p.vecs[p.duel.Choose(set)])
+	p.rec.MoveTo(set, way, p.vecs[p.duel.Choose(set)].Insertion())
 }
 
 // OverheadBits implements Overheader.
 func (p *DGIPLR2) OverheadBits() (float64, int) {
-	return float64(p.ways * log2ceil(p.ways)), dueling.CounterBits11
+	return stackBits(p.rec.Ways()), dueling.CounterBits11
 }
 
 // DGIPLR4 is the four-vector true-LRU variant, the DGIPPR4 counterpart.
 type DGIPLR4 struct {
 	nop
-	vecs   [4]ipv.Vector
-	stacks []*recency.Stack
-	duel   *dueling.Tournament
-	ways   int
+	vecs [4]ipv.Vector
+	rec  recency.Lanes
+	duel *dueling.Tournament
 }
 
 // NewDGIPLR4 returns a 4-vector dynamic GIPLR.
@@ -90,15 +83,11 @@ func NewDGIPLR4(sets, ways int, vecs [4]ipv.Vector) *DGIPLR4 {
 		}
 	}
 	p := &DGIPLR4{
-		stacks: make([]*recency.Stack, sets),
-		duel:   dueling.NewTournament(sets, leadersFor(sets, 4), dueling.CounterBits11),
-		ways:   ways,
+		rec:  recency.New(sets, ways),
+		duel: dueling.NewTournament(sets, leadersFor(sets, 4), dueling.CounterBits11),
 	}
 	for i, v := range vecs {
 		p.vecs[i] = v.Clone()
-	}
-	for i := range p.stacks {
-		p.stacks[i] = recency.New(ways)
 	}
 	return p
 }
@@ -111,20 +100,20 @@ func (p *DGIPLR4) OnMiss(set uint32, _ trace.Record) { p.duel.OnMiss(set) }
 
 // OnHit implements cache.Policy.
 func (p *DGIPLR4) OnHit(set uint32, way int, _ trace.Record) {
-	p.stacks[set].Touch(way, p.vecs[p.duel.Choose(set)])
+	p.rec.MoveTo(set, way, p.vecs[p.duel.Choose(set)].Promotion(p.rec.Position(set, way)))
 }
 
 // Victim implements cache.Policy.
-func (p *DGIPLR4) Victim(set uint32, _ trace.Record) int { return p.stacks[set].Victim() }
+func (p *DGIPLR4) Victim(set uint32, _ trace.Record) int { return p.rec.Victim(set) }
 
 // OnFill implements cache.Policy.
 func (p *DGIPLR4) OnFill(set uint32, way int, _ trace.Record) {
-	p.stacks[set].Fill(way, p.vecs[p.duel.Choose(set)])
+	p.rec.MoveTo(set, way, p.vecs[p.duel.Choose(set)].Insertion())
 }
 
 // OverheadBits implements Overheader.
 func (p *DGIPLR4) OverheadBits() (float64, int) {
-	return float64(p.ways * log2ceil(p.ways)), 3 * dueling.CounterBits11
+	return stackBits(p.rec.Ways()), 3 * dueling.CounterBits11
 }
 
 var (

@@ -1,6 +1,8 @@
 package policy
 
 import (
+	"fmt"
+
 	"gippr/internal/cache"
 	"gippr/internal/ipv"
 	"gippr/internal/recency"
@@ -13,13 +15,13 @@ import (
 // block from position i to V[i] and fills inserting at V[k]. With the
 // all-zero vector it is exactly classic LRU. This is the expensive
 // (k·log2(k) bits per set) proof-of-concept the tree-based GIPPR approximates.
+// Associativity is limited to 2..recency.MaxWays.
 type GIPLR struct {
 	nop
-	name   string
-	vec    ipv.Vector
-	stacks []*recency.Stack
-	ways   int
-	tel    *telemetry.Sink
+	name string
+	vec  ipv.Vector
+	rec  recency.Lanes
+	tel  *telemetry.Sink
 }
 
 // NewGIPLR returns a GIPLR policy with the given vector. The vector's
@@ -32,11 +34,7 @@ func NewGIPLR(sets, ways int, v ipv.Vector) *GIPLR {
 	if v.K() != ways {
 		panic("policy: GIPLR vector associativity mismatch")
 	}
-	p := &GIPLR{name: "GIPLR" + v.String(), vec: v.Clone(), stacks: make([]*recency.Stack, sets), ways: ways}
-	for i := range p.stacks {
-		p.stacks[i] = recency.New(ways)
-	}
-	return p
+	return &GIPLR{name: "GIPLR" + v.String(), vec: v.Clone(), rec: recency.New(sets, ways)}
 }
 
 // NewTrueLRU returns classic LRU replacement (the paper's baseline).
@@ -54,8 +52,36 @@ func NewLIP(sets, ways int) *GIPLR {
 	return p
 }
 
+// NewMSLRU returns multi-step LRU (Inoue, arXiv:2112.09981), named
+// "<step>-MSLRU": GIPLR under ipv.MultiStep(ways, step), so hits climb the
+// stack one segment at a time instead of jumping to MRU. The step must
+// divide the associativity (ipv.MultiStep panics otherwise); step 1 is
+// classic true LRU.
+func NewMSLRU(sets, ways, step int) *GIPLR {
+	p := NewGIPLR(sets, ways, ipv.MultiStep(ways, step))
+	p.name = fmt.Sprintf("%d-MSLRU", step)
+	return p
+}
+
+// DefaultMSLRUStep is the registry's step choice for an associativity: 4
+// when it divides the associativity (the sweet spot in the multi-step LRU
+// paper's sweep), else 2, else exact LRU.
+func DefaultMSLRUStep(ways int) int {
+	switch {
+	case ways%4 == 0:
+		return 4
+	case ways%2 == 0:
+		return 2
+	default:
+		return 1
+	}
+}
+
 // Name implements cache.Policy.
 func (p *GIPLR) Name() string { return p.name }
+
+// SetName overrides the display name.
+func (p *GIPLR) SetName(n string) { p.name = n }
 
 // Vector returns the IPV in use.
 func (p *GIPLR) Vector() ipv.Vector { return p.vec.Clone() }
@@ -65,18 +91,16 @@ func (p *GIPLR) SetTelemetry(s *telemetry.Sink) { p.tel = s }
 
 // OnHit implements cache.Policy: promote per the vector.
 func (p *GIPLR) OnHit(set uint32, way int, _ trace.Record) {
-	st := p.stacks[set]
+	from := p.rec.Position(set, way)
+	to := p.vec.Promotion(from)
 	if p.tel != nil {
-		from := st.Position(way)
-		p.tel.Promote(from, p.vec.Promotion(from))
+		p.tel.Promote(from, to)
 	}
-	st.Touch(way, p.vec)
+	p.rec.MoveTo(set, way, to)
 }
 
 // Victim implements cache.Policy: the block in the LRU position.
-func (p *GIPLR) Victim(set uint32, _ trace.Record) int {
-	return p.stacks[set].Victim()
-}
+func (p *GIPLR) Victim(set uint32, _ trace.Record) int { return p.rec.Victim(set) }
 
 // OnFill implements cache.Policy: move the incoming block to the insertion
 // position. The cache may fill an invalid way during cold start; the move is
@@ -85,15 +109,16 @@ func (p *GIPLR) OnFill(set uint32, way int, _ trace.Record) {
 	if p.tel != nil {
 		p.tel.Insert(p.vec.Insertion())
 	}
-	p.stacks[set].Fill(way, p.vec)
+	p.rec.MoveTo(set, way, p.vec.Insertion())
 }
 
-// Stack exposes the recency stack of one set (for tests).
-func (p *GIPLR) Stack(set uint32) *recency.Stack { return p.stacks[set] }
+// Position returns way's recency position in set (0 = MRU).
+func (p *GIPLR) Position(set uint32, way int) int { return p.rec.Position(set, way) }
 
-// OverheadBits implements Overheader: k·log2(k) bits per set (Section 2.1.2).
+// OverheadBits implements Overheader: k·log2(k) bits per set (Section
+// 2.1.2); an MSLRU step count is a wired constant, not state.
 func (p *GIPLR) OverheadBits() (float64, int) {
-	return float64(p.ways * log2ceil(p.ways)), 0
+	return stackBits(p.rec.Ways()), 0
 }
 
 var _ cache.Policy = (*GIPLR)(nil)

@@ -1,10 +1,13 @@
 package policy
 
 import (
+	"reflect"
+	"slices"
 	"testing"
 
 	"gippr/internal/cache"
 	"gippr/internal/ipv"
+	"gippr/internal/telemetry"
 	"gippr/internal/trace"
 	"gippr/internal/xrand"
 )
@@ -40,6 +43,127 @@ func (p *refLRU) Victim(set uint32, _ trace.Record) int {
 		}
 	}
 	return best
+}
+
+// listIPV is the independent reference for GIPLR: the same IPV rule and
+// telemetry events over naive MRU-first lists, one per set, moved by
+// removing the way and inserting it at the target index.
+type listIPV struct {
+	nop
+	vec   ipv.Vector
+	lists [][]int // lists[set][position] = way
+	tel   *telemetry.Sink
+}
+
+func newListIPV(sets int, v ipv.Vector) *listIPV {
+	p := &listIPV{vec: v, lists: make([][]int, sets)}
+	for set := range p.lists {
+		for w := 0; w < v.K(); w++ {
+			p.lists[set] = append(p.lists[set], w)
+		}
+	}
+	return p
+}
+
+func (p *listIPV) Name() string                   { return "list-ipv" }
+func (p *listIPV) SetTelemetry(s *telemetry.Sink) { p.tel = s }
+
+func (p *listIPV) position(set uint32, way int) int { return slices.Index(p.lists[set], way) }
+
+func (p *listIPV) moveTo(set uint32, way, target int) {
+	from := p.position(set, way)
+	p.lists[set] = slices.Insert(slices.Delete(p.lists[set], from, from+1), target, way)
+}
+
+func (p *listIPV) OnHit(set uint32, way int, _ trace.Record) {
+	from := p.position(set, way)
+	if p.tel != nil {
+		p.tel.Promote(from, p.vec.Promotion(from))
+	}
+	p.moveTo(set, way, p.vec.Promotion(from))
+}
+
+func (p *listIPV) Victim(set uint32, _ trace.Record) int {
+	return p.lists[set][len(p.lists[set])-1]
+}
+
+func (p *listIPV) OnFill(set uint32, way int, _ trace.Record) {
+	if p.tel != nil {
+		p.tel.Insert(p.vec.Insertion())
+	}
+	p.moveTo(set, way, p.vec.Insertion())
+}
+
+// TestGIPLRMatchesListReference replays GIPLR on the packed lanes and the
+// list model under the same vector — LRU, LIP, every multi-step vector,
+// the paper's GIPLR vector and random vectors — at associativities that
+// fill whole words, leave parked lanes, or are not powers of two, and
+// requires equal stats, identical telemetry sinks and equal final positions.
+func TestGIPLRMatchesListReference(t *testing.T) {
+	rng := xrand.New(0x115)
+	for _, ways := range []int{2, 3, 4, 8, 12, 16, 24, 64} {
+		cfg := cache.Config{Name: "l", SizeBytes: 8 * ways * 64, Ways: ways, BlockBytes: 64, HitLatency: 1}
+		vecs := []ipv.Vector{ipv.LRU(ways), ipv.LIP(ways), paperVectorFor(ways, ipv.PaperGIPLR)}
+		for step := 1; step <= ways; step++ {
+			if ways%step == 0 {
+				vecs = append(vecs, ipv.MultiStep(ways, step))
+			}
+		}
+		for i := 0; i < 3; i++ {
+			v := ipv.New(ways)
+			for j := range v {
+				v[j] = rng.Intn(ways)
+			}
+			vecs = append(vecs, v)
+		}
+		n := 20000
+		if testing.Short() {
+			n = 3000
+		}
+		for i, v := range vecs {
+			recs := mslruStream(cfg, n, uint64(ways*100+i))
+			got := NewGIPLR(cfg.Sets(), ways, v)
+			ref := newListIPV(cfg.Sets(), v)
+			gotStats, gotSink := replayTel(cfg, got, recs)
+			refStats, refSink := replayTel(cfg, ref, recs)
+			if gotStats != refStats {
+				t.Fatalf("ways %d vector %v: stats %+v != list %+v", ways, v, gotStats, refStats)
+			}
+			if !reflect.DeepEqual(gotSink, refSink) {
+				t.Fatalf("ways %d vector %v: telemetry diverged from the list", ways, v)
+			}
+			for set := uint32(0); set < uint32(cfg.Sets()); set++ {
+				for w := 0; w < ways; w++ {
+					if gp, rp := got.Position(set, w), ref.position(set, w); gp != rp {
+						t.Fatalf("ways %d vector %v set %d way %d: position %d != list's %d", ways, v, set, w, gp, rp)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestExactRecencyConstructorsAllocateLittle gates per-set allocation:
+// every exact-recency policy keeps all sets in one packed slice, so a
+// 4096-set cache costs a handful of allocations, not a few per set.
+func TestExactRecencyConstructorsAllocateLittle(t *testing.T) {
+	const sets, ways = 4096, 16
+	for name, build := range map[string]func(){
+		"NewTrueLRU":   func() { NewTrueLRU(sets, ways) },
+		"NewLIP":       func() { NewLIP(sets, ways) },
+		"NewGIPLR":     func() { NewGIPLR(sets, ways, ipv.PaperGIPLR) },
+		"NewMSLRU":     func() { NewMSLRU(sets, ways, 4) },
+		"NewBIP":       func() { NewBIP(sets, ways) },
+		"NewDIP":       func() { NewDIP(sets, ways) },
+		"NewPIPPEqual": func() { NewPIPPEqual(sets, ways, 2) },
+		"NewPIPPDyn":   func() { NewPIPPDyn(sets, ways, 2) },
+		"NewDGIPLR2":   func() { NewDGIPLR2(sets, ways, ipv.PaperWI2DGIPPR) },
+		"NewDGIPLR4":   func() { NewDGIPLR4(sets, ways, ipv.PaperWI4DGIPPR) },
+	} {
+		if n := testing.AllocsPerRun(5, build); n >= 100 {
+			t.Errorf("%s(%d, %d) made %v allocations, want fewer than 100", name, sets, ways, n)
+		}
+	}
 }
 
 func TestTrueLRUMatchesReference(t *testing.T) {
@@ -137,9 +261,10 @@ func TestGIPLRPermutationInvariantUnderTraffic(t *testing.T) {
 	}
 	for set := uint32(0); set < uint32(cfg.Sets()); set++ {
 		seen := make([]bool, cfg.Ways)
-		for _, pos := range p.Stack(set).Positions() {
+		for w := 0; w < cfg.Ways; w++ {
+			pos := p.Position(set, w)
 			if pos < 0 || pos >= cfg.Ways || seen[pos] {
-				t.Fatalf("set %d stack corrupt: %v", set, p.Stack(set).Positions())
+				t.Fatalf("set %d stack corrupt: way %d at %d", set, w, pos)
 			}
 			seen[pos] = true
 		}

@@ -6,7 +6,6 @@ import (
 
 	"gippr/internal/cache"
 	"gippr/internal/ipv"
-	"gippr/internal/recency"
 	"gippr/internal/telemetry"
 	"gippr/internal/trace"
 	"gippr/internal/xrand"
@@ -36,8 +35,8 @@ func TestMSLRUConstructorValidation(t *testing.T) {
 	if got := NewMSLRU(4, 8, 4).Name(); got != "4-MSLRU" {
 		t.Fatalf("name %q", got)
 	}
-	if got := NewMSLRU(4, 64, 64).Step(); got != 64 {
-		t.Fatalf("step %d", got)
+	if got := NewMSLRU(4, 64, 64).Vector(); !got.Equal(ipv.MultiStep(64, 64)) {
+		t.Fatalf("vector %v", got)
 	}
 }
 
@@ -80,15 +79,18 @@ func replayTel(cfg cache.Config, pol cache.Policy, recs []trace.Record) (cache.S
 }
 
 // TestMSLRUStepOneMatchesTrueLRU pins the degenerate end of the family:
-// with one segment the SWAR lanes must reproduce classic LRU bit for bit —
-// stats, telemetry event stream, and final recency order.
+// with one segment MSLRU must reproduce classic LRU bit for bit — stats and
+// telemetry event stream — and its final recency order must match the list
+// model under the LRU vector.
 func TestMSLRUStepOneMatchesTrueLRU(t *testing.T) {
 	cfg := testConfig()
 	recs := mslruStream(cfg, 40000, 0x51ED)
 	ms := NewMSLRU(cfg.Sets(), cfg.Ways, 1)
 	lru := NewTrueLRU(cfg.Sets(), cfg.Ways)
+	ref := newListIPV(cfg.Sets(), ipv.LRU(cfg.Ways))
 	msStats, msSink := replayTel(cfg, ms, recs)
 	lruStats, lruSink := replayTel(cfg, lru, recs)
+	replayTel(cfg, ref, recs)
 	if msStats != lruStats {
 		t.Fatalf("1-MSLRU stats %+v != true LRU %+v", msStats, lruStats)
 	}
@@ -97,17 +99,16 @@ func TestMSLRUStepOneMatchesTrueLRU(t *testing.T) {
 	}
 	for set := uint32(0); set < uint32(cfg.Sets()); set++ {
 		for w := 0; w < cfg.Ways; w++ {
-			if mp, lp := ms.Position(set, w), lru.Stack(set).Position(w); mp != lp {
-				t.Fatalf("set %d way %d: position %d != LRU stack's %d", set, w, mp, lp)
+			if mp, lp := ms.Position(set, w), ref.position(set, w); mp != lp {
+				t.Fatalf("set %d way %d: position %d != LRU list's %d", set, w, mp, lp)
 			}
 		}
 	}
 }
 
 // TestMSLRUMatchesGIPLRMultiStep is the policy's defining differential: at
-// every legal (ways, step) the packed-lane implementation must be
-// indistinguishable from GIPLR driving ipv.MultiStep over a recency.Stack —
-// the reference semantics MSLRU reimplements with SWAR arithmetic.
+// every legal (ways, step) MSLRU on the packed lanes must be
+// indistinguishable from ipv.MultiStep driving the naive list model.
 func TestMSLRUMatchesGIPLRMultiStep(t *testing.T) {
 	for _, ways := range []int{2, 4, 8, 16, 64} {
 		cfg := cache.Config{Name: "m", SizeBytes: 8 * ways * 64, Ways: ways, BlockBytes: 64, HitLatency: 1}
@@ -118,19 +119,19 @@ func TestMSLRUMatchesGIPLRMultiStep(t *testing.T) {
 		for step := 1; step <= ways; step *= 2 {
 			recs := mslruStream(cfg, n, 0x3577^uint64(ways*1000+step))
 			ms := NewMSLRU(cfg.Sets(), cfg.Ways, step)
-			ref := NewGIPLR(cfg.Sets(), cfg.Ways, ipv.MultiStep(ways, step))
+			ref := newListIPV(cfg.Sets(), ipv.MultiStep(ways, step))
 			msStats, msSink := replayTel(cfg, ms, recs)
 			refStats, refSink := replayTel(cfg, ref, recs)
 			if msStats != refStats {
-				t.Fatalf("ways %d step %d: MSLRU %+v != GIPLR ref %+v", ways, step, msStats, refStats)
+				t.Fatalf("ways %d step %d: MSLRU %+v != list ref %+v", ways, step, msStats, refStats)
 			}
 			if !reflect.DeepEqual(msSink, refSink) {
 				t.Fatalf("ways %d step %d: telemetry diverged", ways, step)
 			}
 			for set := uint32(0); set < uint32(cfg.Sets()); set++ {
 				for w := 0; w < ways; w++ {
-					if mp, rp := ms.Position(set, w), ref.Stack(set).Position(w); mp != rp {
-						t.Fatalf("ways %d step %d set %d way %d: position %d != stack's %d",
+					if mp, rp := ms.Position(set, w), ref.position(set, w); mp != rp {
+						t.Fatalf("ways %d step %d set %d way %d: position %d != list's %d",
 							ways, step, set, w, mp, rp)
 					}
 				}
@@ -139,18 +140,15 @@ func TestMSLRUMatchesGIPLRMultiStep(t *testing.T) {
 	}
 }
 
-// TestMSLRUMoveToMatchesStack drives the SWAR rotation primitive directly
-// against recency.Stack.MoveTo with random (way, target) pairs — the
+// TestMSLRUMoveToMatchesStack drives the policy's SWAR rotation primitive
+// directly against the list model with random (way, target) pairs — the
 // op-level differential underneath the replay-level ones above, including
 // associativities that leave parked lanes in the top word.
 func TestMSLRUMoveToMatchesStack(t *testing.T) {
 	for _, ways := range []int{2, 4, 8, 12, 16, 24, 64} {
 		const sets = 3
 		ms := NewMSLRU(sets, ways, 1)
-		ref := make([]*recency.Stack, sets)
-		for i := range ref {
-			ref[i] = recency.New(ways)
-		}
+		ref := newListIPV(sets, ipv.LRU(ways))
 		rng := xrand.New(0xD1FF ^ uint64(ways))
 		rounds := 5000
 		if testing.Short() {
@@ -160,15 +158,15 @@ func TestMSLRUMoveToMatchesStack(t *testing.T) {
 			set := uint32(rng.Intn(sets))
 			w := rng.Intn(ways)
 			target := rng.Intn(ways)
-			ms.moveTo(set, w, target)
-			ref[set].MoveTo(w, target)
+			ms.rec.MoveTo(set, w, target)
+			ref.moveTo(set, w, target)
 			for v := 0; v < ways; v++ {
-				if mp, rp := ms.Position(set, v), ref[set].Position(v); mp != rp {
-					t.Fatalf("ways %d round %d: way %d at %d, stack says %d", ways, i, v, mp, rp)
+				if mp, rp := ms.Position(set, v), ref.position(set, v); mp != rp {
+					t.Fatalf("ways %d round %d: way %d at %d, list says %d", ways, i, v, mp, rp)
 				}
 			}
-			if mv, rv := ms.Victim(set, trace.Record{}), ref[set].Victim(); mv != rv {
-				t.Fatalf("ways %d round %d: victim %d, stack says %d", ways, i, mv, rv)
+			if mv, rv := ms.Victim(set, trace.Record{}), ref.Victim(set, trace.Record{}); mv != rv {
+				t.Fatalf("ways %d round %d: victim %d, list says %d", ways, i, mv, rv)
 			}
 		}
 	}
@@ -214,18 +212,15 @@ func TestMSLRURegistryRoundTrip(t *testing.T) {
 	}
 	cfg := testConfig()
 	pol := f.New(cfg.Sets(), cfg.Ways)
-	ms, ok := pol.(*MSLRU)
+	ms, ok := pol.(*GIPLR)
 	if !ok {
 		t.Fatalf("registry built %T", pol)
 	}
 	if ms.Name() != "MSLRU" {
 		t.Fatalf("registry name %q", ms.Name())
 	}
-	if ms.Step() != DefaultMSLRUStep(cfg.Ways) {
-		t.Fatalf("registry step %d, want %d", ms.Step(), DefaultMSLRUStep(cfg.Ways))
-	}
-	if !ms.Vector().Equal(ipv.MultiStep(cfg.Ways, ms.Step())) {
-		t.Fatalf("registry vector %v", ms.Vector())
+	if !ms.Vector().Equal(ipv.MultiStep(cfg.Ways, DefaultMSLRUStep(cfg.Ways))) {
+		t.Fatalf("registry vector %v, want step %d", ms.Vector(), DefaultMSLRUStep(cfg.Ways))
 	}
 	st := runRecs(cfg, ms, mslruStream(cfg, 5000, 7))
 	if st.Hits == 0 || st.Misses == 0 {

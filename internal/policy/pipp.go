@@ -30,10 +30,9 @@ const pippPromoteProb = 0.75
 // stepwise promotion.
 type PIPP struct {
 	nop
-	stacks []*recency.Stack
-	alloc  []int // alloc[core] = partition size in ways
-	ways   int
-	rng    *xrand.RNG
+	rec   recency.Lanes
+	alloc []int // alloc[core] = partition size in ways
+	rng   *xrand.RNG
 }
 
 // NewPIPP returns a PIPP policy with explicit per-core allocations, which
@@ -53,16 +52,11 @@ func NewPIPP(sets, ways int, alloc []int) *PIPP {
 	if total > ways {
 		panic(fmt.Sprintf("policy: PIPP allocations sum to %d > %d ways", total, ways))
 	}
-	p := &PIPP{
-		stacks: make([]*recency.Stack, sets),
-		alloc:  append([]int(nil), alloc...),
-		ways:   ways,
-		rng:    xrand.New(0x919),
+	return &PIPP{
+		rec:   recency.New(sets, ways),
+		alloc: append([]int(nil), alloc...),
+		rng:   xrand.New(0x919),
 	}
-	for i := range p.stacks {
-		p.stacks[i] = recency.New(ways)
-	}
-	return p
 }
 
 // NewPIPPEqual returns PIPP with the associativity split equally among
@@ -90,15 +84,13 @@ func (p *PIPP) Allocations() []int { return append([]int(nil), p.alloc...) }
 // OnHit implements cache.Policy: promote by one position with probability
 // 3/4 (never past MRU).
 func (p *PIPP) OnHit(set uint32, way int, _ trace.Record) {
-	st := p.stacks[set]
-	pos := st.Position(way)
-	if pos > 0 && p.rng.Bool(pippPromoteProb) {
-		st.MoveTo(way, pos-1)
+	if pos := p.rec.Position(set, way); pos > 0 && p.rng.Bool(pippPromoteProb) {
+		p.rec.MoveTo(set, way, pos-1)
 	}
 }
 
 // Victim implements cache.Policy: the LRU block.
-func (p *PIPP) Victim(set uint32, _ trace.Record) int { return p.stacks[set].Victim() }
+func (p *PIPP) Victim(set uint32, _ trace.Record) int { return p.rec.Victim(set) }
 
 // OnFill implements cache.Policy: insert at the requesting core's
 // allocation position, counted from the LRU end. Unknown cores (beyond the
@@ -108,13 +100,13 @@ func (p *PIPP) OnFill(set uint32, way int, r trace.Record) {
 	if int(r.Core) < len(p.alloc) {
 		a = p.alloc[r.Core]
 	}
-	p.stacks[set].MoveTo(way, p.ways-a)
+	p.rec.MoveTo(set, way, p.rec.Ways()-a)
 }
 
 // OverheadBits implements Overheader: the LRU stack plus the allocation
 // registers.
 func (p *PIPP) OverheadBits() (float64, int) {
-	return float64(p.ways * log2ceil(p.ways)), len(p.alloc) * log2ceil(p.ways+1)
+	return stackBits(p.rec.Ways()), len(p.alloc) * log2ceil(p.rec.Ways()+1)
 }
 
 var (

@@ -49,10 +49,10 @@ func TestPIPPInsertionPosition(t *testing.T) {
 	}
 	c.Access(trace.Record{Gap: 1, Addr: 100 * 64, Core: 0})
 	// Find the newly inserted block's position: way of block 100.
-	st := p.stacks[0]
+	st := &p.rec
 	found := -1
 	for w := 0; w < 8; w++ {
-		if st.Position(w) == 2 {
+		if st.Position(0, w) == 2 {
 			found = w
 		}
 	}
@@ -74,20 +74,20 @@ func TestPIPPPromotionIsStepwise(t *testing.T) {
 	}
 	// Hit the block at the LRU position repeatedly: its position must only
 	// ever decrease by one per hit (probabilistically), never jump to 0.
-	st := p.stacks[0]
-	victim := st.Victim()
+	st := &p.rec
+	victim := st.Victim(0)
 	block := uint64(0)
 	for w, b := 0, uint64(0); b < 8; b++ {
 		_ = w
-		if c.Contains(b*64) && st.Position(int(b)) == 7 {
+		if c.Contains(b*64) && st.Position(0, int(b)) == 7 {
 			block = b
 		}
 	}
 	_ = victim
-	prev := st.Position(int(block))
+	prev := st.Position(0, int(block))
 	for i := 0; i < 20 && prev > 0; i++ {
 		c.Access(trace.Record{Gap: 1, Addr: block * 64})
-		cur := st.Position(int(block))
+		cur := st.Position(0, int(block))
 		if cur < prev-1 {
 			t.Fatalf("promotion jumped from %d to %d", prev, cur)
 		}

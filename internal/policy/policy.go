@@ -56,6 +56,10 @@ func log2ceil(n int) int {
 	return bits.Len(uint(n - 1))
 }
 
+// stackBits is a full recency stack's storage per set: k·log2(k) bits
+// (Section 2.1.2).
+func stackBits(ways int) float64 { return float64(ways * log2ceil(ways)) }
+
 // Factory constructs a fresh policy instance for a cache geometry. Fresh
 // instances matter: policies hold all per-set state, so one instance must
 // never be shared between caches or simulation runs.

@@ -97,7 +97,7 @@ func ucpAllocate(monitors []*umon, ways int) []int {
 // PIPP's insertion/promotion mechanism with UMON-driven targets).
 type PIPPDyn struct {
 	nop
-	stacks   []*recency.Stack
+	rec      recency.Lanes
 	monitors []*umon
 	alloc    []int
 	ways     int
@@ -123,13 +123,10 @@ func NewPIPPDyn(sets, ways, cores int) *PIPPDyn {
 		panic("policy: PIPPDyn core count out of range")
 	}
 	p := &PIPPDyn{
-		stacks: make([]*recency.Stack, sets),
-		alloc:  make([]int, cores),
-		ways:   ways,
-		rng:    &pippRNG{s: 0x9e3779b97f4a7c15},
-	}
-	for i := range p.stacks {
-		p.stacks[i] = recency.New(ways)
+		rec:   recency.New(sets, ways),
+		alloc: make([]int, cores),
+		ways:  ways,
+		rng:   &pippRNG{s: 0x9e3779b97f4a7c15},
 	}
 	for c := 0; c < cores; c++ {
 		p.monitors = append(p.monitors, newUMON(ways))
@@ -163,9 +160,8 @@ func (p *PIPPDyn) tick(set uint32, r trace.Record) {
 // OnHit implements cache.Policy: single-step promotion with probability 3/4.
 func (p *PIPPDyn) OnHit(set uint32, way int, r trace.Record) {
 	p.tick(set, r)
-	st := p.stacks[set]
-	if pos := st.Position(way); pos > 0 && p.rng.bool75() {
-		st.MoveTo(way, pos-1)
+	if pos := p.rec.Position(set, way); pos > 0 && p.rng.bool75() {
+		p.rec.MoveTo(set, way, pos-1)
 	}
 }
 
@@ -173,7 +169,7 @@ func (p *PIPPDyn) OnHit(set uint32, way int, r trace.Record) {
 func (p *PIPPDyn) OnMiss(set uint32, r trace.Record) { p.tick(set, r) }
 
 // Victim implements cache.Policy.
-func (p *PIPPDyn) Victim(set uint32, _ trace.Record) int { return p.stacks[set].Victim() }
+func (p *PIPPDyn) Victim(set uint32, _ trace.Record) int { return p.rec.Victim(set) }
 
 // OnFill implements cache.Policy: insert at the core's current allocation
 // position.
@@ -182,14 +178,14 @@ func (p *PIPPDyn) OnFill(set uint32, way int, r trace.Record) {
 	if int(r.Core) < len(p.alloc) {
 		a = p.alloc[r.Core]
 	}
-	p.stacks[set].MoveTo(way, p.ways-a)
+	p.rec.MoveTo(set, way, p.ways-a)
 }
 
 // OverheadBits implements Overheader: the LRU stack, the allocation
 // registers, and the sampled ATDs (tag+position per monitored line).
 func (p *PIPPDyn) OverheadBits() (float64, int) {
 	atdBits := len(p.monitors) * (4096 / (umonSampleMask + 1)) * p.ways * 40
-	return float64(p.ways * log2ceil(p.ways)),
+	return stackBits(p.ways),
 		len(p.alloc)*log2ceil(p.ways+1) + atdBits
 }
 

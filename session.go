@@ -1,6 +1,9 @@
 package gippr
 
 import (
+	"fmt"
+	"runtime"
+
 	"gippr/internal/cache"
 	"gippr/internal/cpu"
 	"gippr/internal/explain"
@@ -114,13 +117,34 @@ func (s *Session) Telemetry() *TelemetrySink { return s.sink }
 
 // Policy instantiates a registry policy (the names gippr-sim and
 // gippr-serve accept: "lru", "plru", "drrip", "gippr", "4-dgippr", ...)
-// for the Session's geometry. Unknown names wrap ErrUnknownPolicy.
+// for the Session's geometry. Unknown names wrap ErrUnknownPolicy. Two
+// policy families bound the associativity: the tree-PseudoLRU family
+// ("plru", "gippr", "2-dgippr", "4-dgippr") needs a power of two in 2..64,
+// and the exact-recency family ("lru", "lip", "bip", "dip", "giplr",
+// "mslru") 2..127 ways. Outside its domain a policy's error wraps
+// ErrBadGeometry and names the policy and the associativity.
 func (s *Session) Policy(name string) (Policy, error) {
-	f, err := policy.Lookup(name)
-	if err != nil {
-		return nil, err
+	_, p, err := s.newPolicy(name)
+	return p, err
+}
+
+// newPolicy builds a registry policy at the Session's geometry. Policy
+// constructors panic on an associativity outside their domain; that panic
+// comes back as an error wrapping ErrBadGeometry. Runtime errors are bugs,
+// not geometry, and keep panicking.
+func (s *Session) newPolicy(name string) (f policy.Factory, p Policy, err error) {
+	if f, err = policy.Lookup(name); err != nil {
+		return f, nil, err
 	}
-	return f.New(s.cfg.Sets(), s.cfg.Ways), nil
+	defer func() {
+		if r := recover(); r != nil {
+			if _, bug := r.(runtime.Error); bug {
+				panic(r)
+			}
+			err = fmt.Errorf("%w: policy %q at %d ways: %v", ErrBadGeometry, name, s.cfg.Ways, r)
+		}
+	}()
+	return f, f.New(s.cfg.Sets(), s.cfg.Ways), nil
 }
 
 // Hierarchy builds the paper's three-level hierarchy with LRU-managed
@@ -213,9 +237,10 @@ type Explanation = explain.Explanation
 // explains polB's misses relative to polA's. Both replays honour
 // WithSampling and the shared warm-up contract; each side records into a
 // private telemetry sink, so a sink attached via WithTelemetry is left
-// untouched. Unknown names wrap ErrUnknownPolicy; sides whose miss delta
-// cannot be decomposed exactly are refused with ErrExplainMismatch or
-// ErrExplainInconsistent rather than approximated.
+// untouched. Unknown names wrap ErrUnknownPolicy and policies outside
+// their associativity domain ErrBadGeometry, as in Session.Policy; sides
+// whose miss delta cannot be decomposed exactly are refused with
+// ErrExplainMismatch or ErrExplainInconsistent rather than approximated.
 func (s *Session) Explain(stream []Record, polA, polB string, opts ExplainOptions) (*Explanation, error) {
 	label := opts.Workload
 	if label == "" {
@@ -237,12 +262,12 @@ func (s *Session) Explain(stream []Record, polA, polB string, opts ExplainOption
 // harness (stats.MPKI, scaled up by the sampling factor only when sampling
 // is on), so facade figures match report figures for the same run.
 func (s *Session) explainSide(stream []Record, name string, warm int) (explain.Side, error) {
-	f, err := policy.Lookup(name)
+	f, pol, err := s.newPolicy(name)
 	if err != nil {
 		return explain.Side{}, err
 	}
 	var sink TelemetrySink
-	rs := cache.ReplayStreamTel(stream, s.cfg, f.New(s.cfg.Sets(), s.cfg.Ways), warm, &sink)
+	rs := cache.ReplayStreamTel(stream, s.cfg, pol, warm, &sink)
 	side := explain.Side{
 		Policy:       f.Name,
 		MPKI:         stats.MPKI(rs.Misses, rs.Instructions),

@@ -2,6 +2,8 @@ package gippr
 
 import (
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 
 	"gippr/internal/xrand"
@@ -82,6 +84,43 @@ func TestSessionPolicyLookup(t *testing.T) {
 	}
 	if _, err := s.Policy("no-such"); !errors.Is(err, ErrUnknownPolicy) {
 		t.Errorf("Policy(no-such): err = %v, want ErrUnknownPolicy", err)
+	}
+}
+
+// Registry policies outside their family's associativity domain come back
+// as ErrBadGeometry naming the policy and the associativity, from Policy
+// and from Explain, instead of panicking.
+func TestSessionPolicyDomains(t *testing.T) {
+	stream := sessionStream(2_000)
+	for _, tc := range []struct {
+		ways int
+		name string
+		ok   bool
+	}{
+		{12, "plru", false}, {12, "lru", true}, {12, "fifo", true},
+		{64, "gippr", true}, {64, "mslru", true}, {64, "fifo", true},
+		{128, "plru", false}, {128, "lru", false}, {128, "mslru", false}, {128, "fifo", true},
+	} {
+		cfg := CacheConfig{Name: "t", SizeBytes: 16 * tc.ways * 64, Ways: tc.ways, BlockBytes: 64, HitLatency: 1}
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pol, err := s.Policy(tc.name)
+		_, xerr := s.Explain(stream, tc.name, "fifo", ExplainOptions{})
+		for what, err := range map[string]error{"Policy": err, "Explain": xerr} {
+			switch {
+			case tc.ok && err != nil:
+				t.Errorf("%d ways: %s(%s): %v", tc.ways, what, tc.name, err)
+			case !tc.ok && !errors.Is(err, ErrBadGeometry):
+				t.Errorf("%d ways: %s(%s): err = %v, want ErrBadGeometry", tc.ways, what, tc.name, err)
+			case !tc.ok && !strings.Contains(err.Error(), fmt.Sprintf("%q at %d ways", tc.name, tc.ways)):
+				t.Errorf("%d ways: %s(%s): %q does not name the policy and the associativity", tc.ways, what, tc.name, err)
+			}
+		}
+		if (pol != nil) != tc.ok {
+			t.Errorf("%d ways: Policy(%s) = %v", tc.ways, tc.name, pol)
+		}
 	}
 }
 
