@@ -40,12 +40,14 @@ bench:
 # Coverage gate: short-mode statement coverage must stay at or above the
 # floor measured when the gate was introduced (75.6% total). The one-pass
 # stack-distance engine, the batched replay kernel, the policy-diff
-# explain engine, and the packed recency stacks behind every exact-LRU
-# policy (the LRU baseline of every figure and the L1/L2 capture) each
+# explain engine, the packed recency stacks behind every exact-LRU
+# policy (the LRU baseline of every figure and the L1/L2 capture), the
+# replacement policies, and the set duel that picks the vector or mode in
+# every follower set of DGIPPR, DGIPLR, DIP, DRRIP and GIPPR+bypass each
 # carry PKG_COVER_MIN on top — they are the exactness anchors of the
-# sweep, replay, why-report and LRU paths, so their differential batteries
-# must keep covering them. Raise the floors when coverage durably
-# improves; never lower them to make a PR pass.
+# sweep, replay, why-report, LRU and policy paths, so their differential
+# batteries must keep covering them. Raise the floors when coverage
+# durably improves; never lower them to make a PR pass.
 COVER_MIN ?= 75.0
 PKG_COVER_MIN ?= 85.0
 COVERPROFILE ?= cover.out
@@ -56,7 +58,7 @@ cover: vet
 	awk -v t=$$total -v min=$(COVER_MIN) 'BEGIN { \
 		if (t+0 < min+0) { printf "coverage %.1f%% is below the %.1f%% gate\n", t, min; exit 1 } \
 		printf "coverage %.1f%% meets the %.1f%% gate\n", t, min }'
-	@for pkg in internal/stackdist internal/batchreplay internal/explain internal/recency; do \
+	@for pkg in internal/stackdist internal/batchreplay internal/explain internal/recency internal/policy internal/dueling; do \
 		pct=$$($(GO) test -short -count=1 -cover ./$$pkg | awk '{ for (i=1;i<=NF;i++) if ($$i ~ /%/) { gsub("%","",$$i); print $$i } }'); \
 		awk -v p=$$pkg -v t=$$pct -v min=$(PKG_COVER_MIN) 'BEGIN { \
 			if (t+0 < min+0) { printf "%s coverage %.1f%% is below the %.1f%% gate\n", p, t, min; exit 1 } \

@@ -299,8 +299,8 @@ func thrashStream(n int) []trace.Record {
 
 // BenchmarkAblationVectorCount compares 1-, 2-, 4- and 8-vector DGIPPR
 // miss counts on the thrash workload (paper Section 3.5: "extending beyond
-// four vectors yields diminishing returns" — the 8-vector bracket should
-// not improve meaningfully on the 4-vector tournament).
+// four vectors yields diminishing returns" — 8 vectors should not improve
+// meaningfully on the 4-vector tournament).
 func BenchmarkAblationVectorCount(b *testing.B) {
 	cfg := cache.L3Config
 	stream := thrashStream(500_000)
@@ -314,12 +314,7 @@ func BenchmarkAblationVectorCount(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			var misses uint64
 			for i := 0; i < b.N; i++ {
-				var pol cache.Policy
-				if n == 8 {
-					pol = policy.NewDGIPPRBracket(cfg.Sets(), cfg.Ways, vecs[:8])
-				} else {
-					pol = policy.NewDGIPPRN(cfg.Sets(), cfg.Ways, vecs[:n])
-				}
+				pol := policy.NewDGIPPRN(cfg.Sets(), cfg.Ways, vecs[:n])
 				rs := cache.ReplayStream(stream, cfg, pol, len(stream)/3)
 				misses = rs.Misses
 			}

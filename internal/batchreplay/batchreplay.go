@@ -73,8 +73,8 @@ func (h *HitBits) Bit(i int) bool { return h[i>>6]>>(i&63)&1 == 1 }
 // observable effect. PackedIPV returns that vector (length ways+1) and
 // ok=true; policies with any additional state or decision-making (dueling,
 // bypass, predictors) must return ok=false so replays fall back to the
-// scalar path. policy.PLRU (the all-zero vector) and policy.GIPPR implement
-// it.
+// scalar path. policy.GIPPR implements it, with ok=true only without a
+// duel: PLRU (the all-zero vector) and one-vector GIPPR run on the kernel.
 type Packable interface {
 	PackedIPV() ([]int, bool)
 }

@@ -27,7 +27,7 @@ type Engine interface {
 }
 
 // treeExposer is the accessor the tree-PLRU policy family provides for its
-// per-set trees (policy.PLRU and policy.GIPPR both have it). The kernel
+// per-set trees (policy.GIPPR has it, and so PLRU and DGIPPR). The kernel
 // engine uses it to seed its packed state words from the policy and to
 // write the final state back, so a policy reused across replays sees
 // exactly the tree mutations Cache.Access would have caused.

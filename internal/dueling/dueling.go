@@ -1,15 +1,16 @@
 // Package dueling implements set-dueling (Qureshi et al., ISCA 2007) and
-// Loh-style multi-set-dueling tournaments (MICRO 2009), the mechanism DGIPPR
-// uses to pick among evolved IPVs at run time (paper Section 3.5).
+// its multi-set-dueling generalization (Loh, MICRO 2009), the mechanism
+// DGIPPR uses to pick among evolved IPVs at run time (paper Section 3.5).
 //
 // A small number of leader sets are statically dedicated to each candidate
 // policy. A saturating counter counts up when policy A misses in one of its
 // leader sets and down when policy B misses in one of its own; the follower
 // sets (everything else) use whichever policy the counter currently favours.
-// For four policies, two counters duel within the pairs (0,1) and (2,3) and
-// a meta-counter duels the pairs; the winning element of the winning pair
-// drives the followers. The paper uses 11-bit counters: one for 2-DGIPPR,
-// three for 4-DGIPPR — 33 bits for the entire cache.
+// Duel arranges such counters in a binary tree over any power-of-two number
+// of policies: two policies need one counter (Qureshi's PSEL); four give
+// Loh's tournament, two counters within the pairs (0,1) and (2,3) and a
+// meta-counter between the pairs. The paper uses 11-bit counters: one for
+// 2-DGIPPR, three for 4-DGIPPR — 33 bits for the entire cache.
 package dueling
 
 import "fmt"
@@ -24,13 +25,13 @@ type Counter struct {
 }
 
 // NewCounter returns a counter with the given width in bits (1..30).
-func NewCounter(bits int) *Counter {
+func NewCounter(bits int) Counter {
 	if bits < 1 || bits > 30 {
 		panic(fmt.Sprintf("dueling: counter width %d out of range", bits))
 	}
 	max := 1<<bits - 1
 	mid := 1 << (bits - 1)
-	return &Counter{v: mid, max: max, mid: mid}
+	return Counter{v: mid, max: max, mid: mid}
 }
 
 // Up increments the counter, saturating at its maximum.
@@ -92,191 +93,85 @@ func (s *Selector) Leader(set uint32) int {
 // DefaultLeaders is the customary number of leader sets per policy.
 const DefaultLeaders = 32
 
-// Duel selects between two policies with a single PSEL counter
-// (paper Section 2.3 / Qureshi et al.).
+// CounterBits11 is the counter width the paper specifies for DGIPPR.
+const CounterBits11 = 11
+
+// Duel selects among a power-of-two number of policies with a complete
+// binary tree of counters, one per internal node in the implicit heap
+// layout (root = node 1, leaves policies..2*policies-1). A leader's miss
+// walks its leaf-to-root path, training each ancestor toward the sibling
+// subtree; the winner walks root-to-leaf following the counters. It is
+// recomputed only when a leader miss moves the counters, so Choose costs a
+// leader test and a load.
 type Duel struct {
-	sel  *Selector
-	psel *Counter
+	sel      Selector
+	counters []Counter // counters[n] for node n in 1..len-1
+	winner   int
 }
 
-// NewDuel returns a two-policy duel over numSets sets with the given number
-// of leader sets per policy and counter width in bits.
-func NewDuel(numSets, leadersPerPolicy, counterBits int) *Duel {
-	return &Duel{
-		sel:  NewSelector(numSets, 2, leadersPerPolicy),
-		psel: NewCounter(counterBits),
+// NewDuel returns a duel among numPolicies policies (a power of two >= 2)
+// over numSets sets, with leadersPerPolicy leader sets each and counters of
+// counterBits bits.
+func NewDuel(numSets, numPolicies, leadersPerPolicy, counterBits int) *Duel {
+	if numPolicies < 2 || numPolicies&(numPolicies-1) != 0 {
+		panic(fmt.Sprintf("dueling: duel size %d is not a power of two >= 2", numPolicies))
 	}
+	d := &Duel{
+		sel:      *NewSelector(numSets, numPolicies, leadersPerPolicy),
+		counters: make([]Counter, numPolicies),
+	}
+	for n := 1; n < numPolicies; n++ {
+		d.counters[n] = NewCounter(counterBits)
+	}
+	d.elect()
+	return d
 }
 
 // Leader returns the policy index the set leads, or -1 for follower sets
 // (exposed for telemetry: a leader miss is one dueling "vote").
 func (d *Duel) Leader(set uint32) int { return d.sel.Leader(set) }
 
-// OnMiss records a miss in the given set; misses in non-leader sets are
-// ignored.
+// OnMiss records a miss in the given set; misses in follower sets are
+// ignored. A miss by leader p trains every counter on p's leaf-to-root
+// path: Up when p lies in the node's left subtree (left missing pushes the
+// node right), Down otherwise.
 func (d *Duel) OnMiss(set uint32) {
-	switch d.sel.Leader(set) {
-	case 0:
-		d.psel.Up()
-	case 1:
-		d.psel.Down()
+	p := d.sel.Leader(set)
+	if p < 0 {
+		return
 	}
+	for node := len(d.counters) + p; node > 1; node /= 2 {
+		if node%2 == 0 {
+			d.counters[node/2].Up()
+		} else {
+			d.counters[node/2].Down()
+		}
+	}
+	d.elect()
 }
 
-// Choose returns the policy index (0 or 1) the given set should use right
-// now: leader sets always use their own policy; follower sets use the
-// current winner (policy 0 while it has fewer leader misses).
+// elect walks from the root to the winning leaf, at each counter taking the
+// subtree with fewer leader misses.
+func (d *Duel) elect() {
+	n := len(d.counters)
+	node := 1
+	for node < n {
+		node *= 2
+		if d.counters[node/2].High() { // left subtree missing more: go right
+			node++
+		}
+	}
+	d.winner = node - n
+}
+
+// Choose returns the policy index the given set should use right now:
+// leader sets always use their own policy; follower sets use the winner.
 func (d *Duel) Choose(set uint32) int {
 	if l := d.sel.Leader(set); l >= 0 {
 		return l
 	}
-	return d.Winner()
+	return d.winner
 }
 
 // Winner returns the policy followers currently use.
-func (d *Duel) Winner() int {
-	if d.psel.High() {
-		return 1 // policy 0 has been missing more
-	}
-	return 0
-}
-
-// Tournament selects among four policies with two pair counters and a
-// meta-counter (Loh's multi-set-dueling, used by 4-DGIPPR).
-type Tournament struct {
-	sel            *Selector
-	c01, c23, meta *Counter
-}
-
-// NewTournament returns a four-policy tournament over numSets sets.
-func NewTournament(numSets, leadersPerPolicy, counterBits int) *Tournament {
-	return &Tournament{
-		sel:  NewSelector(numSets, 4, leadersPerPolicy),
-		c01:  NewCounter(counterBits),
-		c23:  NewCounter(counterBits),
-		meta: NewCounter(counterBits),
-	}
-}
-
-// Leader returns the policy index the set leads, or -1 for follower sets.
-func (t *Tournament) Leader(set uint32) int { return t.sel.Leader(set) }
-
-// OnMiss records a miss in the given set, updating the pair counter the
-// leader belongs to and the meta counter.
-func (t *Tournament) OnMiss(set uint32) {
-	switch t.sel.Leader(set) {
-	case 0:
-		t.c01.Up()
-		t.meta.Up()
-	case 1:
-		t.c01.Down()
-		t.meta.Up()
-	case 2:
-		t.c23.Up()
-		t.meta.Down()
-	case 3:
-		t.c23.Down()
-		t.meta.Down()
-	}
-}
-
-// Choose returns the policy index (0..3) the set should use right now.
-func (t *Tournament) Choose(set uint32) int {
-	if l := t.sel.Leader(set); l >= 0 {
-		return l
-	}
-	return t.Winner()
-}
-
-// Winner returns the policy followers currently use: the winning element of
-// the winning pair.
-func (t *Tournament) Winner() int {
-	if t.meta.High() { // pair (0,1) missing more: use pair (2,3)
-		if t.c23.High() {
-			return 3
-		}
-		return 2
-	}
-	if t.c01.High() {
-		return 1
-	}
-	return 0
-}
-
-// CounterBits11 is the counter width the paper specifies for DGIPPR.
-const CounterBits11 = 11
-
-// Bracket generalizes the tournament to any power-of-two number of
-// policies: a complete binary tree of counters, one per internal node,
-// arranged in the implicit heap layout (root = node 1). A leader's miss
-// walks its leaf-to-root path, training each ancestor toward the sibling
-// subtree; the winner walks root-to-leaf following the counters. With four
-// policies this is exactly Tournament (three counters); the paper finds
-// more than four vectors gives diminishing returns, which the 8-policy
-// bracket lets the ablation benches verify.
-type Bracket struct {
-	sel      *Selector
-	counters []*Counter // counters[n] for node n in 1..policies-1
-	policies int
-}
-
-// NewBracket returns a tournament over numPolicies (a power of two >= 2).
-func NewBracket(numSets, numPolicies, leadersPerPolicy, counterBits int) *Bracket {
-	if numPolicies < 2 || numPolicies&(numPolicies-1) != 0 {
-		panic(fmt.Sprintf("dueling: bracket size %d is not a power of two >= 2", numPolicies))
-	}
-	b := &Bracket{
-		sel:      NewSelector(numSets, numPolicies, leadersPerPolicy),
-		counters: make([]*Counter, numPolicies),
-		policies: numPolicies,
-	}
-	for n := 1; n < numPolicies; n++ {
-		b.counters[n] = NewCounter(counterBits)
-	}
-	return b
-}
-
-// Leader returns the policy index the set leads, or -1 for follower sets.
-func (b *Bracket) Leader(set uint32) int { return b.sel.Leader(set) }
-
-// OnMiss records a miss in the given set. A miss by leader p trains every
-// counter on p's leaf-to-root path: Up when p lies in the node's left
-// subtree (left missing pushes the node right), Down otherwise.
-func (b *Bracket) OnMiss(set uint32) {
-	p := b.sel.Leader(set)
-	if p < 0 {
-		return
-	}
-	node := b.policies + p // leaf index in the implicit tree
-	for node > 1 {
-		parent := node / 2
-		if node%2 == 0 { // left child missed
-			b.counters[parent].Up()
-		} else {
-			b.counters[parent].Down()
-		}
-		node = parent
-	}
-}
-
-// Winner returns the policy followers currently use: walk from the root,
-// at each counter picking the subtree with fewer leader misses.
-func (b *Bracket) Winner() int {
-	node := 1
-	for node < b.policies {
-		if b.counters[node].High() { // left subtree missing more: go right
-			node = 2*node + 1
-		} else {
-			node = 2 * node
-		}
-	}
-	return node - b.policies
-}
-
-// Choose returns the policy index the given set should use right now.
-func (b *Bracket) Choose(set uint32) int {
-	if l := b.sel.Leader(set); l >= 0 {
-		return l
-	}
-	return b.Winner()
-}
+func (d *Duel) Winner() int { return d.winner }

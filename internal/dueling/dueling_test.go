@@ -1,6 +1,10 @@
 package dueling
 
-import "testing"
+import (
+	"testing"
+
+	"gippr/internal/xrand"
+)
 
 func TestCounterSaturation(t *testing.T) {
 	c := NewCounter(3) // 0..7, starts at 4
@@ -97,7 +101,7 @@ func TestSelectorPanics(t *testing.T) {
 }
 
 func TestDuelFollowsWinner(t *testing.T) {
-	d := NewDuel(1024, 32, 10)
+	d := NewDuel(1024, 2, 32, 10)
 	// Policy 0's leader sets miss a lot: counter goes up, winner is 1.
 	leader0 := uint32(0) // offset 0 of each period leads policy 0
 	for i := 0; i < 600; i++ {
@@ -124,7 +128,7 @@ func TestDuelFollowsWinner(t *testing.T) {
 }
 
 func TestDuelIgnoresFollowerMisses(t *testing.T) {
-	d := NewDuel(1024, 32, 10)
+	d := NewDuel(1024, 2, 32, 10)
 	before := d.Winner()
 	for i := 0; i < 1000; i++ {
 		d.OnMiss(7) // follower set
@@ -135,7 +139,7 @@ func TestDuelIgnoresFollowerMisses(t *testing.T) {
 }
 
 func TestTournamentWinner(t *testing.T) {
-	tour := NewTournament(4096, 32, 11)
+	tour := NewDuel(4096, 4, 32, 11)
 	miss := func(leader uint32, n int) {
 		for i := 0; i < n; i++ {
 			tour.OnMiss(leader)
@@ -169,18 +173,102 @@ func TestTournamentWinner(t *testing.T) {
 }
 
 func TestTournamentBalancedPrefersFirst(t *testing.T) {
-	tour := NewTournament(4096, 32, 11)
+	tour := NewDuel(4096, 4, 32, 11)
 	// With balanced counters Winner must still be deterministic.
 	if w := tour.Winner(); w < 0 || w > 3 {
 		t.Fatalf("winner = %d", w)
 	}
 }
 
+// refPSEL is the two-policy duel written out by hand with one PSEL counter
+// (Qureshi et al.): the reference Duel must match at two policies.
+type refPSEL struct {
+	sel  *Selector
+	psel Counter
+}
+
+func newRefPSEL(sets, leaders, bits int) *refPSEL {
+	return &refPSEL{sel: NewSelector(sets, 2, leaders), psel: NewCounter(bits)}
+}
+
+func (d *refPSEL) OnMiss(set uint32) {
+	switch d.sel.Leader(set) {
+	case 0:
+		d.psel.Up()
+	case 1:
+		d.psel.Down()
+	}
+}
+
+func (d *refPSEL) Winner() int {
+	if d.psel.High() {
+		return 1 // policy 0 has been missing more
+	}
+	return 0
+}
+
+// refTournament is Loh's four-policy tournament written out by hand: pair
+// counters for (0,1) and (2,3) and a meta counter between the pairs. The
+// reference Duel must match at four policies.
+type refTournament struct {
+	sel            *Selector
+	c01, c23, meta Counter
+}
+
+func newRefTournament(sets, leaders, bits int) *refTournament {
+	return &refTournament{sel: NewSelector(sets, 4, leaders),
+		c01: NewCounter(bits), c23: NewCounter(bits), meta: NewCounter(bits)}
+}
+
+func (t *refTournament) OnMiss(set uint32) {
+	switch t.sel.Leader(set) {
+	case 0:
+		t.c01.Up()
+		t.meta.Up()
+	case 1:
+		t.c01.Down()
+		t.meta.Up()
+	case 2:
+		t.c23.Up()
+		t.meta.Down()
+	case 3:
+		t.c23.Down()
+		t.meta.Down()
+	}
+}
+
+func (t *refTournament) Winner() int {
+	if t.meta.High() { // pair (0,1) missing more: use pair (2,3)
+		if t.c23.High() {
+			return 3
+		}
+		return 2
+	}
+	if t.c01.High() {
+		return 1
+	}
+	return 0
+}
+
+type refDuel interface {
+	OnMiss(set uint32)
+	Winner() int
+}
+
+// refChoose is the follower rule both references share: leaders use their
+// own policy, followers the winner.
+func refChoose(sel *Selector, ref refDuel, set uint32) int {
+	if l := sel.Leader(set); l >= 0 {
+		return l
+	}
+	return ref.Winner()
+}
+
 func TestBracketMatchesTournamentSemantics(t *testing.T) {
-	// A 4-policy bracket and the hand-written Tournament must agree on
-	// the winner for any miss pattern (they are the same structure).
-	br := NewBracket(4096, 4, 32, 11)
-	tour := NewTournament(4096, 32, 11)
+	// A 4-policy Duel and the hand-written tournament must agree on the
+	// winner for any miss pattern (they are the same structure).
+	br := NewDuel(4096, 4, 32, 11)
+	tour := newRefTournament(4096, 32, 11)
 	seqs := [][2]uint32{{0, 1500}, {1, 1500}, {2, 300}, {3, 100}, {0, 50}, {2, 900}}
 	for _, s := range seqs {
 		for i := uint32(0); i < s[1]; i++ {
@@ -194,8 +282,66 @@ func TestBracketMatchesTournamentSemantics(t *testing.T) {
 	}
 }
 
+// TestDuelMatchesReferences drives Duel at two and four policies and the
+// hand-written PSEL and tournament with the same random miss sequences,
+// mostly in leader sets and biased toward one policy at a time so the
+// counters cross their midpoints and saturate. After every miss the winner
+// and every set's choice must agree.
+func TestDuelMatchesReferences(t *testing.T) {
+	rng := xrand.New(0xd0e1)
+	for _, policies := range []int{2, 4} {
+		for _, sets := range []int{8, 64, 1024} {
+			for _, leaders := range []int{1, 2, sets / (2 * policies)} {
+				for _, bits := range []int{1, 3, 6} {
+					d := NewDuel(sets, policies, leaders, bits)
+					sel := NewSelector(sets, policies, leaders)
+					var ref refDuel
+					if policies == 2 {
+						ref = newRefPSEL(sets, leaders, bits)
+					} else {
+						ref = newRefTournament(sets, leaders, bits)
+					}
+					check := func(miss int) {
+						if d.Winner() != ref.Winner() {
+							t.Fatalf("%d policies, %d sets, %d leaders, %d bits, after %d misses: winner %d, reference %d",
+								policies, sets, leaders, bits, miss, d.Winner(), ref.Winner())
+						}
+						for s := uint32(0); s < uint32(sets); s++ {
+							if got, want := d.Choose(s), refChoose(sel, ref, s); got != want {
+								t.Fatalf("%d policies, %d sets, %d leaders, %d bits, after %d misses: set %d chose %d, reference %d",
+									policies, sets, leaders, bits, miss, s, got, want)
+							}
+						}
+					}
+					check(0)
+					period := sets / leaders
+					misses := 400
+					if testing.Short() {
+						misses = 100
+					}
+					for i := 1; i <= misses; i++ {
+						// A leader set of a random policy, favouring one
+						// policy per phase; sometimes a follower.
+						p := rng.Intn(policies)
+						if rng.Intn(3) > 0 {
+							p = i / 50 % policies
+						}
+						set := uint32(rng.Intn(leaders)*period + p)
+						if rng.Intn(8) == 0 {
+							set = uint32(rng.Intn(sets))
+						}
+						d.OnMiss(set)
+						ref.OnMiss(set)
+						check(i)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestBracketEightPolicies(t *testing.T) {
-	b := NewBracket(4096, 8, 16, 11)
+	b := NewDuel(4096, 8, 16, 11)
 	// Every policy's leaders miss except policy 5's, with the misses
 	// interleaved as real traffic would be (sequential bursts would
 	// saturate the counters and lose the counts).
@@ -229,7 +375,7 @@ func TestBracketPanicsOnBadSize(t *testing.T) {
 					t.Fatalf("bracket size %d accepted", n)
 				}
 			}()
-			NewBracket(4096, n, 8, 11)
+			NewDuel(4096, n, 8, 11)
 		}()
 	}
 }

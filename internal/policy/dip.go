@@ -71,7 +71,7 @@ func NewDIP(sets, ways int) *DIP {
 	validateGeometry(sets, ways)
 	return &DIP{
 		rec:  recency.New(sets, ways),
-		duel: dueling.NewDuel(sets, leadersFor(sets, 2), 10),
+		duel: dueling.NewDuel(sets, 2, leadersFor(sets, 2), 10),
 		rng:  xrand.New(0xd1b),
 	}
 }

@@ -127,7 +127,7 @@ func NewBypassGIPPR(sets, ways int, v ipv.Vector) *BypassGIPPR {
 	p := &BypassGIPPR{
 		vec:    v.Clone(),
 		trees:  make([]plrutree.Tree, sets),
-		duel:   dueling.NewDuel(sets, leadersFor(sets, 2), dueling.CounterBits11),
+		duel:   dueling.NewDuel(sets, 2, leadersFor(sets, 2), dueling.CounterBits11),
 		rng:    xrand.New(0xb1fa),
 		ways:   ways,
 		shct:   make([]uint8, shipTableSize),

@@ -6,7 +6,6 @@ import (
 	"gippr/internal/cache"
 	"gippr/internal/ipv"
 	"gippr/internal/recency"
-	"gippr/internal/telemetry"
 	"gippr/internal/trace"
 )
 
@@ -16,25 +15,35 @@ import (
 // all-zero vector it is exactly classic LRU. This is the expensive
 // (k·log2(k) bits per set) proof-of-concept the tree-based GIPPR approximates.
 // Associativity is limited to 2..recency.MaxWays.
+//
+// With two or four vectors it is DGIPLR, the true-LRU counterpart of DGIPPR
+// and the paper's future-work item 5 ("the full LRU version of the
+// technique also deserves further study"): the vectors duel over the shared
+// stacks, which quantifies what, if anything, exact recency buys over the
+// tree approximation (TestDGIPLRTreeCounterpartsAgreeRoughly).
 type GIPLR struct {
-	nop
-	name string
-	vec  ipv.Vector
-	rec  recency.Lanes
-	tel  *telemetry.Sink
+	vectors
+	rec recency.Lanes
 }
 
 // NewGIPLR returns a GIPLR policy with the given vector. The vector's
 // associativity must match ways.
 func NewGIPLR(sets, ways int, v ipv.Vector) *GIPLR {
-	validateGeometry(sets, ways)
-	if err := v.Validate(); err != nil {
-		panic(err)
-	}
-	if v.K() != ways {
-		panic("policy: GIPLR vector associativity mismatch")
-	}
-	return &GIPLR{name: "GIPLR" + v.String(), vec: v.Clone(), rec: recency.New(sets, ways)}
+	return newGIPLR(sets, ways, []ipv.Vector{v})
+}
+
+// NewDGIPLR2 returns a 2-vector dynamic GIPLR, duelling as NewDGIPPR2 does.
+func NewDGIPLR2(sets, ways int, vecs [2]ipv.Vector) *GIPLR {
+	return newGIPLR(sets, ways, vecs[:])
+}
+
+// NewDGIPLR4 returns a 4-vector dynamic GIPLR, duelling as NewDGIPPR4 does.
+func NewDGIPLR4(sets, ways int, vecs [4]ipv.Vector) *GIPLR {
+	return newGIPLR(sets, ways, vecs[:])
+}
+
+func newGIPLR(sets, ways int, vecs []ipv.Vector) *GIPLR {
+	return &GIPLR{vectors: newVectors("GIPLR", sets, ways, vecs), rec: recency.New(sets, ways)}
 }
 
 // NewTrueLRU returns classic LRU replacement (the paper's baseline).
@@ -77,22 +86,10 @@ func DefaultMSLRUStep(ways int) int {
 	}
 }
 
-// Name implements cache.Policy.
-func (p *GIPLR) Name() string { return p.name }
-
-// SetName overrides the display name.
-func (p *GIPLR) SetName(n string) { p.name = n }
-
-// Vector returns the IPV in use.
-func (p *GIPLR) Vector() ipv.Vector { return p.vec.Clone() }
-
-// SetTelemetry implements cache.Instrumented.
-func (p *GIPLR) SetTelemetry(s *telemetry.Sink) { p.tel = s }
-
 // OnHit implements cache.Policy: promote per the vector.
 func (p *GIPLR) OnHit(set uint32, way int, _ trace.Record) {
 	from := p.rec.Position(set, way)
-	to := p.vec.Promotion(from)
+	to := p.vec(set).Promotion(from)
 	if p.tel != nil {
 		p.tel.Promote(from, to)
 	}
@@ -106,19 +103,21 @@ func (p *GIPLR) Victim(set uint32, _ trace.Record) int { return p.rec.Victim(set
 // position. The cache may fill an invalid way during cold start; the move is
 // applied from whatever position that way held.
 func (p *GIPLR) OnFill(set uint32, way int, _ trace.Record) {
+	pos := p.vec(set).Insertion()
 	if p.tel != nil {
-		p.tel.Insert(p.vec.Insertion())
+		p.tel.Insert(pos)
 	}
-	p.rec.MoveTo(set, way, p.vec.Insertion())
+	p.rec.MoveTo(set, way, pos)
 }
 
 // Position returns way's recency position in set (0 = MRU).
 func (p *GIPLR) Position(set uint32, way int) int { return p.rec.Position(set, way) }
 
 // OverheadBits implements Overheader: k·log2(k) bits per set (Section
-// 2.1.2); an MSLRU step count is a wired constant, not state.
+// 2.1.2) plus the duel's counters; an MSLRU step count is a wired constant,
+// not state.
 func (p *GIPLR) OverheadBits() (float64, int) {
-	return stackBits(p.rec.Ways()), 0
+	return stackBits(p.rec.Ways()), p.globalBits()
 }
 
 var _ cache.Policy = (*GIPLR)(nil)

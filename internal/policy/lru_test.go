@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"gippr/internal/cache"
+	"gippr/internal/dueling"
 	"gippr/internal/ipv"
 	"gippr/internal/telemetry"
 	"gippr/internal/trace"
@@ -47,18 +48,24 @@ func (p *refLRU) Victim(set uint32, _ trace.Record) int {
 
 // listIPV is the independent reference for GIPLR: the same IPV rule and
 // telemetry events over naive MRU-first lists, one per set, moved by
-// removing the way and inserting it at the target index.
+// removing the way and inserting it at the target index. With several
+// vectors a dueling.Duel chooses each set's vector, as DGIPLR's does, and
+// leader-set misses vote.
 type listIPV struct {
 	nop
-	vec   ipv.Vector
+	vecs  []ipv.Vector
+	duel  *dueling.Duel
 	lists [][]int // lists[set][position] = way
 	tel   *telemetry.Sink
 }
 
-func newListIPV(sets int, v ipv.Vector) *listIPV {
-	p := &listIPV{vec: v, lists: make([][]int, sets)}
+func newListIPV(sets int, vecs ...ipv.Vector) *listIPV {
+	p := &listIPV{vecs: vecs, lists: make([][]int, sets)}
+	if n := len(vecs); n > 1 {
+		p.duel = dueling.NewDuel(sets, n, leadersFor(sets, n), dueling.CounterBits11)
+	}
 	for set := range p.lists {
-		for w := 0; w < v.K(); w++ {
+		for w := 0; w < vecs[0].K(); w++ {
 			p.lists[set] = append(p.lists[set], w)
 		}
 	}
@@ -75,12 +82,30 @@ func (p *listIPV) moveTo(set uint32, way, target int) {
 	p.lists[set] = slices.Insert(slices.Delete(p.lists[set], from, from+1), target, way)
 }
 
+func (p *listIPV) vec(set uint32) ipv.Vector {
+	if p.duel == nil {
+		return p.vecs[0]
+	}
+	return p.vecs[p.duel.Choose(set)]
+}
+
+func (p *listIPV) OnMiss(set uint32, _ trace.Record) {
+	if p.duel == nil {
+		return
+	}
+	if p.tel != nil {
+		p.tel.Vote(p.duel.Leader(set))
+	}
+	p.duel.OnMiss(set)
+}
+
 func (p *listIPV) OnHit(set uint32, way int, _ trace.Record) {
 	from := p.position(set, way)
+	to := p.vec(set).Promotion(from)
 	if p.tel != nil {
-		p.tel.Promote(from, p.vec.Promotion(from))
+		p.tel.Promote(from, to)
 	}
-	p.moveTo(set, way, p.vec.Promotion(from))
+	p.moveTo(set, way, to)
 }
 
 func (p *listIPV) Victim(set uint32, _ trace.Record) int {
@@ -88,10 +113,11 @@ func (p *listIPV) Victim(set uint32, _ trace.Record) int {
 }
 
 func (p *listIPV) OnFill(set uint32, way int, _ trace.Record) {
+	pos := p.vec(set).Insertion()
 	if p.tel != nil {
-		p.tel.Insert(p.vec.Insertion())
+		p.tel.Insert(pos)
 	}
-	p.moveTo(set, way, p.vec.Insertion())
+	p.moveTo(set, way, pos)
 }
 
 // TestGIPLRMatchesListReference replays GIPLR on the packed lanes and the
@@ -136,6 +162,61 @@ func TestGIPLRMatchesListReference(t *testing.T) {
 				for w := 0; w < ways; w++ {
 					if gp, rp := got.Position(set, w), ref.position(set, w); gp != rp {
 						t.Fatalf("ways %d vector %v set %d way %d: position %d != list's %d", ways, v, set, w, gp, rp)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestDGIPLRMatchesListReference replays 2- and 4-vector DGIPLR on the
+// packed lanes and the list model duelling the same vectors, and requires
+// equal stats, identical telemetry sinks (votes included), the same winner
+// and equal final positions.
+func TestDGIPLRMatchesListReference(t *testing.T) {
+	rng := xrand.New(0xd61)
+	for _, ways := range []int{2, 4, 8, 16, 64} {
+		cfg := cache.Config{Name: "d", SizeBytes: 64 * ways * 64, Ways: ways, BlockBytes: 64, HitLatency: 1}
+		random := func() ipv.Vector {
+			v := ipv.New(ways)
+			for j := range v {
+				v[j] = rng.Intn(ways)
+			}
+			return v
+		}
+		n := 40000
+		if testing.Short() {
+			n = 6000
+		}
+		for i, vecs := range [][]ipv.Vector{
+			{ipv.LRU(ways), ipv.LIP(ways)},
+			{random(), random()},
+			{ipv.LRU(ways), ipv.LIP(ways), paperVectorFor(ways, ipv.PaperGIPLR), ipv.MultiStep(ways, 2)},
+			{random(), random(), random(), random()},
+		} {
+			var got *GIPLR
+			if len(vecs) == 2 {
+				got = NewDGIPLR2(cfg.Sets(), ways, [2]ipv.Vector(vecs))
+			} else {
+				got = NewDGIPLR4(cfg.Sets(), ways, [4]ipv.Vector(vecs))
+			}
+			ref := newListIPV(cfg.Sets(), vecs...)
+			recs := mslruStream(cfg, n, uint64(ways*10+i))
+			gotStats, gotSink := replayTel(cfg, got, recs)
+			refStats, refSink := replayTel(cfg, ref, recs)
+			if gotStats != refStats {
+				t.Fatalf("ways %d vectors %v: stats %+v != list %+v", ways, vecs, gotStats, refStats)
+			}
+			if !reflect.DeepEqual(gotSink, refSink) {
+				t.Fatalf("ways %d vectors %v: telemetry diverged from the list", ways, vecs)
+			}
+			if got.Winner() != ref.duel.Winner() {
+				t.Fatalf("ways %d vectors %v: winner %d != list's %d", ways, vecs, got.Winner(), ref.duel.Winner())
+			}
+			for set := uint32(0); set < uint32(cfg.Sets()); set++ {
+				for w := 0; w < ways; w++ {
+					if gp, rp := got.Position(set, w), ref.position(set, w); gp != rp {
+						t.Fatalf("ways %d vectors %v set %d way %d: position %d != list's %d", ways, vecs, set, w, gp, rp)
 					}
 				}
 			}

@@ -1,104 +1,78 @@
 package policy
 
 import (
-	"fmt"
-
 	"gippr/internal/cache"
 	"gippr/internal/dueling"
 	"gippr/internal/ipv"
 	"gippr/internal/plrutree"
-	"gippr/internal/telemetry"
 	"gippr/internal/trace"
 )
-
-// PLRU is standard tree-based PseudoLRU (paper Section 3.1): on a hit or a
-// fill the touched block is promoted to the PMRU position; the victim is the
-// PLRU block found by walking the tree. k-1 bits per set.
-type PLRU struct {
-	nop
-	trees []plrutree.Tree
-	ways  int
-	tel   *telemetry.Sink
-}
-
-// NewPLRU returns tree-based PseudoLRU replacement. ways must be a power of
-// two.
-func NewPLRU(sets, ways int) *PLRU {
-	validateGeometry(sets, ways)
-	trees := make([]plrutree.Tree, sets)
-	for i := range trees {
-		trees[i] = plrutree.New(ways)
-	}
-	return &PLRU{trees: trees, ways: ways}
-}
-
-// Name implements cache.Policy.
-func (p *PLRU) Name() string { return "PLRU" }
-
-// SetTelemetry implements cache.Instrumented.
-func (p *PLRU) SetTelemetry(s *telemetry.Sink) { p.tel = s }
-
-// OnHit implements cache.Policy.
-func (p *PLRU) OnHit(set uint32, way int, _ trace.Record) {
-	t := &p.trees[set]
-	if p.tel != nil {
-		p.tel.Promote(t.Position(way), 0)
-	}
-	t.Promote(way)
-}
-
-// OnFill implements cache.Policy.
-func (p *PLRU) OnFill(set uint32, way int, _ trace.Record) {
-	if p.tel != nil {
-		p.tel.Insert(0)
-	}
-	p.trees[set].Promote(way)
-}
-
-// Victim implements cache.Policy.
-func (p *PLRU) Victim(set uint32, _ trace.Record) int { return p.trees[set].Victim() }
-
-// Tree exposes one set's tree (for tests and the batched replay kernel's
-// state seeding/write-back).
-func (p *PLRU) Tree(set uint32) *plrutree.Tree { return &p.trees[set] }
-
-// PackedIPV implements batchreplay.Packable: plain PseudoLRU is IPV over
-// tree-PLRU with the all-zero vector (hits and fills promote to position 0,
-// victim is the tree-PLRU block), so replays may run through the batched
-// branch-free kernel.
-func (p *PLRU) PackedIPV() ([]int, bool) { return make([]int, p.ways+1), true }
-
-// OverheadBits implements Overheader: k-1 bits per set.
-func (p *PLRU) OverheadBits() (float64, int) { return float64(p.ways - 1), 0 }
 
 // GIPPR is the paper's main contribution (Section 3.4): tree-based
 // PseudoLRU whose insertion and promotion are driven by an evolved IPV. A
 // hit on a block at PseudoLRU-stack position i rewrites its leaf-to-root
 // path so it occupies position V[i]; a fill places the incoming block at
-// position V[k]. Storage is identical to plain PseudoLRU: k-1 bits per set.
+// position V[k]; the victim is the PLRU block (position k-1). Storage is
+// identical to plain PseudoLRU: k-1 bits per set.
+//
+// With the all-zero vector it is standard tree PseudoLRU (Section 3.1,
+// NewPLRU). With 2, 4 or more vectors it is DGIPPR (Section 3.5): leader
+// sets per vector duel through counters, follower sets apply the winning
+// vector, and the PseudoLRU bits are shared across vectors.
 type GIPPR struct {
-	nop
-	name  string
-	vec   ipv.Vector
+	vectors
 	trees []plrutree.Tree
 	ways  int
-	tel   *telemetry.Sink
 }
 
 // NewGIPPR returns a GIPPR policy with the given vector.
 func NewGIPPR(sets, ways int, v ipv.Vector) *GIPPR {
+	return NewDGIPPRN(sets, ways, []ipv.Vector{v})
+}
+
+// NewPLRU returns tree-based PseudoLRU replacement: GIPPR under the all-zero
+// vector, so hits and fills promote to the PMRU position. ways must be a
+// power of two.
+func NewPLRU(sets, ways int) *GIPPR {
 	validateGeometry(sets, ways)
-	if err := v.Validate(); err != nil {
-		panic(err)
-	}
-	if v.K() != ways {
-		panic("policy: GIPPR vector associativity mismatch")
-	}
+	p := NewGIPPR(sets, ways, ipv.LRU(ways))
+	p.name = "PLRU"
+	return p
+}
+
+// NewDGIPPR2 returns a 2-vector DGIPPR with the paper's duel configuration:
+// 32 leader sets per vector and a single 11-bit PSEL counter.
+func NewDGIPPR2(sets, ways int, vecs [2]ipv.Vector) *GIPPR {
+	return NewDGIPPRN(sets, ways, vecs[:])
+}
+
+// NewDGIPPR4 returns a 4-vector DGIPPR with the paper's duel configuration:
+// Loh's multi-set-dueling with two pair counters and a meta counter. The
+// paper recommends this configuration ("we recommend that PseudoLRU
+// insertion and promotion be deployed using at least four IPVs").
+func NewDGIPPR4(sets, ways int, vecs [4]ipv.Vector) *GIPPR {
+	return NewDGIPPRN(sets, ways, vecs[:])
+}
+
+// NewDGIPPR4WithDuel returns a 4-vector DGIPPR with an explicit leader-set
+// count and counter width, for the set-dueling ablation studies.
+func NewDGIPPR4WithDuel(sets, ways int, vecs [4]ipv.Vector, leaders, counterBits int) *GIPPR {
+	p := NewDGIPPR4(sets, ways, vecs)
+	p.duel = dueling.NewDuel(sets, 4, leaders, counterBits)
+	p.counterBits = counterBits
+	return p
+}
+
+// NewDGIPPRN returns GIPPR over one vector or DGIPPR duelling any
+// power-of-two number of them. The paper caps its study at four vectors
+// ("extending beyond four vectors yields diminishing returns"); eight let
+// the ablation benches reproduce that observation rather than take it on
+// faith.
+func NewDGIPPRN(sets, ways int, vecs []ipv.Vector) *GIPPR {
 	p := &GIPPR{
-		name:  "GIPPR" + v.String(),
-		vec:   v.Clone(),
-		trees: make([]plrutree.Tree, sets),
-		ways:  ways,
+		vectors: newVectors("GIPPR", sets, ways, vecs),
+		trees:   make([]plrutree.Tree, sets),
+		ways:    ways,
 	}
 	for i := range p.trees {
 		p.trees[i] = plrutree.New(ways)
@@ -106,24 +80,12 @@ func NewGIPPR(sets, ways int, v ipv.Vector) *GIPPR {
 	return p
 }
 
-// Name implements cache.Policy.
-func (p *GIPPR) Name() string { return p.name }
-
-// SetName overrides the report name (e.g. "WN1-GIPPR").
-func (p *GIPPR) SetName(n string) { p.name = n }
-
-// Vector returns the IPV in use.
-func (p *GIPPR) Vector() ipv.Vector { return p.vec.Clone() }
-
-// SetTelemetry implements cache.Instrumented.
-func (p *GIPPR) SetTelemetry(s *telemetry.Sink) { p.tel = s }
-
 // OnHit implements cache.Policy: move the block from its PseudoLRU position
 // i to V[i].
 func (p *GIPPR) OnHit(set uint32, way int, _ trace.Record) {
 	t := &p.trees[set]
 	from := t.Position(way)
-	to := p.vec.Promotion(from)
+	to := p.vec(set).Promotion(from)
 	if p.tel != nil {
 		p.tel.Promote(from, to)
 	}
@@ -132,10 +94,11 @@ func (p *GIPPR) OnHit(set uint32, way int, _ trace.Record) {
 
 // OnFill implements cache.Policy: place the incoming block at V[k].
 func (p *GIPPR) OnFill(set uint32, way int, _ trace.Record) {
+	pos := p.vec(set).Insertion()
 	if p.tel != nil {
-		p.tel.Insert(p.vec.Insertion())
+		p.tel.Insert(pos)
 	}
-	p.trees[set].SetPosition(way, p.vec.Insertion())
+	p.trees[set].SetPosition(way, pos)
 }
 
 // Victim implements cache.Policy: the PLRU block (position k-1).
@@ -145,227 +108,24 @@ func (p *GIPPR) Victim(set uint32, _ trace.Record) int { return p.trees[set].Vic
 // state seeding/write-back).
 func (p *GIPPR) Tree(set uint32) *plrutree.Tree { return &p.trees[set] }
 
-// PackedIPV implements batchreplay.Packable: GIPPR is by definition IPV
-// over tree-PLRU with no further state, so replays may run through the
-// batched branch-free kernel. (The dueling DGIPPR variants do not implement
-// this — their per-miss PSEL updates are outside the kernel's model.)
-func (p *GIPPR) PackedIPV() ([]int, bool) { return append([]int(nil), p.vec...), true }
-
-// OverheadBits implements Overheader: k-1 bits per set, same as PseudoLRU.
-func (p *GIPPR) OverheadBits() (float64, int) { return float64(p.ways - 1), 0 }
-
-// DGIPPR2 is the two-vector dynamic GIPPR (paper Section 3.5): 32 leader
-// sets per vector duel through a single 11-bit PSEL counter; follower sets
-// apply the winning vector. The PseudoLRU bits are shared across vectors —
-// switching vectors never touches the trees.
-type DGIPPR2 struct {
-	nop
-	name  string
-	vecs  [2]ipv.Vector
-	trees []plrutree.Tree
-	duel  *dueling.Duel
-	ways  int
-	tel   *telemetry.Sink
+// PackedIPV implements batchreplay.Packable: one-vector GIPPR is by
+// definition IPV over tree-PLRU with no further state, so its replays may
+// run through the batched branch-free kernel. A duel's per-miss counter
+// updates are outside the kernel's model, so duelling GIPPR returns false.
+func (p *GIPPR) PackedIPV() ([]int, bool) {
+	if p.duel != nil {
+		return nil, false
+	}
+	return append([]int(nil), p.one...), true
 }
 
-// NewDGIPPR2 returns a 2-vector DGIPPR with the paper's duel configuration.
-func NewDGIPPR2(sets, ways int, vecs [2]ipv.Vector) *DGIPPR2 {
-	validateGeometry(sets, ways)
-	for _, v := range vecs {
-		if err := v.Validate(); err != nil {
-			panic(err)
-		}
-		if v.K() != ways {
-			panic("policy: DGIPPR2 vector associativity mismatch")
-		}
-	}
-	p := &DGIPPR2{
-		name:  "2-DGIPPR",
-		vecs:  [2]ipv.Vector{vecs[0].Clone(), vecs[1].Clone()},
-		trees: make([]plrutree.Tree, sets),
-		duel:  dueling.NewDuel(sets, leadersFor(sets, 2), dueling.CounterBits11),
-		ways:  ways,
-	}
-	for i := range p.trees {
-		p.trees[i] = plrutree.New(ways)
-	}
-	return p
-}
-
-// Name implements cache.Policy.
-func (p *DGIPPR2) Name() string { return p.name }
-
-// SetName overrides the report name.
-func (p *DGIPPR2) SetName(n string) { p.name = n }
-
-func (p *DGIPPR2) vec(set uint32) ipv.Vector { return p.vecs[p.duel.Choose(set)] }
-
-// SetTelemetry implements cache.Instrumented.
-func (p *DGIPPR2) SetTelemetry(s *telemetry.Sink) { p.tel = s }
-
-// OnMiss implements cache.Policy: train the duel on leader-set misses.
-func (p *DGIPPR2) OnMiss(set uint32, _ trace.Record) {
-	if p.tel != nil {
-		p.tel.Vote(p.duel.Leader(set))
-	}
-	p.duel.OnMiss(set)
-}
-
-// OnHit implements cache.Policy.
-func (p *DGIPPR2) OnHit(set uint32, way int, _ trace.Record) {
-	t := &p.trees[set]
-	v := p.vec(set)
-	from := t.Position(way)
-	to := v.Promotion(from)
-	if p.tel != nil {
-		p.tel.Promote(from, to)
-	}
-	t.SetPosition(way, to)
-}
-
-// OnFill implements cache.Policy.
-func (p *DGIPPR2) OnFill(set uint32, way int, _ trace.Record) {
-	pos := p.vec(set).Insertion()
-	if p.tel != nil {
-		p.tel.Insert(pos)
-	}
-	p.trees[set].SetPosition(way, pos)
-}
-
-// Victim implements cache.Policy.
-func (p *DGIPPR2) Victim(set uint32, _ trace.Record) int { return p.trees[set].Victim() }
-
-// Winner returns the vector index follower sets currently use.
-func (p *DGIPPR2) Winner() int { return p.duel.Winner() }
-
-// OverheadBits implements Overheader: k-1 bits per set plus one 11-bit
-// counter for the whole cache.
-func (p *DGIPPR2) OverheadBits() (float64, int) { return float64(p.ways - 1), dueling.CounterBits11 }
-
-// DGIPPR4 is the four-vector dynamic GIPPR: multi-set-dueling with two pair
-// counters and a meta counter (three 11-bit counters total). The paper
-// recommends this configuration ("we recommend that PseudoLRU insertion and
-// promotion be deployed using at least four IPVs").
-type DGIPPR4 struct {
-	nop
-	name  string
-	vecs  [4]ipv.Vector
-	trees []plrutree.Tree
-	duel  *dueling.Tournament
-	ways  int
-	tel   *telemetry.Sink
-}
-
-// NewDGIPPR4 returns a 4-vector DGIPPR with the paper's duel configuration.
-func NewDGIPPR4(sets, ways int, vecs [4]ipv.Vector) *DGIPPR4 {
-	return NewDGIPPR4WithDuel(sets, ways, vecs, leadersFor(sets, 4), dueling.CounterBits11)
-}
-
-// NewDGIPPR4WithDuel returns a 4-vector DGIPPR with an explicit leader-set
-// count and counter width, for the set-dueling ablation studies.
-func NewDGIPPR4WithDuel(sets, ways int, vecs [4]ipv.Vector, leaders, counterBits int) *DGIPPR4 {
-	validateGeometry(sets, ways)
-	for _, v := range vecs {
-		if err := v.Validate(); err != nil {
-			panic(err)
-		}
-		if v.K() != ways {
-			panic("policy: DGIPPR4 vector associativity mismatch")
-		}
-	}
-	p := &DGIPPR4{
-		name:  "4-DGIPPR",
-		trees: make([]plrutree.Tree, sets),
-		duel:  dueling.NewTournament(sets, leaders, counterBits),
-		ways:  ways,
-	}
-	for i, v := range vecs {
-		p.vecs[i] = v.Clone()
-	}
-	for i := range p.trees {
-		p.trees[i] = plrutree.New(ways)
-	}
-	return p
-}
-
-// Name implements cache.Policy.
-func (p *DGIPPR4) Name() string { return p.name }
-
-// SetName overrides the report name.
-func (p *DGIPPR4) SetName(n string) { p.name = n }
-
-func (p *DGIPPR4) vec(set uint32) ipv.Vector { return p.vecs[p.duel.Choose(set)] }
-
-// SetTelemetry implements cache.Instrumented.
-func (p *DGIPPR4) SetTelemetry(s *telemetry.Sink) { p.tel = s }
-
-// OnMiss implements cache.Policy.
-func (p *DGIPPR4) OnMiss(set uint32, _ trace.Record) {
-	if p.tel != nil {
-		p.tel.Vote(p.duel.Leader(set))
-	}
-	p.duel.OnMiss(set)
-}
-
-// OnHit implements cache.Policy.
-func (p *DGIPPR4) OnHit(set uint32, way int, _ trace.Record) {
-	t := &p.trees[set]
-	v := p.vec(set)
-	from := t.Position(way)
-	to := v.Promotion(from)
-	if p.tel != nil {
-		p.tel.Promote(from, to)
-	}
-	t.SetPosition(way, to)
-}
-
-// OnFill implements cache.Policy.
-func (p *DGIPPR4) OnFill(set uint32, way int, _ trace.Record) {
-	pos := p.vec(set).Insertion()
-	if p.tel != nil {
-		p.tel.Insert(pos)
-	}
-	p.trees[set].SetPosition(way, pos)
-}
-
-// Victim implements cache.Policy.
-func (p *DGIPPR4) Victim(set uint32, _ trace.Record) int { return p.trees[set].Victim() }
-
-// Winner returns the vector index follower sets currently use.
-func (p *DGIPPR4) Winner() int { return p.duel.Winner() }
-
-// OverheadBits implements Overheader: k-1 bits per set plus three 11-bit
-// counters for the whole cache (33 bits, Section 3.6).
-func (p *DGIPPR4) OverheadBits() (float64, int) {
-	return float64(p.ways - 1), 3 * dueling.CounterBits11
-}
-
-// NewDGIPPRN builds a DGIPPR variant from 1, 2 or 4 vectors, the shapes the
-// paper evaluates. It is a convenience for sweep/ablation harnesses.
-func NewDGIPPRN(sets, ways int, vecs []ipv.Vector) cache.Policy {
-	switch len(vecs) {
-	case 1:
-		return NewGIPPR(sets, ways, vecs[0])
-	case 2:
-		return NewDGIPPR2(sets, ways, [2]ipv.Vector{vecs[0], vecs[1]})
-	case 4:
-		return NewDGIPPR4(sets, ways, [4]ipv.Vector{vecs[0], vecs[1], vecs[2], vecs[3]})
-	default:
-		panic(fmt.Sprintf("policy: DGIPPR supports 1, 2 or 4 vectors, got %d", len(vecs)))
-	}
-}
+// OverheadBits implements Overheader: k-1 bits per set, same as PseudoLRU,
+// plus the duel's counters for the whole cache (33 bits for 4-DGIPPR,
+// Section 3.6).
+func (p *GIPPR) OverheadBits() (float64, int) { return float64(p.ways - 1), p.globalBits() }
 
 var (
-	_ cache.Policy       = (*PLRU)(nil)
 	_ cache.Policy       = (*GIPPR)(nil)
-	_ cache.Policy       = (*DGIPPR2)(nil)
-	_ cache.Policy       = (*DGIPPR4)(nil)
-	_ cache.Instrumented = (*PLRU)(nil)
 	_ cache.Instrumented = (*GIPPR)(nil)
-	_ cache.Instrumented = (*DGIPPR2)(nil)
-	_ cache.Instrumented = (*DGIPPR4)(nil)
-	_ Overheader         = (*PLRU)(nil)
 	_ Overheader         = (*GIPPR)(nil)
-	_ Overheader         = (*DGIPPR2)(nil)
-	_ Overheader         = (*DGIPPR4)(nil)
 )

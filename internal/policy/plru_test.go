@@ -1,31 +1,76 @@
 package policy
 
 import (
+	"reflect"
 	"testing"
 
 	"gippr/internal/cache"
 	"gippr/internal/ipv"
+	"gippr/internal/plrutree"
+	"gippr/internal/telemetry"
 	"gippr/internal/trace"
 	"gippr/internal/xrand"
 )
 
-func TestGIPPRWithZeroVectorEqualsPLRU(t *testing.T) {
-	// GIPPR with the all-zero vector must be bit-identical to plain tree
-	// PseudoLRU: SetPosition(w, 0) writes exactly the bits Promote(w) does.
-	cfg := testConfig()
-	plru := NewPLRU(cfg.Sets(), cfg.Ways)
-	gip := NewGIPPR(cfg.Sets(), cfg.Ways, ipv.LRU(cfg.Ways))
-	ca, cb := cache.New(cfg, plru), cache.New(cfg, gip)
-	rng := xrand.New(123)
-	for i := 0; i < 50000; i++ {
-		r := trace.Record{Gap: 1, Addr: rng.Uint64n(600) * 64}
-		if ca.Access(r) != cb.Access(r) {
-			t.Fatalf("PLRU and GIPPR[0...0] diverged at access %d", i)
-		}
+// refPLRU is standard tree PseudoLRU written out on its own (paper Section
+// 3.1), the reference for NewPLRU: Tree.Promote on a hit and on a fill, the
+// tree's victim, and the events of promoting and inserting at position 0.
+type refPLRU struct {
+	nop
+	trees []plrutree.Tree
+	tel   *telemetry.Sink
+}
+
+func newRefPLRU(sets, ways int) *refPLRU {
+	p := &refPLRU{trees: make([]plrutree.Tree, sets)}
+	for i := range p.trees {
+		p.trees[i] = plrutree.New(ways)
 	}
-	for set := uint32(0); set < uint32(cfg.Sets()); set++ {
-		if plru.Tree(set).Bits() != gip.Tree(set).Bits() {
-			t.Fatalf("tree bits diverged in set %d", set)
+	return p
+}
+
+func (p *refPLRU) Name() string                   { return "ref-plru" }
+func (p *refPLRU) SetTelemetry(s *telemetry.Sink) { p.tel = s }
+
+func (p *refPLRU) OnHit(set uint32, way int, _ trace.Record) {
+	t := &p.trees[set]
+	if p.tel != nil {
+		p.tel.Promote(t.Position(way), 0)
+	}
+	t.Promote(way)
+}
+
+func (p *refPLRU) OnFill(set uint32, way int, _ trace.Record) {
+	if p.tel != nil {
+		p.tel.Insert(0)
+	}
+	p.trees[set].Promote(way)
+}
+
+func (p *refPLRU) Victim(set uint32, _ trace.Record) int { return p.trees[set].Victim() }
+
+func TestGIPPRWithZeroVectorEqualsPLRU(t *testing.T) {
+	// PLRU is GIPPR under the all-zero vector, so it must be bit-identical
+	// to plain tree PseudoLRU: SetPosition(w, 0) writes exactly the bits
+	// Promote(w) does. Stats, telemetry and final tree bits must match the
+	// reference at every tree associativity.
+	for _, ways := range []int{2, 4, 8, 16, 32, 64} {
+		cfg := cache.Config{Name: "p", SizeBytes: 8 * ways * 64, Ways: ways, BlockBytes: 64, HitLatency: 1}
+		recs := mslruStream(cfg, 20000, uint64(ways))
+		plru := NewPLRU(cfg.Sets(), ways)
+		ref := newRefPLRU(cfg.Sets(), ways)
+		gotStats, gotSink := replayTel(cfg, plru, recs)
+		refStats, refSink := replayTel(cfg, ref, recs)
+		if gotStats != refStats {
+			t.Fatalf("ways %d: PLRU stats %+v != reference %+v", ways, gotStats, refStats)
+		}
+		if !reflect.DeepEqual(gotSink, refSink) {
+			t.Fatalf("ways %d: PLRU telemetry diverged from the reference", ways)
+		}
+		for set := uint32(0); set < uint32(cfg.Sets()); set++ {
+			if plru.Tree(set).Bits() != ref.trees[set].Bits() {
+				t.Fatalf("ways %d: tree bits diverged in set %d", ways, set)
+			}
 		}
 	}
 }
@@ -186,14 +231,14 @@ func TestDGIPPR4TournamentSelects(t *testing.T) {
 
 func TestNewDGIPPRN(t *testing.T) {
 	v := ipv.LRU(16)
-	if _, ok := NewDGIPPRN(16, 16, []ipv.Vector{v}).(*GIPPR); !ok {
+	if p := NewDGIPPRN(16, 16, []ipv.Vector{v}); p.Name() != "GIPPR"+v.String() || p.duel != nil {
 		t.Fatal("1 vector should build GIPPR")
 	}
-	if _, ok := NewDGIPPRN(16, 16, []ipv.Vector{v, v}).(*DGIPPR2); !ok {
-		t.Fatal("2 vectors should build DGIPPR2")
+	if p := NewDGIPPRN(16, 16, []ipv.Vector{v, v}); p.Name() != "2-DGIPPR" || p.duel == nil {
+		t.Fatal("2 vectors should build 2-DGIPPR")
 	}
-	if _, ok := NewDGIPPRN(16, 16, []ipv.Vector{v, v, v, v}).(*DGIPPR4); !ok {
-		t.Fatal("4 vectors should build DGIPPR4")
+	if p := NewDGIPPRN(16, 16, []ipv.Vector{v, v, v, v}); p.Name() != "4-DGIPPR" || p.duel == nil {
+		t.Fatal("4 vectors should build 4-DGIPPR")
 	}
 	defer func() {
 		if recover() == nil {
@@ -230,7 +275,7 @@ func TestPLRUVictimNeverJustPromoted(t *testing.T) {
 func TestDGIPPRBracketIdenticalVectorsEqualGIPPR(t *testing.T) {
 	cfg := testConfig()
 	v := ipv.PaperWIGIPPR
-	a := NewDGIPPRBracket(cfg.Sets(), cfg.Ways, []ipv.Vector{v, v, v, v, v, v, v, v})
+	a := NewDGIPPRN(cfg.Sets(), cfg.Ways, []ipv.Vector{v, v, v, v, v, v, v, v})
 	b := NewGIPPR(cfg.Sets(), cfg.Ways, v)
 	ca, cb := cache.New(cfg, a), cache.New(cfg, b)
 	rng := xrand.New(91)
@@ -249,7 +294,7 @@ func TestDGIPPRBracketAdapts(t *testing.T) {
 		ipv.PaperWI4DGIPPR[0], ipv.PaperWI4DGIPPR[1], ipv.PaperWI4DGIPPR[2], ipv.PaperWI4DGIPPR[3],
 	}
 	stream := cyclic(90<<10, 500_000)
-	br := run(cfg, NewDGIPPRBracket(cfg.Sets(), cfg.Ways, vecs), stream)
+	br := run(cfg, NewDGIPPRN(cfg.Sets(), cfg.Ways, vecs), stream)
 	plru := run(cfg, NewPLRU(cfg.Sets(), cfg.Ways), stream)
 	if br.Misses >= plru.Misses {
 		t.Fatalf("8-vector bracket (%d misses) did not beat PLRU (%d) on thrash", br.Misses, plru.Misses)
@@ -259,9 +304,8 @@ func TestDGIPPRBracketAdapts(t *testing.T) {
 func TestDGIPPRBracketPanics(t *testing.T) {
 	v := ipv.LRU(16)
 	for i, f := range []func(){
-		func() { NewDGIPPRBracket(16, 16, []ipv.Vector{v}) },
-		func() { NewDGIPPRBracket(16, 16, []ipv.Vector{v, v, v}) },
-		func() { NewDGIPPRBracket(16, 16, []ipv.Vector{v, ipv.LRU(8)}) },
+		func() { NewDGIPPRN(16, 16, []ipv.Vector{v, v, v}) },
+		func() { NewDGIPPRN(16, 16, []ipv.Vector{v, ipv.LRU(8)}) },
 	} {
 		func() {
 			defer func() {
@@ -271,5 +315,28 @@ func TestDGIPPRBracketPanics(t *testing.T) {
 			}()
 			f()
 		}()
+	}
+}
+
+// TestDGIPPROverheadCountsItsCounters pins the duel's global storage at
+// n-1 counters of the configured width: 11 bits for 2-DGIPPR, the paper's
+// 33 for 4-DGIPPR (Section 3.6), and 21 for the ablation's 7-bit counters.
+func TestDGIPPROverheadCountsItsCounters(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		p      *GIPPR
+		global int
+	}{
+		{"GIPPR", NewGIPPR(4096, 16, ipv.PaperWIGIPPR), 0},
+		{"PLRU", NewPLRU(4096, 16), 0},
+		{"2-DGIPPR", NewDGIPPR2(4096, 16, ipv.PaperWI2DGIPPR), 11},
+		{"4-DGIPPR", NewDGIPPR4(4096, 16, ipv.PaperWI4DGIPPR), 33},
+		{"4-DGIPPR, 7-bit counters", NewDGIPPR4WithDuel(4096, 16, ipv.PaperWI4DGIPPR, 16, 7), 21},
+		{"8-DGIPPR", NewDGIPPRN(4096, 16, eightVectors()), 77},
+	} {
+		perSet, global := tc.p.OverheadBits()
+		if perSet != 15 || global != tc.global {
+			t.Errorf("%s overhead %v/%v, want 15/%d", tc.name, perSet, global, tc.global)
+		}
 	}
 }

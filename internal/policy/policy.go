@@ -10,6 +10,13 @@
 //     tree PseudoLRU) and DGIPPR (set-dueling over two or four IPVs);
 //   - Belady's MIN optimal replacement, as an offline trace algorithm.
 //
+// The paper's mechanism is one IPV over a recency state, and so are LRU,
+// LIP, multi-step LRU and tree PseudoLRU. Two types carry all of them:
+// GIPLR over exact LRU and GIPPR over tree PseudoLRU. Each takes one
+// vector, or a power-of-two number duelling through one dueling.Duel over
+// the shared recency bits (DGIPLR, DGIPPR); the constructors (NewTrueLRU,
+// NewPLRU, NewDGIPPR4, ...) differ only in vectors and name.
+//
 // Each policy reports its replacement-state storage via the Overheader
 // interface so the paper's overhead comparison (Section 3.6) can be
 // regenerated.

@@ -128,7 +128,7 @@ type DRRIP struct {
 func NewDRRIP(sets, ways int) *DRRIP {
 	return &DRRIP{
 		st:   newRRIPState(sets, ways),
-		duel: dueling.NewDuel(sets, leadersFor(sets, 2), 10),
+		duel: dueling.NewDuel(sets, 2, leadersFor(sets, 2), 10),
 		rng:  xrand.New(0xd44),
 	}
 }

@@ -98,20 +98,81 @@ func TestDGIPPRTelemetryVotes(t *testing.T) {
 	}
 }
 
-// TestTelemetryDoesNotPerturbSimulation: for every registered policy, a run
-// with a sink attached must produce bit-identical stats to a run without.
-// This is the guarantee the golden-fingerprint tests lean on.
+// eightVectors is an 8-vector DGIPPR configuration at 16 ways.
+func eightVectors() []ipv.Vector {
+	return []ipv.Vector{
+		ipv.PaperWI4DGIPPR[0], ipv.PaperWI4DGIPPR[1], ipv.PaperWI4DGIPPR[2], ipv.PaperWI4DGIPPR[3],
+		ipv.PaperWIGIPPR, ipv.PaperWI2DGIPPR[0], ipv.LRU(16), ipv.LIP(16),
+	}
+}
+
+// ipvConstructors lists every constructor of an IPV policy (GIPPR or
+// GIPLR) at 16 ways, marking the duelling ones.
+var ipvConstructors = []struct {
+	name  string
+	new   func(sets, ways int) cache.Policy
+	duels bool
+}{
+	{"NewPLRU", func(s, w int) cache.Policy { return NewPLRU(s, w) }, false},
+	{"NewGIPPR", func(s, w int) cache.Policy { return NewGIPPR(s, w, ipv.PaperWIGIPPR) }, false},
+	{"NewDGIPPR2", func(s, w int) cache.Policy { return NewDGIPPR2(s, w, ipv.PaperWI2DGIPPR) }, true},
+	{"NewDGIPPR4", func(s, w int) cache.Policy { return NewDGIPPR4(s, w, ipv.PaperWI4DGIPPR) }, true},
+	{"NewDGIPPRN/8", func(s, w int) cache.Policy { return NewDGIPPRN(s, w, eightVectors()) }, true},
+	{"NewGIPLR", func(s, w int) cache.Policy { return NewGIPLR(s, w, ipv.PaperGIPLR) }, false},
+	{"NewTrueLRU", func(s, w int) cache.Policy { return NewTrueLRU(s, w) }, false},
+	{"NewLIP", func(s, w int) cache.Policy { return NewLIP(s, w) }, false},
+	{"NewMSLRU", func(s, w int) cache.Policy { return NewMSLRU(s, w, 4) }, false},
+	{"NewDGIPLR2", func(s, w int) cache.Policy { return NewDGIPLR2(s, w, ipv.PaperWI2DGIPPR) }, true},
+	{"NewDGIPLR4", func(s, w int) cache.Policy { return NewDGIPLR4(s, w, ipv.PaperWI4DGIPPR) }, true},
+}
+
+// TestIPVPoliciesReportEveryEvent: every IPV policy, duelling or not,
+// reports one insertion per fill and one promotion per hit, and votes
+// exactly when it duels.
+func TestIPVPoliciesReportEveryEvent(t *testing.T) {
+	cfg := testConfig()
+	for _, tc := range ipvConstructors {
+		sink := runTel(cfg, tc.new(cfg.Sets(), cfg.Ways), uniformBlocks(512, 20000, 4))
+		if sink.Fills.Load() == 0 || sink.Insertions.Load() != sink.Fills.Load() {
+			t.Errorf("%s: insertions = %d, want one per fill (%d)",
+				tc.name, sink.Insertions.Load(), sink.Fills.Load())
+		}
+		if sink.Hits.Load() == 0 || sink.Promotions.Load() != sink.Hits.Load() {
+			t.Errorf("%s: promotions = %d, want one per hit (%d)",
+				tc.name, sink.Promotions.Load(), sink.Hits.Load())
+		}
+		var votes uint64
+		for i := range sink.Votes {
+			votes += sink.Votes[i].Load()
+		}
+		if (votes > 0) != tc.duels {
+			t.Errorf("%s: %d votes, duels = %v", tc.name, votes, tc.duels)
+		}
+	}
+}
+
+// TestTelemetryDoesNotPerturbSimulation: for every registered policy and
+// every IPV constructor, a run with a sink attached must produce
+// bit-identical stats to a run without. This is the guarantee the
+// golden-fingerprint tests lean on.
 func TestTelemetryDoesNotPerturbSimulation(t *testing.T) {
 	cfg := testConfig()
 	blocks := append(uniformBlocks(256, 8000, 11), scanWithQuickReuse(8000, 64)...)
+	policies := map[string]func(sets, ways int) cache.Policy{}
 	for _, name := range Names() {
 		f, err := Lookup(name)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		plain := run(cfg, f.New(cfg.Sets(), cfg.Ways), blocks)
+		policies[name] = f.New
+	}
+	for _, tc := range ipvConstructors {
+		policies[tc.name] = tc.new
+	}
+	for name, build := range policies {
+		plain := run(cfg, build(cfg.Sets(), cfg.Ways), blocks)
 		var sink telemetry.Sink
-		c := cache.New(cfg, f.New(cfg.Sets(), cfg.Ways))
+		c := cache.New(cfg, build(cfg.Sets(), cfg.Ways))
 		c.SetTelemetry(&sink)
 		for _, b := range blocks {
 			c.Access(trace.Record{Gap: 1, Addr: b * 64, PC: 0x400000 + (b%7)*4})
