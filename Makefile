@@ -42,10 +42,12 @@ bench:
 # stack-distance engine, the batched replay kernel, the policy-diff
 # explain engine, the packed recency stacks behind every exact-LRU
 # policy (the LRU baseline of every figure and the L1/L2 capture), the
-# replacement policies, and the set duel that picks the vector or mode in
-# every follower set of DGIPPR, DGIPLR, DIP, DRRIP and GIPPR+bypass each
-# carry PKG_COVER_MIN on top — they are the exactness anchors of the
-# sweep, replay, why-report, LRU and policy paths, so their differential
+# tree-PLRU words behind every GIPPR policy and the kernel, the
+# replacement policies, the set duel that picks the vector or mode in
+# every follower set of DGIPPR, DGIPLR, DIP, DRRIP and GIPPR+bypass, and
+# the cache with its engine choice and replay walk each carry
+# PKG_COVER_MIN on top — they are the exactness anchors of the sweep,
+# replay, why-report, LRU, PLRU and policy paths, so their differential
 # batteries must keep covering them. Raise the floors when coverage
 # durably improves; never lower them to make a PR pass.
 COVER_MIN ?= 75.0
@@ -58,7 +60,7 @@ cover: vet
 	awk -v t=$$total -v min=$(COVER_MIN) 'BEGIN { \
 		if (t+0 < min+0) { printf "coverage %.1f%% is below the %.1f%% gate\n", t, min; exit 1 } \
 		printf "coverage %.1f%% meets the %.1f%% gate\n", t, min }'
-	@for pkg in internal/stackdist internal/batchreplay internal/explain internal/recency internal/policy internal/dueling; do \
+	@for pkg in internal/stackdist internal/batchreplay internal/explain internal/recency internal/plrutree internal/policy internal/dueling internal/cache; do \
 		pct=$$($(GO) test -short -count=1 -cover ./$$pkg | awk '{ for (i=1;i<=NF;i++) if ($$i ~ /%/) { gsub("%","",$$i); print $$i } }'); \
 		awk -v p=$$pkg -v t=$$pct -v min=$(PKG_COVER_MIN) 'BEGIN { \
 			if (t+0 < min+0) { printf "%s coverage %.1f%% is below the %.1f%% gate\n", p, t, min; exit 1 } \
@@ -82,8 +84,9 @@ staticcheck:
 # Fuzz smoke: a few seconds per target over the external-input boundaries
 # (binary trace reader, IPV parser, job submissions), the single-pass
 # multi-model replay kernel, the batched branch-free replay kernel's scalar
-# equivalence, the one-pass sweep, the explain decomposition, and the
-# packed recency stacks against a naive list model.
+# equivalence, the one-pass sweep, the explain decomposition, the packed
+# recency stacks against a naive list model, and the tree-PLRU words
+# against a pointer-based tree.
 # Long campaigns run these by hand with a bigger -fuzztime.
 FUZZTIME ?= 10s
 fuzz:
@@ -95,6 +98,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzOnePassConsistency -fuzztime=$(FUZZTIME) ./internal/stackdist
 	$(GO) test -run=^$$ -fuzz=FuzzExplainDecomposition -fuzztime=$(FUZZTIME) ./internal/explain
 	$(GO) test -run=^$$ -fuzz=FuzzMoveTo -fuzztime=$(FUZZTIME) ./internal/recency
+	$(GO) test -run=^$$ -fuzz=FuzzTrees -fuzztime=$(FUZZTIME) ./internal/plrutree
 
 check: race cover bench fuzz staticcheck serve-smoke
 

@@ -20,6 +20,7 @@ import (
 	"gippr/internal/cpu"
 	"gippr/internal/experiments"
 	"gippr/internal/ipv"
+	"gippr/internal/plrutree"
 	"gippr/internal/policy"
 	"gippr/internal/stats"
 	"gippr/internal/telemetry"
@@ -85,14 +86,14 @@ func BenchmarkFig4GIPLRSpeedup(b *testing.B) {
 }
 
 // BenchmarkFig8PLRUPositions exercises the Figure 8 structural property:
-// reading all 16 positions of a PseudoLRU tree.
+// reading all 16 positions of a PseudoLRU tree after a promotion.
 func BenchmarkFig8PLRUPositions(b *testing.B) {
-	tr := policy.NewPLRU(1, 16).Tree(0)
+	tr := plrutree.New(1, 16)
 	s := 0
 	for i := 0; i < b.N; i++ {
-		tr.Promote(i & 15)
+		tr.SetPosition(0, i&15, 0)
 		for w := 0; w < 16; w++ {
-			s += tr.Position(w)
+			s += tr.Position(0, w)
 		}
 	}
 	_ = s

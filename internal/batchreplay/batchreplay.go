@@ -4,9 +4,9 @@
 // one-pass sweep's tree-PLRU points) runs on it when it can.
 //
 // The scalar replay path models one record at a time: Cache.Access scans a
-// set's line structs with a short-circuiting compare loop, then the policy
-// walks a plrutree.Tree node by node, branching on child direction at every
-// level. That is the right shape for the general Policy interface — dueling
+// set's line structs with a short-circuiting compare loop, then calls the
+// policy through the cache.Policy interface for the hit, the victim and the
+// fill. That is the right shape for the general Policy interface — dueling
 // policies read PSEL counters, PDP consults a reuse predictor — but for the
 // two policies every grid, GA fitness call and served job spends most of its
 // time in (PLRU and single-vector GIPPR), the whole per-record transition is
@@ -21,9 +21,10 @@
 //     the probe byte yields a candidate-way mask in a couple of word ops,
 //     and only candidates (almost always zero or one) are verified against
 //     the full tag array — the per-way compare loop is gone entirely;
-//   - per-set metadata lives in packed uint64 words: a valid mask, a dirty
-//     mask, and the k-1 tree-PLRU bits updated with plrutree.Packed's
-//     mask-and-or tables instead of per-node walks.
+//   - per-set metadata lives in packed uint64 words: a valid mask and a
+//     dirty mask next to the policy's own plrutree.Trees, whose k-1 plru
+//     bits per set are read and written in place with the same inlined
+//     mask-and-or calls GIPPR makes, so there is no state to copy in or out.
 //
 // Equivalence contract: a Kernel models exactly the Cache.Access semantics
 // for a policy whose behaviour is "IPV over tree-PLRU" (see Packable) — the
@@ -70,13 +71,16 @@ func (h *HitBits) Bit(i int) bool { return h[i>>6]>>(i&63)&1 == 1 }
 // exactly "insertion/promotion vector over tree-PLRU": on a hit a block at
 // tree position i moves to V[i], on a fill the incoming block is placed at
 // V[k], the victim is the tree-PLRU block, and OnMiss/OnEvict have no
-// observable effect. PackedIPV returns that vector (length ways+1) and
-// ok=true; policies with any additional state or decision-making (dueling,
-// bypass, predictors) must return ok=false so replays fall back to the
-// scalar path. policy.GIPPR implements it, with ok=true only without a
-// duel: PLRU (the all-zero vector) and one-vector GIPPR run on the kernel.
+// observable effect. PackedIPV returns that vector (length ways+1), the
+// policy's trees, which the kernel then updates in place, and ok=true;
+// policies with any additional state or decision-making (dueling,
+// predictors) must return ok=false so replays fall back to the scalar path.
+// policy.GIPPR implements it, with ok=true only without a duel: PLRU (the
+// all-zero vector) and one-vector GIPPR run on the kernel. GIPPR+bypass
+// inherits it from its embedded GIPPR; cache.NewEngine keeps every
+// cache.Bypasser scalar.
 type Packable interface {
-	PackedIPV() ([]int, bool)
+	PackedIPV() ([]int, plrutree.Trees, bool)
 }
 
 // Stats mirrors cache.Stats field for field, in the same order, so cache
@@ -90,13 +94,6 @@ type Stats struct {
 	Writes     uint64
 	Writebacks uint64
 	Skipped    uint64
-}
-
-// Supported reports whether the kernel can model a cache of the given
-// associativity: a power of two in 2..plrutree.MaxWays, the domain of the
-// packed tree tables.
-func Supported(ways int) bool {
-	return ways >= 2 && ways <= plrutree.MaxWays && ways&(ways-1) == 0
 }
 
 // Kernel holds the batched model of one set-associative cache under one
@@ -120,11 +117,10 @@ type Kernel struct {
 	sigWords int
 	sigShift uint
 	sig      []uint64
-	plru     []uint64 // per set: k-1 tree-PLRU bits (Tree.Bits layout)
-	ops      *plrutree.Packed
-	vec      []int  // promotion targets V[0..ways-1]
-	insPos   int    // insertion position V[ways]
-	sampled  []bool // nil at full fidelity; else per-set in-sample flags
+	trees    plrutree.Trees // the policy's, shared
+	vec      []int          // promotion targets V[0..ways-1]
+	insPos   int            // insertion position V[ways]
+	sampled  []bool         // nil at full fidelity; else per-set in-sample flags
 
 	stats Stats
 	tel   *telemetry.Sink
@@ -135,18 +131,17 @@ type Kernel struct {
 	setBuf   [BlockSize]uint32
 }
 
-// New returns a kernel for a cache of sets x ways lines with the given
+// New returns a kernel for a cache with the geometry of trees (a power of
+// two in 2..plrutree.MaxWays ways, as every Trees value has), the given
 // block-offset shift, per-set sampling flags (nil for full fidelity, else
-// length sets — the caller shares cache.Config.InSample's precomputed
-// table), and IPV (length ways+1, entries in 0..ways-1). It panics on
-// malformed geometry or vector, mirroring the internal policy constructors;
-// use Supported to probe the associativity domain first.
-func New(sets, ways int, blockShift uint, sampled []bool, vec []int) *Kernel {
+// one per set — the caller shares cache.Config.InSample's precomputed
+// table), and IPV (length ways+1, entries in 0..ways-1). The kernel reads
+// and writes trees in place. It panics on malformed geometry or vector,
+// mirroring the internal policy constructors.
+func New(trees plrutree.Trees, blockShift uint, sampled []bool, vec []int) *Kernel {
+	sets, ways := trees.Sets(), trees.Ways()
 	if sets < 1 {
 		panic(fmt.Sprintf("batchreplay: %d sets", sets))
-	}
-	if !Supported(ways) {
-		panic(fmt.Sprintf("batchreplay: associativity %d is not a power of two in 2..%d", ways, plrutree.MaxWays))
 	}
 	if sampled != nil && len(sampled) != sets {
 		panic(fmt.Sprintf("batchreplay: %d sampling flags for %d sets", len(sampled), sets))
@@ -171,8 +166,7 @@ func New(sets, ways int, blockShift uint, sampled []bool, vec []int) *Kernel {
 		sigWords:   sigWords,
 		sigShift:   uint(bits.Len(uint(sets - 1))),
 		sig:        make([]uint64, sets*sigWords),
-		plru:       make([]uint64, sets),
-		ops:        plrutree.NewPacked(ways),
+		trees:      trees,
 		vec:        append([]int(nil), vec[:ways]...),
 		insPos:     vec[ways],
 		sampled:    sampled,
@@ -191,17 +185,6 @@ func (k *Kernel) SetTelemetry(s *telemetry.Sink) {
 
 // Stats returns the counters accumulated since the last ResetStats.
 func (k *Kernel) Stats() Stats { return k.stats }
-
-// PLRUBits returns set's packed tree-PLRU state word (Tree.Bits layout).
-func (k *Kernel) PLRUBits(set int) uint64 { return k.plru[set] }
-
-// SetPLRUBits overwrites set's packed tree-PLRU state word; bits outside
-// the k-1 internal-node range are masked off, matching Tree.SetBits. The
-// dispatch layer uses this pair to seed kernel state from a policy's trees
-// and write the final state back.
-func (k *Kernel) SetPLRUBits(set int, word uint64) {
-	k.plru[set] = word & (uint64(1)<<k.ways - 2)
-}
 
 // ResetStats zeroes the counters and any attached telemetry, keeping cache
 // contents and replacement state (the warm-up boundary convention of
@@ -274,16 +257,14 @@ func (k *Kernel) access(block uint64, set uint32, write bool) bool {
 		if write {
 			k.dirty[set] |= 1 << w
 		}
-		word := k.plru[set]
 		if k.tel != nil {
 			k.tel.Hit(base + w)
-			from := k.ops.Position(word, w)
+			from := k.trees.Position(set, w)
 			k.tel.Promote(from, k.vec[from])
-			k.plru[set] = k.ops.Set(word, w, k.vec[from])
+			k.trees.SetPosition(set, w, k.vec[from])
 			return true
 		}
-		from := k.ops.Position(word, w)
-		k.plru[set] = k.ops.Set(word, w, k.vec[from])
+		k.trees.SetPosition(set, w, k.vec[k.trees.Position(set, w)])
 		return true
 	}
 	k.stats.Misses++
@@ -296,7 +277,7 @@ func (k *Kernel) access(block uint64, set uint32, write bool) bool {
 		// order, which is the lowest clear valid bit.
 		w = bits.TrailingZeros64(invalid)
 	} else {
-		w = k.ops.Victim(k.plru[set])
+		w = k.trees.Victim(set)
 		k.stats.Evictions++
 		dirtyBit := k.dirty[set] >> w & 1
 		k.stats.Writebacks += dirtyBit
@@ -318,6 +299,6 @@ func (k *Kernel) access(block uint64, set uint32, write bool) bool {
 		k.tel.Fill(base + w)
 		k.tel.Insert(k.insPos)
 	}
-	k.plru[set] = k.ops.Set(k.plru[set], w, k.insPos)
+	k.trees.SetPosition(set, w, k.insPos)
 	return false
 }

@@ -8,6 +8,7 @@ import (
 	"gippr/internal/batchreplay"
 	"gippr/internal/cache"
 	"gippr/internal/ipv"
+	"gippr/internal/plrutree"
 	"gippr/internal/policy"
 	"gippr/internal/telemetry"
 	"gippr/internal/trace"
@@ -66,6 +67,23 @@ func runScalar(stream []trace.Record, cfg cache.Config, pol cache.Policy, warm i
 		c.Access(r)
 	}
 	return c.Stats
+}
+
+// treesOf returns a one-vector GIPPR's trees, the state the kernel and the
+// scalar path both update in place.
+func treesOf(p *policy.GIPPR) plrutree.Trees {
+	_, trees, _ := p.PackedIPV()
+	return trees
+}
+
+// sameTrees fails unless a and b hold the same word in every set.
+func sameTrees(t *testing.T, what string, a, b plrutree.Trees) {
+	t.Helper()
+	for set := uint32(0); set < uint32(a.Sets()); set++ {
+		if fw, sw := a.Word(set), b.Word(set); fw != sw {
+			t.Fatalf("%s: set %d tree state %#x != scalar %#x", what, set, fw, sw)
+		}
+	}
 }
 
 // kernelEngine builds the engine cache.NewEngine picks for (cfg, pol, tel)
@@ -148,12 +166,7 @@ func TestKernelMatchesScalarAcrossGeometries(t *testing.T) {
 				if !reflect.DeepEqual(&fastSink, &slowSink) {
 					t.Errorf("%s vec %d warm %d: telemetry sinks diverge", cfg.Name, vi, warm)
 				}
-				for set := 0; set < cfg.Sets(); set++ {
-					if fb, sb := fast.Tree(uint32(set)).Bits(), slow.Tree(uint32(set)).Bits(); fb != sb {
-						t.Fatalf("%s vec %d warm %d: set %d tree state %#x != scalar %#x",
-							cfg.Name, vi, warm, set, fb, sb)
-					}
-				}
+				sameTrees(t, fmt.Sprintf("%s vec %d warm %d", cfg.Name, vi, warm), treesOf(fast), treesOf(slow))
 			}
 		}
 	}
@@ -184,18 +197,19 @@ func TestDispatchedReplayStreamMatchesScalar(t *testing.T) {
 }
 
 // TestKernelSeedsFromPolicyState replays through a policy whose trees were
-// mutated before the replay: the kernel must pick the state up (and write
-// its final state back), matching the scalar path bit for bit. This is the
-// reuse case the seed/write-back contract exists for.
+// moved before the replay: the kernel must start from that state and leave
+// its final state in the policy, matching the scalar path bit for bit. This
+// is the reuse case of a policy replayed more than once.
 func TestKernelSeedsFromPolicyState(t *testing.T) {
 	cfg := cache.Config{Name: "s", SizeBytes: 8 * 8 * 64, Ways: 8, BlockBytes: 64, HitLatency: 30}
 	rng := xrand.New(0x5EED)
 	fast := policy.NewPLRU(cfg.Sets(), cfg.Ways)
 	slow := policy.NewPLRU(cfg.Sets(), cfg.Ways)
-	for set := 0; set < cfg.Sets(); set++ {
-		raw := rng.Uint64()
-		fast.Tree(uint32(set)).SetBits(raw)
-		slow.Tree(uint32(set)).SetBits(raw)
+	ft, st := treesOf(fast), treesOf(slow)
+	for i := 0; i < 4*cfg.Sets()*cfg.Ways; i++ {
+		set, w, x := uint32(rng.Intn(cfg.Sets())), rng.Intn(cfg.Ways), rng.Intn(cfg.Ways)
+		ft.SetPosition(set, w, x)
+		st.SetPosition(set, w, x)
 	}
 	stream := makeStream(5_000, cfg, 2, 0x5EED2)
 	fastRes := cache.ReplayStream(stream, cfg, fast, 100)
@@ -203,21 +217,18 @@ func TestKernelSeedsFromPolicyState(t *testing.T) {
 	if fastRes != slowRes {
 		t.Fatalf("seeded replay: kernel %+v != scalar %+v", fastRes, slowRes)
 	}
-	for set := 0; set < cfg.Sets(); set++ {
-		if fb, sb := fast.Tree(uint32(set)).Bits(), slow.Tree(uint32(set)).Bits(); fb != sb {
-			t.Fatalf("set %d final tree state %#x != scalar %#x", set, fb, sb)
-		}
-	}
+	sameTrees(t, "seeded replay", ft, st)
 }
 
 // TestDispatchFallsBackForNonPackable pins who takes which path: dueling
-// DGIPPR and the true-LRU stack policy must not engage the kernel, while
+// DGIPPR, the true-LRU stack policy and GIPPR+bypass (packable through its
+// embedded GIPPR, but a Bypasser) must not engage the kernel, while
 // PLRU/GIPPR must.
 func TestDispatchFallsBackForNonPackable(t *testing.T) {
 	cfg := cache.Config{Name: "f", SizeBytes: 16 * 16 * 64, Ways: 16, BlockBytes: 64, HitLatency: 30}
 	sets, ways := cfg.Sets(), cfg.Ways
 	vecs := [2]ipv.Vector{ipv.LRU(ways), ipv.LIP(ways)}
-	for name, want := range map[string]bool{"plru": true, "gippr": true, "lru": false, "dgippr2": false} {
+	for name, want := range map[string]bool{"plru": true, "gippr": true, "lru": false, "dgippr2": false, "gippr+bypass": false} {
 		var pol cache.Policy
 		switch name {
 		case "plru":
@@ -228,31 +239,36 @@ func TestDispatchFallsBackForNonPackable(t *testing.T) {
 			pol = policy.NewTrueLRU(sets, ways)
 		case "dgippr2":
 			pol = policy.NewDGIPPR2(sets, ways, vecs)
+		case "gippr+bypass":
+			pol = policy.NewBypassGIPPR(sets, ways, ipv.LIP(ways))
 		}
 		if _, scalar := cache.NewEngine(cfg, pol, nil).(*cache.Cache); !scalar != want {
 			t.Errorf("%s: kernel engaged = %v, want %v", name, !scalar, want)
 		}
 	}
-	// A packable policy whose vector does not match the geometry must fall
+	// A packable policy whose trees do not match the geometry must fall
 	// back rather than model the wrong shape.
 	if _, scalar := cache.NewEngine(cfg, policy.NewGIPPR(sets, 8, ipv.LRU(8)), nil).(*cache.Cache); !scalar {
 		t.Error("mismatched-associativity policy engaged the kernel")
 	}
+	if _, scalar := cache.NewEngine(cfg, policy.NewPLRU(2*sets, ways), nil).(*cache.Cache); !scalar {
+		t.Error("mismatched-sets policy engaged the kernel")
+	}
 }
 
-// TestNewValidation pins the constructor's panic surface.
+// TestNewValidation pins the constructor's panic surface. The
+// associativity domain is plrutree.New's: no Trees value exists outside it.
 func TestNewValidation(t *testing.T) {
 	vec := make([]int, 5)
+	trees := plrutree.New(4, 4)
 	cases := map[string]func(){
-		"zero sets":        func() { batchreplay.New(0, 4, 6, nil, vec) },
-		"non-pow2 ways":    func() { batchreplay.New(4, 3, 6, nil, make([]int, 4)) },
-		"oversized ways":   func() { batchreplay.New(4, 128, 6, nil, make([]int, 129)) },
-		"sampled mismatch": func() { batchreplay.New(4, 4, 6, make([]bool, 3), vec) },
-		"short vector":     func() { batchreplay.New(4, 4, 6, nil, make([]int, 4)) },
-		"entry range":      func() { batchreplay.New(4, 4, 6, nil, []int{0, 0, 4, 0, 0}) },
-		"negative entry":   func() { batchreplay.New(4, 4, 6, nil, []int{0, -1, 0, 0, 0}) },
+		"zero sets":        func() { batchreplay.New(plrutree.New(0, 4), 6, nil, vec) },
+		"sampled mismatch": func() { batchreplay.New(trees, 6, make([]bool, 3), vec) },
+		"short vector":     func() { batchreplay.New(trees, 6, nil, make([]int, 4)) },
+		"entry range":      func() { batchreplay.New(trees, 6, nil, []int{0, 0, 4, 0, 0}) },
+		"negative entry":   func() { batchreplay.New(trees, 6, nil, []int{0, -1, 0, 0, 0}) },
 		"oversized block": func() {
-			k := batchreplay.New(4, 4, 6, nil, vec)
+			k := batchreplay.New(trees, 6, nil, vec)
 			k.AccessBlock(make([]trace.Record, batchreplay.BlockSize+1), &batchreplay.HitBits{})
 		},
 	}
@@ -265,11 +281,6 @@ func TestNewValidation(t *testing.T) {
 			}()
 			fn()
 		}()
-	}
-	for ways, want := range map[int]bool{2: true, 16: true, 64: true, 1: false, 3: false, 128: false, 0: false} {
-		if got := batchreplay.Supported(ways); got != want {
-			t.Errorf("Supported(%d) = %v, want %v", ways, got, want)
-		}
 	}
 }
 

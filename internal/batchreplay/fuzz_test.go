@@ -1,6 +1,7 @@
 package batchreplay_test
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -67,11 +68,6 @@ func FuzzBatchedReplayConsistency(f *testing.F) {
 			t.Fatalf("telemetry sinks diverged:\nkernel %+v\nscalar %+v\ncfg %+v vec %v warm %d",
 				fastSink, slowSink, cfg, vec, warm)
 		}
-		for set := 0; set < sets; set++ {
-			if fb, sb := fast.Tree(uint32(set)).Bits(), slow.Tree(uint32(set)).Bits(); fb != sb {
-				t.Fatalf("set %d final tree state %#x != scalar %#x (cfg %+v vec %v warm %d)",
-					set, fb, sb, cfg, vec, warm)
-			}
-		}
+		sameTrees(t, fmt.Sprintf("cfg %+v vec %v warm %d", cfg, vec, warm), treesOf(fast), treesOf(slow))
 	})
 }

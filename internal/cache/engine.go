@@ -4,7 +4,6 @@ import (
 	"math/bits"
 
 	"gippr/internal/batchreplay"
-	"gippr/internal/plrutree"
 	"gippr/internal/telemetry"
 	"gippr/internal/trace"
 )
@@ -13,7 +12,7 @@ import (
 // a time, a stats reset at the warm-up boundary, and a Finish that returns
 // the measured counters. NewEngine picks the batched kernel or a *Cache; a
 // walk never needs to know which it holds, because both report the same
-// Stats, telemetry events and final policy state bit for bit.
+// Stats and telemetry events and leave the same policy state bit for bit.
 type Engine interface {
 	// AccessBlock models up to batchreplay.BlockSize records in stream
 	// order and fills hits with their hit flags.
@@ -21,26 +20,16 @@ type Engine interface {
 	// ResetStats zeroes the counters and any attached telemetry, keeping
 	// cache contents and replacement state.
 	ResetStats()
-	// Finish returns the counters since the last ResetStats and leaves the
-	// policy object exactly as a scalar replay would have.
+	// Finish returns the counters since the last ResetStats. Both engines
+	// update the policy's state as they go, so there is nothing to flush.
 	Finish() Stats
-}
-
-// treeExposer is the accessor the tree-PLRU policy family provides for its
-// per-set trees (policy.GIPPR has it, and so PLRU and DGIPPR). The kernel
-// engine uses it to seed its packed state words from the policy and to
-// write the final state back, so a policy reused across replays sees
-// exactly the tree mutations Cache.Access would have caused.
-type treeExposer interface {
-	Tree(set uint32) *plrutree.Tree
 }
 
 // NewEngine returns the model of cfg under pol for a replay walk, with tel
 // attached when non-nil. It is the one place the engine is chosen: the
 // batched kernel when the policy opts in via batchreplay.Packable (and is
-// not also a Bypasser, whose decisions are outside the kernel's model), its
-// vector matches the geometry, and the associativity is in the packed-tree
-// domain; a *Cache otherwise.
+// not also a Bypasser, whose decisions are outside the kernel's model) and
+// its trees have cfg's sets and ways; a *Cache otherwise.
 func NewEngine(cfg Config, pol Policy, tel *telemetry.Sink) Engine {
 	if k, ok := newKernel(cfg, pol); ok {
 		if tel != nil {
@@ -55,12 +44,8 @@ func NewEngine(cfg Config, pol Policy, tel *telemetry.Sink) Engine {
 	return c
 }
 
-// kernelEngine is the batched kernel plus the policy whose trees it carries.
-type kernelEngine struct {
-	*batchreplay.Kernel
-	pol  treeExposer
-	sets int
-}
+// kernelEngine is the batched kernel reporting cache.Stats.
+type kernelEngine struct{ *batchreplay.Kernel }
 
 func newKernel(cfg Config, pol Policy) (*kernelEngine, bool) {
 	pk, packable := pol.(batchreplay.Packable)
@@ -68,12 +53,11 @@ func newKernel(cfg Config, pol Policy) (*kernelEngine, bool) {
 	if !packable || bypass {
 		return nil, false
 	}
-	vec, ok := pk.PackedIPV()
-	te, tree := pol.(treeExposer)
-	if !ok || !tree || !batchreplay.Supported(cfg.Ways) || len(vec) != cfg.Ways+1 {
+	vec, trees, ok := pk.PackedIPV()
+	sets := cfg.Sets()
+	if !ok || trees.Sets() != sets || trees.Ways() != cfg.Ways {
 		return nil, false
 	}
-	sets := cfg.Sets()
 	var sampled []bool
 	if cfg.SampleShift > 0 {
 		sampled = make([]bool, sets)
@@ -82,20 +66,11 @@ func newKernel(cfg Config, pol Policy) (*kernelEngine, bool) {
 		}
 	}
 	blockShift := uint(bits.TrailingZeros(uint(cfg.BlockBytes)))
-	k := batchreplay.New(sets, cfg.Ways, blockShift, sampled, vec)
-	for set := 0; set < sets; set++ {
-		k.SetPLRUBits(set, te.Tree(uint32(set)).Bits())
-	}
-	return &kernelEngine{Kernel: k, pol: te, sets: sets}, true
+	return &kernelEngine{batchreplay.New(trees, blockShift, sampled, vec)}, true
 }
 
-// Finish writes the kernel's final tree-PLRU state back into the policy.
-func (e *kernelEngine) Finish() Stats {
-	for set := 0; set < e.sets; set++ {
-		e.pol.Tree(uint32(set)).SetBits(e.PLRUBits(set))
-	}
-	return Stats(e.Stats())
-}
+// Finish returns the kernel's counters as cache.Stats.
+func (e *kernelEngine) Finish() Stats { return Stats(e.Stats()) }
 
 // AccessBlock runs Access over recs in order, recording each hit in hits.
 func (c *Cache) AccessBlock(recs []trace.Record, hits *batchreplay.HitBits) {

@@ -6,9 +6,9 @@ import (
 	"gippr/internal/xrand"
 )
 
-// This file cross-checks Tree against a pointer-based recursive model that
-// shares no structure with the bitmask implementation: no implicit heap
-// indexing, no bit shifting, no iteration from leaf to root. Each internal
+// This file cross-checks Trees against a pointer-based recursive model that
+// shares no structure with the table-driven implementation: no implicit
+// heap indexing, no bit shifting, no iteration from leaf to root. Each internal
 // node is a heap-allocated struct and every operation is expressed as
 // top-down recursion over subtree leaf counts. The model and the production
 // code can therefore only agree if both implement the paper's Figures 5-9
@@ -125,46 +125,30 @@ func (p *pnode) wayAt(x int) int {
 // LLC uses 16 ways but the primitives must hold for all of them.
 var diffGeometries = []int{2, 4, 8, 16, 32, 64}
 
-// checkAgree compares every observable of the three implementations — the
-// production Tree, the pointer-based reference, and the packed-word
-// operations applied to word — after access i of the differential run and
-// fails with the diverging index. word is the packed-state shadow the caller
-// maintains with ops; it must equal the Tree's raw bits exactly, so the
-// packed path proves bit-identity, not just observational equivalence.
-func checkAgree(t *testing.T, k int, i int, op string, tr *Tree, ref *pnode, ops *Packed, word uint64) {
+// checkAgree compares every observable of set in the production Trees with
+// the pointer-based reference after access i of a differential run and
+// fails with the diverging index: the victim, every way's position, that
+// the positions form a permutation, and that the reference's wayAt inverts
+// them.
+func checkAgree(t *testing.T, i int, op string, tr *Trees, set uint32, ref *pnode) {
 	t.Helper()
-	if word != tr.Bits() {
-		t.Fatalf("k=%d access %d (%s): packed word %#x != tree bits %#x",
-			k, i, op, word, tr.Bits())
-	}
-	if got, want := tr.Victim(), ref.victim(); got != want {
-		t.Fatalf("k=%d access %d (%s): Victim() = %d, reference tree says %d\nbits: %s",
-			k, i, op, got, want, tr.String())
-	}
-	if got, want := ops.Victim(word), ref.victim(); got != want {
-		t.Fatalf("k=%d access %d (%s): packed Victim = %d, reference tree says %d\nbits: %s",
-			k, i, op, got, want, tr.String())
+	k := tr.Ways()
+	if got, want := tr.Victim(set), ref.victim(); got != want {
+		t.Fatalf("k=%d access %d (%s): Victim = %d, reference tree says %d (word %#x)",
+			k, i, op, got, want, tr.Word(set))
 	}
 	seen := make([]bool, k)
 	for w := 0; w < k; w++ {
-		got, want := tr.Position(w), ref.position(w)
+		got, want := tr.Position(set, w), ref.position(w)
 		if got != want {
-			t.Fatalf("k=%d access %d (%s): Position(%d) = %d, reference tree says %d\nbits: %s",
-				k, i, op, w, got, want, tr.String())
-		}
-		if pg := ops.Position(word, w); pg != want {
-			t.Fatalf("k=%d access %d (%s): packed Position(%d) = %d, reference tree says %d\nbits: %s",
-				k, i, op, w, pg, want, tr.String())
+			t.Fatalf("k=%d access %d (%s): Position(%d) = %d, reference tree says %d (word %#x)",
+				k, i, op, w, got, want, tr.Word(set))
 		}
 		if got < 0 || got >= k || seen[got] {
-			t.Fatalf("k=%d access %d (%s): positions are not a permutation (way %d -> %d)\nbits: %s",
-				k, i, op, w, got, tr.String())
+			t.Fatalf("k=%d access %d (%s): positions are not a permutation (way %d -> %d, word %#x)",
+				k, i, op, w, got, tr.Word(set))
 		}
 		seen[got] = true
-		if back := tr.WayAt(got); back != w {
-			t.Fatalf("k=%d access %d (%s): WayAt(Position(%d)) = %d, want %d\nbits: %s",
-				k, i, op, w, back, w, tr.String())
-		}
 		if back := ref.wayAt(got); back != w {
 			t.Fatalf("k=%d access %d (%s): reference wayAt(position(%d)) = %d, want %d",
 				k, i, op, w, back, w)
@@ -172,109 +156,128 @@ func checkAgree(t *testing.T, k int, i int, op string, tr *Tree, ref *pnode, ops
 	}
 }
 
-// TestDifferentialRandomSequence drives Tree and the pointer-based reference
-// through the same long seeded random access sequence, checking every
-// observable after every access. Any divergence reports the first failing
-// access index so the offending prefix can be replayed.
+// TestDifferentialRandomSequence drives Trees and the pointer-based
+// reference through the same long seeded random access sequence, checking
+// every observable after every access. Any divergence reports the first
+// failing access index so the offending prefix can be replayed.
 func TestDifferentialRandomSequence(t *testing.T) {
 	accesses := 10_000
 	if testing.Short() {
 		accesses = 1_000
 	}
 	for _, k := range diffGeometries {
-		k := k
 		t.Run(sizeName(k), func(t *testing.T) {
 			t.Parallel()
 			rng := xrand.New(0xD1FF + uint64(k))
-			tr := New(k)
+			tr := New(1, k)
 			ref := buildPtr(0, k)
-			ops := NewPacked(k)
-			var word uint64
-			checkAgree(t, k, -1, "init", &tr, ref, ops, word)
+			checkAgree(t, -1, "init", &tr, 0, ref)
 			for i := 0; i < accesses; i++ {
 				var op string
 				switch rng.Intn(4) {
 				case 0: // hit-style promotion of a random way
 					w := rng.Intn(k)
 					op = "promote"
-					tr.Promote(w)
+					tr.SetPosition(0, w, 0)
 					ref.promote(w)
-					word = ops.Promote(word, w)
 				case 1: // miss-style: evict the victim, insert at a random position
-					v := tr.Victim()
+					v := tr.Victim(0)
 					x := rng.Intn(k)
 					op = "victim+setpos"
-					tr.SetPosition(v, x)
+					tr.SetPosition(0, v, x)
 					ref.setPosition(v, x)
-					word = ops.Set(word, v, x)
 				case 2: // IPV-style: move a random way to a random position
 					w, x := rng.Intn(k), rng.Intn(k)
 					op = "setpos"
-					tr.SetPosition(w, x)
+					tr.SetPosition(0, w, x)
 					ref.setPosition(w, x)
-					word = ops.Set(word, w, x)
 				case 3: // promote the current PMRU block (idempotence probe)
-					w := tr.WayAt(0)
+					w := ref.wayAt(0)
 					op = "repromote"
-					tr.Promote(w)
+					tr.SetPosition(0, w, 0)
 					ref.promote(w)
-					word = ops.Promote(word, w)
 				}
-				checkAgree(t, k, i, op, &tr, ref, ops, word)
+				checkAgree(t, i, op, &tr, 0, ref)
 			}
 		})
 	}
 }
 
 // TestDifferentialAdversarialBits additionally seeds the pair with random
-// raw bit states (via SetBits and a matching recursive write) so agreement
-// does not depend on states reachable from the zero tree alone.
+// raw bit states (via a raw word and a matching recursive write) so
+// agreement does not depend on states reachable from the zero tree alone.
 func TestDifferentialAdversarialBits(t *testing.T) {
 	rounds := 200
 	if testing.Short() {
 		rounds = 40
 	}
 	for _, k := range diffGeometries {
-		k := k
 		t.Run(sizeName(k), func(t *testing.T) {
 			t.Parallel()
 			rng := xrand.New(0xBEEF + uint64(k))
-			ops := NewPacked(k)
+			tr := New(1, k)
 			for round := 0; round < rounds; round++ {
-				raw := rng.Uint64()
-				tr := New(k)
-				tr.SetBits(raw)
+				tr.load(0, rng.Uint64())
 				ref := buildPtr(0, k)
-				loadBits(ref, &tr)
-				word := tr.Bits()
-				checkAgree(t, k, round, "setbits", &tr, ref, ops, word)
+				loadBits(ref, tr.Word(0))
+				checkAgree(t, round, "setbits", &tr, 0, ref)
 				// A few follow-up operations from the adversarial state.
 				for i := 0; i < 8; i++ {
 					w, x := rng.Intn(k), rng.Intn(k)
-					tr.SetPosition(w, x)
+					tr.SetPosition(0, w, x)
 					ref.setPosition(w, x)
-					word = ops.Set(word, w, x)
-					v := tr.Victim()
-					tr.Promote(v)
+					v := tr.Victim(0)
+					tr.SetPosition(0, v, 0)
 					ref.promote(ref.victim())
-					word = ops.Promote(word, v)
-					checkAgree(t, k, round*8+i, "adversarial-followup", &tr, ref, ops, word)
+					checkAgree(t, round*8+i, "adversarial-followup", &tr, 0, ref)
 				}
 			}
 		})
 	}
 }
 
-// loadBits copies Tree's raw bit state into the reference tree by walking it
-// in the same implicit-heap order New uses, keeping the copy trivially
-// auditable without giving the reference any bit arithmetic of its own.
-func loadBits(ref *pnode, tr *Tree) {
+// FuzzTrees decodes a way count in 2..MaxWays (a power of two) from the
+// first byte and then (set, way, position) moves over two sets from byte
+// triples. After every move the moved set must match its pointer model
+// and the other set's word must be unchanged; both sets are checked in
+// full at the end.
+func FuzzTrees(f *testing.F) {
+	f.Add([]byte{3, 0, 15, 0, 1, 3, 9})
+	f.Add([]byte{5, 1, 63, 0, 0, 0, 63})
+	f.Add([]byte{0, 0, 1, 0, 1, 0, 1})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		k := diffGeometries[int(data[0])%len(diffGeometries)]
+		tr := New(2, k)
+		refs := []*pnode{buildPtr(0, k), buildPtr(0, k)}
+		for i := 0; len(data) >= 4; i, data = i+1, data[3:] {
+			set := uint32(data[1] & 1)
+			w, x := int(data[2])%k, int(data[3])%k
+			other := tr.Word(1 - set)
+			tr.SetPosition(set, w, x)
+			refs[set].setPosition(w, x)
+			checkAgree(t, i, "setpos", &tr, set, refs[set])
+			if tr.Word(1-set) != other {
+				t.Fatalf("k=%d move %d in set %d changed set %d's word", k, i, set, 1-set)
+			}
+		}
+		checkAgree(t, -1, "end", &tr, 0, refs[0])
+		checkAgree(t, -1, "end", &tr, 1, refs[1])
+	})
+}
+
+// loadBits copies a raw state word into the reference tree by walking it
+// in implicit-heap order, keeping the copy trivially auditable without
+// giving the reference any bit arithmetic of its own.
+func loadBits(ref *pnode, word uint64) {
 	var walk func(p *pnode, node uint32)
 	walk = func(p *pnode, node uint32) {
 		if p.isLeaf() {
 			return
 		}
-		p.bit = int(tr.Bits() >> node & 1)
+		p.bit = int(word >> node & 1)
 		walk(p.left, 2*node)
 		walk(p.right, 2*node+1)
 	}

@@ -1,193 +1,132 @@
-// Package plrutree implements tree-based PseudoLRU state for one cache set
-// (Handy, "The Cache Memory Book"; paper Section 3).
+// Package plrutree implements tree-based PseudoLRU state for every set of a
+// cache (Handy, "The Cache Memory Book"; paper Section 3).
 //
 // A set of k ways (k a power of two) is tracked with a complete binary tree
-// of k-1 one-bit internal nodes stored as a bitmask, so a 16-way set needs
-// exactly 15 bits — the storage claim the paper's overhead argument rests on.
-// The package provides the four algorithms of the paper's Figures 5, 6, 7
-// and 9:
+// of k-1 one-bit internal nodes, so a 16-way set needs exactly 15 bits — the
+// storage claim the paper's overhead argument rests on. Each set's bits are
+// one uint64: bit n is the plru bit of internal node n (1 <= n < k) in the
+// implicit heap layout, where the root is node 1, node n's children are 2n
+// and 2n+1, and leaf k+w is way w. Trees provides three of the paper's
+// algorithms; the fourth, promote (Figure 6), is set_index to position 0:
 //
-//   - Victim (find_plru): walk from the root following the plru bits
-//     (1 = right, 0 = left) to the PseudoLRU leaf;
-//   - Promote: set the bits on the leaf-to-root path to point away from the
-//     block, making it the PMRU block (position 0);
-//   - Position (find_index): read a block's position in the PseudoLRU
-//     recency stack from the bits on its path;
-//   - SetPosition (set_index): write the bits on a block's path so that the
-//     block occupies a chosen position — the enabling primitive for
+//   - Victim (find_plru, Figure 5): walk from the root following the plru
+//     bits (1 = right, 0 = left) to the PseudoLRU leaf;
+//   - Position (find_index, Figure 7): read a block's position in the
+//     PseudoLRU recency stack from the bits on its path;
+//   - SetPosition (set_index, Figure 9): write the bits on a block's path so
+//     that the block occupies a chosen position — the enabling primitive for
 //     PseudoLRU insertion/promotion vectors.
 //
-// Positions are in 0 (PMRU) .. k-1 (PLRU, the victim). A key structural
-// property, exploited by tests and by the GIPPR policy, is that the k
-// blocks' positions always form a permutation of 0..k-1, even though only
-// k-1 bits of state exist: sibling subtrees split every position range in
-// half according to their parent bit.
+// Positions are in 0 (PMRU) .. k-1 (PLRU, the victim). Bit i of a way's
+// position, counted from the leaf's parent upward so the root gives the most
+// significant bit, comes from the i-th node on its path by the path rule: a
+// right child's position bit is its parent's plru bit, and a left child's is
+// the complement. Sibling subtrees therefore split every position range in
+// half, so the k ways' positions always form a permutation of 0..k-1 although
+// only k-1 bits of state exist.
 //
-// Node indexing is the standard implicit heap layout: the root is node 1,
-// node n's children are 2n and 2n+1, and leaf k+w corresponds to way w.
+// The nodes on way w's path depend only on (k, w), and set_index writes them
+// from (w, x) alone, never reading the old bits. So Trees precomputes, per
+// way, the path mask, and per (way, position), the path bits, and
+// SetPosition is one word&^mask | vals expression. GIPPR's scalar callbacks
+// and the batched replay kernel (package batchreplay) both run on these
+// words, so a replay on either engine leaves the same state in the policy.
 package plrutree
 
-import (
-	"fmt"
-	"math/bits"
-)
+import "fmt"
 
 // MaxWays is the largest supported associativity: the k-1 internal-node bits
 // must fit in a uint64.
 const MaxWays = 64
 
-// Tree holds the PseudoLRU bits for one cache set. The zero value is not
-// usable; construct with New. Tree is a small value type (16 bytes) intended
-// to be embedded per set by replacement policies.
-type Tree struct {
-	k    uint32 // associativity, power of two
-	logk uint32 // log2(k)
-	bits uint64 // bit n (1 <= n < k) is the plru bit of internal node n
+// Trees is the tree-PLRU state of every set of a cache: one word of plru
+// bits per set, plus the tables SetPosition applies. Construct with New; a
+// copy shares the state.
+type Trees struct {
+	ways  int
+	words []uint64 // per set: bit n (1 <= n < k) is internal node n's plru bit
+	// mask[w] has a 1 for every internal node on way w's leaf-to-root path.
+	mask []uint64
+	// vals[w*k+x] is the value of those path bits that places way w at
+	// position x (all other bits zero).
+	vals []uint64
 }
 
-// New returns a PseudoLRU tree for a k-way set. k must be a power of two in
-// 2..MaxWays. All plru bits start at zero, so the initial victim is way 0
-// (every walk goes left) and way 0 initially holds position k-1.
-func New(k int) Tree {
-	if k < 2 || k > MaxWays || k&(k-1) != 0 {
-		panic(fmt.Sprintf("plrutree: associativity %d is not a power of two in 2..%d", k, MaxWays))
+// New returns the trees of sets k-way sets, k = ways a power of two in
+// 2..MaxWays. All plru bits start at zero, so in every set the initial
+// victim is way 0 (every walk goes left) and way 0 holds position k-1.
+func New(sets, ways int) Trees {
+	if ways < 2 || ways > MaxWays || ways&(ways-1) != 0 {
+		panic(fmt.Sprintf("plrutree: associativity %d is not a power of two in 2..%d", ways, MaxWays))
 	}
-	return Tree{k: uint32(k), logk: uint32(bits.TrailingZeros32(uint32(k)))}
-}
-
-// K returns the associativity.
-func (t *Tree) K() int { return int(t.k) }
-
-// Bits returns the raw plru bitmask (bit n = internal node n, 1 <= n < k).
-func (t *Tree) Bits() uint64 { return t.bits }
-
-// SetBits overwrites the raw plru bitmask; bits outside 1..k-1 are masked
-// off. Useful for tests and for snapshot/restore.
-func (t *Tree) SetBits(b uint64) {
-	mask := uint64(1)<<t.k - 2 // bits 1..k-1
-	t.bits = b & mask
-}
-
-// Reset clears all plru bits.
-func (t *Tree) Reset() { t.bits = 0 }
-
-func (t *Tree) bit(n uint32) uint64 { return (t.bits >> n) & 1 }
-
-func (t *Tree) setBit(n uint32, v uint64) {
-	t.bits = (t.bits &^ (1 << n)) | (v&1)<<n
-}
-
-// Victim implements find_plru (Figure 5): starting at the root, follow each
-// node's plru bit (1 = right child, 0 = left child) to a leaf and return its
-// way. The returned way always has Position == k-1.
-func (t *Tree) Victim() int {
-	p := uint32(1)
-	for p < t.k {
-		p = 2*p + uint32(t.bit(p))
+	t := Trees{
+		ways:  ways,
+		words: make([]uint64, sets),
+		mask:  make([]uint64, ways),
+		vals:  make([]uint64, ways*ways),
 	}
-	return int(p - t.k)
-}
-
-// Promote implements promote (Figure 6): set every plru bit on way w's
-// leaf-to-root path to lead away from w, making w the PMRU block
-// (Position == 0). Only log2(k) bits change.
-func (t *Tree) Promote(w int) {
-	p := t.k + uint32(w)
-	for p > 1 {
-		parent := p >> 1
-		// If p is a left child (even), the parent bit must be 1 to lead
-		// away; if a right child (odd), it must be 0.
-		t.setBit(parent, uint64(^p&1))
-		p = parent
-	}
-}
-
-// Position implements find_index (Figure 7): read way w's position in the
-// PseudoLRU recency stack. Bit i of the position (i counted from the leaf's
-// parent upward, so the root contributes the most significant bit) is the
-// parent's plru bit if the i-th path node is a right child, else its
-// complement. Position k-1 is the victim; position 0 is the PMRU block.
-func (t *Tree) Position(w int) int {
-	p := t.k + uint32(w)
-	x := uint32(0)
-	for i := uint32(0); p > 1; i++ {
-		parent := p >> 1
-		b := uint32(t.bit(parent))
-		if p&1 == 0 { // left child: complement
-			b ^= 1
+	for w := 0; w < ways; w++ {
+		for x := 0; x < ways; x++ {
+			var m, v uint64
+			for i, n := 0, ways+w; n > 1; i, n = i+1, n>>1 {
+				// The path rule: a right child (odd n) stores position
+				// bit i in its parent as is, a left child its complement.
+				m |= 1 << (n >> 1)
+				v |= uint64(x>>i^n^1) & 1 << (n >> 1)
+			}
+			t.mask[w] = m
+			t.vals[w*ways+x] = v
 		}
-		x |= b << i
-		p = parent
 	}
-	return int(x)
+	return t
 }
 
-// SetPosition implements set_index (Figure 9): write the plru bits on way
-// w's path so that w occupies position x in the PseudoLRU recency stack.
-// Only log2(k) bits change, but other blocks' positions may change
+// Sets returns the number of sets.
+func (t *Trees) Sets() int { return len(t.words) }
+
+// Ways returns the associativity.
+func (t *Trees) Ways() int { return t.ways }
+
+// Word returns set's plru bits (bit n = internal node n, 1 <= n < k).
+func (t *Trees) Word(set uint32) uint64 { return t.words[set] }
+
+// Victim implements find_plru (Figure 5) as a branch-free root-to-leaf walk:
+// each step shifts the node index down a level and ors in the node's plru
+// bit. The returned way always has Position == k-1.
+func (t *Trees) Victim(set uint32) int {
+	word := t.words[set]
+	n := uint(1)
+	for n < uint(t.ways) {
+		n = n<<1 | uint(word>>n&1)
+	}
+	return int(n) - t.ways
+}
+
+// Position implements find_index (Figure 7): way's position in set's
+// PseudoLRU recency stack, with the left-child complement folded into an
+// xor instead of a branch. Position k-1 is the victim; position 0 is the
+// PMRU block.
+func (t *Trees) Position(set uint32, way int) int {
+	word := t.words[set]
+	x, i := 0, uint(0)
+	for n := uint(t.ways + way); n > 1; n >>= 1 {
+		x |= int(word>>(n>>1)^^uint64(n)) & 1 << i
+		i++
+	}
+	return x
+}
+
+// SetPosition implements set_index (Figure 9): rewrite the plru bits on
+// way's path so that way occupies position pos in set's PseudoLRU recency
+// stack. Only log2(k) bits change, but other blocks' positions may change
 // drastically as a side effect — the property that makes PseudoLRU
 // insertion/promotion different from true-LRU IPV moves, and the reason the
-// paper evolves separate vectors for GIPPR.
-func (t *Tree) SetPosition(w, x int) {
-	if x < 0 || x >= int(t.k) {
-		panic(fmt.Sprintf("plrutree: position %d out of range 0..%d", x, t.k-1))
+// paper evolves separate vectors for GIPPR. The range check panics with a
+// constant message so the method stays within the inlining budget of its
+// hot callers.
+func (t *Trees) SetPosition(set uint32, way, pos int) {
+	if uint(pos) >= uint(t.ways) {
+		panic("plrutree: position out of range")
 	}
-	p := t.k + uint32(w)
-	ux := uint32(x)
-	for i := uint32(0); p > 1; i++ {
-		parent := p >> 1
-		b := uint64(ux>>i) & 1
-		if p&1 == 0 { // left child: store complement
-			b ^= 1
-		}
-		t.setBit(parent, b)
-		p = parent
-	}
-}
-
-// Positions returns the positions of all k ways. The result is always a
-// permutation of 0..k-1.
-func (t *Tree) Positions() []int {
-	ps := make([]int, t.k)
-	for w := range ps {
-		ps[w] = t.Position(w)
-	}
-	return ps
-}
-
-// WayAt returns the way currently occupying position x, the inverse of
-// Position. It walks the tree once (O(log k)): at each internal node the
-// child containing position-bit b is chosen by comparing b with the node's
-// plru bit, consuming position bits from most significant (root) to least.
-func (t *Tree) WayAt(x int) int {
-	if x < 0 || x >= int(t.k) {
-		panic(fmt.Sprintf("plrutree: position %d out of range 0..%d", x, t.k-1))
-	}
-	p := uint32(1)
-	for i := int(t.logk) - 1; i >= 0; i-- {
-		b := uint64(x>>uint(i)) & 1
-		// A right child's position bit equals the parent bit; a left
-		// child's is the complement. So to realize bit b we go right when
-		// b == parent bit, left otherwise.
-		if b == t.bit(p) {
-			p = 2*p + 1
-		} else {
-			p = 2 * p
-		}
-	}
-	return int(p - t.k)
-}
-
-// String renders the bits grouped by tree level, for debugging.
-func (t *Tree) String() string {
-	s := ""
-	for level, start := 0, uint32(1); start < t.k; level, start = level+1, start*2 {
-		if level > 0 {
-			s += " "
-		}
-		for n := start; n < start*2; n++ {
-			s += fmt.Sprintf("%d", t.bit(n))
-		}
-	}
-	return s
+	t.words[set] = t.words[set]&^t.mask[way] | t.vals[way*t.ways+pos]
 }

@@ -17,7 +17,6 @@ import (
 	"gippr/internal/cache"
 	"gippr/internal/dueling"
 	"gippr/internal/ipv"
-	"gippr/internal/plrutree"
 	"gippr/internal/trace"
 	"gippr/internal/xrand"
 )
@@ -103,13 +102,13 @@ const bypassSampleInverse = 32
 // inserted anyway so the predictor can recover when a signature's behaviour
 // changes. Note bypass is incompatible with inclusive hierarchies — the
 // same caveat the paper raises for PDP-with-bypass (Section 6.3).
+//
+// Insertion, promotion and the victim are the embedded one-vector GIPPR's,
+// on its trees, with its telemetry events.
 type BypassGIPPR struct {
-	nop
-	vec    ipv.Vector
-	trees  []plrutree.Tree
-	duel   *dueling.Duel
+	*GIPPR
+	duel   *dueling.Duel // picks the bypass mode, not a vector
 	rng    *xrand.RNG
-	ways   int
 	shct   []uint8  // signature reuse counters
 	sig    []uint16 // per-line signature
 	reused []bool   // per-line outcome
@@ -117,43 +116,28 @@ type BypassGIPPR struct {
 
 // NewBypassGIPPR returns the predictor-guided bypass variant of GIPPR.
 func NewBypassGIPPR(sets, ways int, v ipv.Vector) *BypassGIPPR {
-	validateGeometry(sets, ways)
-	if err := v.Validate(); err != nil {
-		panic(err)
-	}
-	if v.K() != ways {
-		panic("policy: BypassGIPPR vector associativity mismatch")
-	}
 	p := &BypassGIPPR{
-		vec:    v.Clone(),
-		trees:  make([]plrutree.Tree, sets),
+		GIPPR:  NewGIPPR(sets, ways, v),
 		duel:   dueling.NewDuel(sets, 2, leadersFor(sets, 2), dueling.CounterBits11),
 		rng:    xrand.New(0xb1fa),
-		ways:   ways,
 		shct:   make([]uint8, shipTableSize),
 		sig:    make([]uint16, sets*ways),
 		reused: make([]bool, sets*ways),
 	}
+	p.name = "GIPPR+bypass"
 	for i := range p.shct {
 		p.shct[i] = 1 // weakly alive: give cold signatures a chance
 	}
-	for i := range p.trees {
-		p.trees[i] = plrutree.New(ways)
-	}
 	return p
 }
-
-// Name implements cache.Policy.
-func (p *BypassGIPPR) Name() string { return "GIPPR+bypass" }
 
 // OnMiss implements cache.Policy.
 func (p *BypassGIPPR) OnMiss(set uint32, _ trace.Record) { p.duel.OnMiss(set) }
 
 // OnHit implements cache.Policy: IPV promotion plus predictor training.
-func (p *BypassGIPPR) OnHit(set uint32, way int, _ trace.Record) {
-	t := &p.trees[set]
-	t.SetPosition(way, p.vec.Promotion(t.Position(way)))
-	idx := int(set)*p.ways + way
+func (p *BypassGIPPR) OnHit(set uint32, way int, r trace.Record) {
+	p.GIPPR.OnHit(set, way, r)
+	idx := int(set)*p.trees.Ways() + way
 	if !p.reused[idx] {
 		p.reused[idx] = true
 		if s := p.sig[idx]; p.shct[s] < shipCounterMax {
@@ -164,7 +148,7 @@ func (p *BypassGIPPR) OnHit(set uint32, way int, _ trace.Record) {
 
 // OnEvict implements cache.Policy: train down dead signatures.
 func (p *BypassGIPPR) OnEvict(set uint32, way int, _ trace.Record) {
-	idx := int(set)*p.ways + way
+	idx := int(set)*p.trees.Ways() + way
 	if !p.reused[idx] {
 		if s := p.sig[idx]; p.shct[s] > 0 {
 			p.shct[s]--
@@ -184,13 +168,10 @@ func (p *BypassGIPPR) ShouldBypass(set uint32, r trace.Record) bool {
 	return !p.rng.OneIn(bypassSampleInverse)
 }
 
-// Victim implements cache.Policy.
-func (p *BypassGIPPR) Victim(set uint32, _ trace.Record) int { return p.trees[set].Victim() }
-
-// OnFill implements cache.Policy.
+// OnFill implements cache.Policy: IPV insertion plus the line's signature.
 func (p *BypassGIPPR) OnFill(set uint32, way int, r trace.Record) {
-	p.trees[set].SetPosition(way, p.vec.Insertion())
-	idx := int(set)*p.ways + way
+	p.GIPPR.OnFill(set, way, r)
+	idx := int(set)*p.trees.Ways() + way
 	p.sig[idx] = shipSignature(r.PC)
 	p.reused[idx] = false
 }
@@ -198,14 +179,16 @@ func (p *BypassGIPPR) OnFill(set uint32, way int, r trace.Record) {
 // OverheadBits implements Overheader: PseudoLRU bits plus per-line
 // signature/outcome state, one duel counter and the predictor table.
 func (p *BypassGIPPR) OverheadBits() (float64, int) {
-	return float64(p.ways-1) + float64((14+1)*p.ways),
+	ways := p.trees.Ways()
+	return float64(ways-1) + float64((14+1)*ways),
 		dueling.CounterBits11 + shipTableSize*2
 }
 
 var (
-	_ cache.Policy   = (*RRIPV)(nil)
-	_ cache.Policy   = (*BypassGIPPR)(nil)
-	_ cache.Bypasser = (*BypassGIPPR)(nil)
-	_ Overheader     = (*RRIPV)(nil)
-	_ Overheader     = (*BypassGIPPR)(nil)
+	_ cache.Policy       = (*RRIPV)(nil)
+	_ cache.Policy       = (*BypassGIPPR)(nil)
+	_ cache.Bypasser     = (*BypassGIPPR)(nil)
+	_ cache.Instrumented = (*BypassGIPPR)(nil)
+	_ Overheader         = (*RRIPV)(nil)
+	_ Overheader         = (*BypassGIPPR)(nil)
 )

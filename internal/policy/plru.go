@@ -21,8 +21,7 @@ import (
 // vector, and the PseudoLRU bits are shared across vectors.
 type GIPPR struct {
 	vectors
-	trees []plrutree.Tree
-	ways  int
+	trees plrutree.Trees
 }
 
 // NewGIPPR returns a GIPPR policy with the given vector.
@@ -69,27 +68,18 @@ func NewDGIPPR4WithDuel(sets, ways int, vecs [4]ipv.Vector, leaders, counterBits
 // the ablation benches reproduce that observation rather than take it on
 // faith.
 func NewDGIPPRN(sets, ways int, vecs []ipv.Vector) *GIPPR {
-	p := &GIPPR{
-		vectors: newVectors("GIPPR", sets, ways, vecs),
-		trees:   make([]plrutree.Tree, sets),
-		ways:    ways,
-	}
-	for i := range p.trees {
-		p.trees[i] = plrutree.New(ways)
-	}
-	return p
+	return &GIPPR{vectors: newVectors("GIPPR", sets, ways, vecs), trees: plrutree.New(sets, ways)}
 }
 
 // OnHit implements cache.Policy: move the block from its PseudoLRU position
 // i to V[i].
 func (p *GIPPR) OnHit(set uint32, way int, _ trace.Record) {
-	t := &p.trees[set]
-	from := t.Position(way)
+	from := p.trees.Position(set, way)
 	to := p.vec(set).Promotion(from)
 	if p.tel != nil {
 		p.tel.Promote(from, to)
 	}
-	t.SetPosition(way, to)
+	p.trees.SetPosition(set, way, to)
 }
 
 // OnFill implements cache.Policy: place the incoming block at V[k].
@@ -98,31 +88,28 @@ func (p *GIPPR) OnFill(set uint32, way int, _ trace.Record) {
 	if p.tel != nil {
 		p.tel.Insert(pos)
 	}
-	p.trees[set].SetPosition(way, pos)
+	p.trees.SetPosition(set, way, pos)
 }
 
 // Victim implements cache.Policy: the PLRU block (position k-1).
-func (p *GIPPR) Victim(set uint32, _ trace.Record) int { return p.trees[set].Victim() }
-
-// Tree exposes one set's tree (for tests and the batched replay kernel's
-// state seeding/write-back).
-func (p *GIPPR) Tree(set uint32) *plrutree.Tree { return &p.trees[set] }
+func (p *GIPPR) Victim(set uint32, _ trace.Record) int { return p.trees.Victim(set) }
 
 // PackedIPV implements batchreplay.Packable: one-vector GIPPR is by
 // definition IPV over tree-PLRU with no further state, so its replays may
-// run through the batched branch-free kernel. A duel's per-miss counter
-// updates are outside the kernel's model, so duelling GIPPR returns false.
-func (p *GIPPR) PackedIPV() ([]int, bool) {
+// run through the batched branch-free kernel, which updates the policy's
+// own trees in place. A duel's per-miss counter updates are outside the
+// kernel's model, so duelling GIPPR returns false.
+func (p *GIPPR) PackedIPV() ([]int, plrutree.Trees, bool) {
 	if p.duel != nil {
-		return nil, false
+		return nil, plrutree.Trees{}, false
 	}
-	return append([]int(nil), p.one...), true
+	return append([]int(nil), p.one...), p.trees, true
 }
 
 // OverheadBits implements Overheader: k-1 bits per set, same as PseudoLRU,
 // plus the duel's counters for the whole cache (33 bits for 4-DGIPPR,
 // Section 3.6).
-func (p *GIPPR) OverheadBits() (float64, int) { return float64(p.ways - 1), p.globalBits() }
+func (p *GIPPR) OverheadBits() (float64, int) { return float64(p.trees.Ways() - 1), p.globalBits() }
 
 var (
 	_ cache.Policy       = (*GIPPR)(nil)

@@ -6,25 +6,27 @@ import (
 
 	"gippr/internal/cache"
 	"gippr/internal/ipv"
-	"gippr/internal/plrutree"
 	"gippr/internal/telemetry"
 	"gippr/internal/trace"
 	"gippr/internal/xrand"
 )
 
 // refPLRU is standard tree PseudoLRU written out on its own (paper Section
-// 3.1), the reference for NewPLRU: Tree.Promote on a hit and on a fill, the
-// tree's victim, and the events of promoting and inserting at position 0.
+// 3.1), the reference for NewPLRU: each set is an array of node bits
+// indexed 1..k-1 in heap order, promote (Figure 6) on a hit and on a fill,
+// find_plru (Figure 5) for the victim, and the events of promoting and
+// inserting at position 0.
 type refPLRU struct {
 	nop
-	trees []plrutree.Tree
+	ways  int
+	nodes [][]int // nodes[set][n] is internal node n's plru bit
 	tel   *telemetry.Sink
 }
 
 func newRefPLRU(sets, ways int) *refPLRU {
-	p := &refPLRU{trees: make([]plrutree.Tree, sets)}
-	for i := range p.trees {
-		p.trees[i] = plrutree.New(ways)
+	p := &refPLRU{ways: ways, nodes: make([][]int, sets)}
+	for i := range p.nodes {
+		p.nodes[i] = make([]int, ways)
 	}
 	return p
 }
@@ -32,27 +34,66 @@ func newRefPLRU(sets, ways int) *refPLRU {
 func (p *refPLRU) Name() string                   { return "ref-plru" }
 func (p *refPLRU) SetTelemetry(s *telemetry.Sink) { p.tel = s }
 
-func (p *refPLRU) OnHit(set uint32, way int, _ trace.Record) {
-	t := &p.trees[set]
-	if p.tel != nil {
-		p.tel.Promote(t.Position(way), 0)
+// promote points every node on way's path away from it.
+func (p *refPLRU) promote(set uint32, way int) {
+	for n := p.ways + way; n > 1; n /= 2 {
+		if n%2 == 0 {
+			p.nodes[set][n/2] = 1
+		} else {
+			p.nodes[set][n/2] = 0
+		}
 	}
-	t.Promote(way)
+}
+
+// position reads way's stack position: a right child contributes its
+// parent's bit, a left child the complement, the root the top bit.
+func (p *refPLRU) position(set uint32, way int) int {
+	x := 0
+	for n, i := p.ways+way, 0; n > 1; n, i = n/2, i+1 {
+		b := p.nodes[set][n/2]
+		if n%2 == 0 {
+			b = 1 - b
+		}
+		x += b << i
+	}
+	return x
+}
+
+// word packs set's node bits in the plrutree.Trees word layout.
+func (p *refPLRU) word(set uint32) uint64 {
+	var w uint64
+	for n := 1; n < p.ways; n++ {
+		w |= uint64(p.nodes[set][n]) << n
+	}
+	return w
+}
+
+func (p *refPLRU) OnHit(set uint32, way int, _ trace.Record) {
+	if p.tel != nil {
+		p.tel.Promote(p.position(set, way), 0)
+	}
+	p.promote(set, way)
 }
 
 func (p *refPLRU) OnFill(set uint32, way int, _ trace.Record) {
 	if p.tel != nil {
 		p.tel.Insert(0)
 	}
-	p.trees[set].Promote(way)
+	p.promote(set, way)
 }
 
-func (p *refPLRU) Victim(set uint32, _ trace.Record) int { return p.trees[set].Victim() }
+func (p *refPLRU) Victim(set uint32, _ trace.Record) int {
+	n := 1
+	for n < p.ways {
+		n = 2*n + p.nodes[set][n]
+	}
+	return n - p.ways
+}
 
 func TestGIPPRWithZeroVectorEqualsPLRU(t *testing.T) {
 	// PLRU is GIPPR under the all-zero vector, so it must be bit-identical
 	// to plain tree PseudoLRU: SetPosition(w, 0) writes exactly the bits
-	// Promote(w) does. Stats, telemetry and final tree bits must match the
+	// promote(w) does. Stats, telemetry and final tree bits must match the
 	// reference at every tree associativity.
 	for _, ways := range []int{2, 4, 8, 16, 32, 64} {
 		cfg := cache.Config{Name: "p", SizeBytes: 8 * ways * 64, Ways: ways, BlockBytes: 64, HitLatency: 1}
@@ -68,7 +109,7 @@ func TestGIPPRWithZeroVectorEqualsPLRU(t *testing.T) {
 			t.Fatalf("ways %d: PLRU telemetry diverged from the reference", ways)
 		}
 		for set := uint32(0); set < uint32(cfg.Sets()); set++ {
-			if plru.Tree(set).Bits() != ref.trees[set].Bits() {
+			if plru.trees.Word(set) != ref.word(set) {
 				t.Fatalf("ways %d: tree bits diverged in set %d", ways, set)
 			}
 		}
@@ -101,10 +142,9 @@ func TestGIPPRInsertionPositionRespected(t *testing.T) {
 	}
 	// Next fill must land at position 13 in the tree.
 	c.Access(trace.Record{Gap: 1, Addr: 99 * 64})
-	tree := p.Tree(0)
 	found := false
 	for w := 0; w < 16; w++ {
-		if tree.Position(w) == 13 {
+		if p.trees.Position(0, w) == 13 {
 			found = true
 		}
 	}
@@ -265,8 +305,7 @@ func TestPLRUVictimNeverJustPromoted(t *testing.T) {
 	}
 	// Structural invariant: in every set the victim's position is k-1.
 	for set := uint32(0); set < uint32(cfg.Sets()); set++ {
-		tr := p.Tree(set)
-		if tr.Position(tr.Victim()) != cfg.Ways-1 {
+		if p.trees.Position(set, p.trees.Victim(set)) != cfg.Ways-1 {
 			t.Fatalf("set %d: victim not at PLRU position", set)
 		}
 	}

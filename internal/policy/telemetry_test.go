@@ -107,7 +107,8 @@ func eightVectors() []ipv.Vector {
 }
 
 // ipvConstructors lists every constructor of an IPV policy (GIPPR or
-// GIPLR) at 16 ways, marking the duelling ones.
+// GIPLR, alone or inside GIPPR+bypass) at 16 ways, marking the ones that
+// duel vectors.
 var ipvConstructors = []struct {
 	name  string
 	new   func(sets, ways int) cache.Policy
@@ -124,6 +125,8 @@ var ipvConstructors = []struct {
 	{"NewMSLRU", func(s, w int) cache.Policy { return NewMSLRU(s, w, 4) }, false},
 	{"NewDGIPLR2", func(s, w int) cache.Policy { return NewDGIPLR2(s, w, ipv.PaperWI2DGIPPR) }, true},
 	{"NewDGIPLR4", func(s, w int) cache.Policy { return NewDGIPLR4(s, w, ipv.PaperWI4DGIPPR) }, true},
+	// GIPPR+bypass duels bypass modes, not vectors, so it casts no votes.
+	{"NewBypassGIPPR", func(s, w int) cache.Policy { return NewBypassGIPPR(s, w, ipv.PaperWIGIPPR) }, false},
 }
 
 // TestIPVPoliciesReportEveryEvent: every IPV policy, duelling or not,
