@@ -87,18 +87,21 @@ staticcheck:
 # equivalence, the one-pass sweep, the explain decomposition, the packed
 # recency stacks against a naive list model, and the tree-PLRU words
 # against a pointer-based tree.
+# Each newly interesting input is minimized for at most 1s: at the default
+# of 60s a worker could spend most of a 10s window minimizing one input and
+# execute almost nothing else.
 # Long campaigns run these by hand with a bigger -fuzztime.
 FUZZTIME ?= 10s
 fuzz:
-	$(GO) test -run=^$$ -fuzz=FuzzReader -fuzztime=$(FUZZTIME) ./internal/trace
-	$(GO) test -run=^$$ -fuzz=FuzzParseVector -fuzztime=$(FUZZTIME) ./internal/ipv
-	$(GO) test -run=^$$ -fuzz=FuzzMultiRunConsistency -fuzztime=$(FUZZTIME) ./internal/cpu
-	$(GO) test -run=^$$ -fuzz=FuzzBatchedReplayConsistency -fuzztime=$(FUZZTIME) ./internal/batchreplay
-	$(GO) test -run=^$$ -fuzz=FuzzSubmitRequest -fuzztime=$(FUZZTIME) ./internal/serve
-	$(GO) test -run=^$$ -fuzz=FuzzOnePassConsistency -fuzztime=$(FUZZTIME) ./internal/stackdist
-	$(GO) test -run=^$$ -fuzz=FuzzExplainDecomposition -fuzztime=$(FUZZTIME) ./internal/explain
-	$(GO) test -run=^$$ -fuzz=FuzzMoveTo -fuzztime=$(FUZZTIME) ./internal/recency
-	$(GO) test -run=^$$ -fuzz=FuzzTrees -fuzztime=$(FUZZTIME) ./internal/plrutree
+	$(GO) test -run=^$$ -fuzz=FuzzReader -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/trace
+	$(GO) test -run=^$$ -fuzz=FuzzParseVector -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/ipv
+	$(GO) test -run=^$$ -fuzz=FuzzMultiRunConsistency -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/cpu
+	$(GO) test -run=^$$ -fuzz=FuzzBatchedReplayConsistency -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/batchreplay
+	$(GO) test -run=^$$ -fuzz=FuzzSubmitRequest -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/serve
+	$(GO) test -run=^$$ -fuzz=FuzzOnePassConsistency -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/stackdist
+	$(GO) test -run=^$$ -fuzz=FuzzExplainDecomposition -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/explain
+	$(GO) test -run=^$$ -fuzz=FuzzMoveTo -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/recency
+	$(GO) test -run=^$$ -fuzz=FuzzTrees -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/plrutree
 
 check: race cover bench fuzz staticcheck serve-smoke
 

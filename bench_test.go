@@ -588,6 +588,30 @@ func BenchmarkHierarchyAccess(b *testing.B) {
 	}
 }
 
+// BenchmarkCapture measures the capture walk Lab.Streams runs per phase:
+// fresh LRU L1 and L2 and cache.CaptureLLC over one generated phase of
+// mcf_like, at GIPPR_SCALE's phase length. Generation is outside the timed
+// region. Metrics: ns per reference pushed in, and the share of references
+// that reach the LLC.
+func BenchmarkCapture(b *testing.B) {
+	w, err := workload.ByName("mcf_like")
+	if err != nil {
+		b.Fatal(err)
+	}
+	recs := w.Phases[0].Records(1, experiments.ScaleFromEnv().PhaseRecords)
+	lru := func(cfg cache.Config) *cache.Cache {
+		return cache.New(cfg, policy.NewTrueLRU(cfg.Sets(), cfg.Ways))
+	}
+	var llc []trace.Record
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		llc = cache.CaptureLLC(trace.NewSliceSource(recs), lru(cache.L1Config), lru(cache.L2Config), len(recs))
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(recs)), "ns/ref")
+	b.ReportMetric(float64(len(llc))/float64(len(recs)), "llc/ref")
+}
+
 func BenchmarkWorkloadGeneration(b *testing.B) {
 	b.ReportAllocs()
 	w, err := workload.ByName("mcf_like")

@@ -156,30 +156,28 @@ func cmdLLC(ctx context.Context, args []string) {
 		fatal(err)
 	}
 	defer closeIn()
-	h := cache.NewHierarchy(
-		cache.New(cache.L1Config, policy.NewTrueLRU(cache.L1Config.Sets(), cache.L1Config.Ways)),
-		cache.New(cache.L2Config, policy.NewTrueLRU(cache.L2Config.Sets(), cache.L2Config.Ways)),
-		cache.New(cache.L3Config, policy.NewTrueLRU(cache.L3Config.Sets(), cache.L3Config.Ways)),
-	)
-	h.RecordLLC = true
-	// The hierarchy replay consumes the source record by record, so the
-	// context poll rides inside the source instead of the (uncancellable)
-	// Run call; on interrupt the replay sees end-of-trace and we exit
-	// before writing any output.
+	lru := func(cfg cache.Config) *cache.Cache {
+		return cache.New(cfg, policy.NewTrueLRU(cfg.Sets(), cfg.Ways))
+	}
+	// The capture consumes the source record by record, so the context
+	// poll rides inside the source instead of the (uncancellable) capture
+	// call; on interrupt the capture sees end-of-trace and we exit before
+	// writing any output.
 	src := &ctxSource{ctx: ctx, src: tr}
-	n := h.Run(src)
+	llc := cache.CaptureLLC(src, lru(cache.L1Config), lru(cache.L2Config), 0)
 	if src.stopped {
 		cancelled(ctx, "")
 	}
-	if err := trace.WriteFile(*out, h.LLCStream); err != nil {
+	if err := trace.WriteFile(*out, llc); err != nil {
 		fatal(err)
 	}
 	fmt.Printf("read %d references; %d reached the LLC (%.1f%%)\n",
-		n, len(h.LLCStream), 100*float64(len(h.LLCStream))/float64(n))
+		src.n, len(llc), 100*float64(len(llc))/float64(src.n))
 }
 
 // ctxSource wraps a trace source with a periodic context poll; on
-// cancellation it reports end-of-trace and records that it did so.
+// cancellation it reports end-of-trace and records that it did so. n counts
+// the records it has passed on.
 type ctxSource struct {
 	ctx     context.Context
 	src     trace.Source
@@ -195,8 +193,11 @@ func (s *ctxSource) Next() (trace.Record, bool) {
 		}
 		prog.Add(uint64(s.n) - prog.Done()) // batch the gauge off the hot loop
 	}
-	s.n++
-	return s.src.Next()
+	r, ok := s.src.Next()
+	if ok {
+		s.n++
+	}
+	return r, ok
 }
 
 func cmdInfo(ctx context.Context, args []string) {

@@ -3,15 +3,17 @@
 // (cache.Replay, behind cache.ReplayStream, cpu.MultiWindowReplay and the
 // one-pass sweep's tree-PLRU points) runs on it when it can.
 //
-// The scalar replay path models one record at a time: Cache.Access scans a
-// set's line structs with a short-circuiting compare loop, then calls the
-// policy through the cache.Policy interface for the hit, the victim and the
-// fill. That is the right shape for the general Policy interface — dueling
+// The scalar replay path models one record at a time: Cache.Access keeps
+// this kernel's tag store (a flat tag array and per-set valid and dirty bit
+// words) but compares a set's tags one way at a time, then calls the policy
+// through the cache.Policy interface for the hit, the victim and the fill.
+// That is the right shape for the general Policy interface — dueling
 // policies read PSEL counters, PDP consults a reuse predictor — but for the
 // two policies every grid, GA fitness call and served job spends most of its
 // time in (PLRU and single-vector GIPPR), the whole per-record transition is
 // a pure function of (tag array, valid bits, one plru state word, the IPV).
-// This package exploits that:
+// This package exploits that, and keeps two things the scalar cache does
+// not have, the signature probe filter and the inlined policy step:
 //
 //   - records are decoded in fixed-size blocks (BlockSize): block numbers
 //     and set indices are computed up front into flat arrays, separating the

@@ -15,11 +15,13 @@
 // the LLC, which is what the paper measures.
 //
 // Because the L1 and L2 policies are fixed, the access stream reaching the
-// LLC is independent of the LLC's own replacement policy. The hierarchy can
-// therefore record the LLC-visible stream once (RecordLLC), and searches
-// such as the genetic algorithm replay it into an LLC-only model with
-// ReplayStream — exactly the paper's Valgrind-trace methodology
-// (Section 4.3), and orders of magnitude faster than re-simulating L1/L2.
+// LLC is independent of the LLC's own replacement policy. CaptureLLC
+// therefore records the LLC-visible stream once, walking L1 and L2 alone
+// (a Hierarchy with RecordLLC set records the same stream during a full
+// simulation), and searches such as the genetic algorithm replay it into an
+// LLC-only model with ReplayStream — exactly the paper's Valgrind-trace
+// methodology (Section 4.3), and orders of magnitude faster than
+// re-simulating L1/L2.
 package cache
 
 import (
@@ -258,24 +260,31 @@ func (s Stats) HitRate() float64 {
 	return float64(s.Hits) / float64(s.Accesses)
 }
 
-type line struct {
-	block uint64 // full block number (addr >> blockShift); tag+index in one
-	valid bool
-	dirty bool
-}
-
-// Cache is one level of set-associative cache.
+// Cache is one level of set-associative cache. Its tag store has the
+// layout of the batched kernel (package batchreplay): one flat array of
+// block numbers and, per set, way-indexed valid and dirty bit words, so the
+// hit probe compares tags alone and reads a valid bit only on a match.
 type Cache struct {
 	cfg        Config
 	sets       int
 	ways       int
+	words      int // valid and dirty words per set: ways/64 rounded up
 	setMask    uint64
 	blockShift uint
-	lines      []line // flattened [set*ways + way]
-	sampled    []bool // nil at full fidelity; else per-set in-sample flags
-	pol        Policy
-	Stats      Stats
-	tel        *telemetry.Sink // nil when telemetry is disabled
+	// tags holds the full block number (addr >> blockShift, tag and index
+	// in one) at [set*ways+way]. A way's tag means something only while its
+	// valid bit is set.
+	tags []uint64
+	// valid and dirty hold way w of set s at bit w%64 of word
+	// [s*words+w/64]. The valid bits past ways in a set's last word stay
+	// set, so the inverted word's lowest set bit is the first invalid way.
+	valid   []uint64
+	dirty   []uint64
+	sampled []bool // nil at full fidelity; else per-set in-sample flags
+	pol     Policy
+	bypass  Bypasser // pol as a Bypasser; nil when it cannot bypass
+	Stats   Stats
+	tel     *telemetry.Sink // nil when telemetry is disabled
 
 	// OnEviction, if set, is called with the byte address of every valid
 	// block this cache evicts. Hierarchies use it to implement inclusion
@@ -286,14 +295,24 @@ type Cache struct {
 // New returns a cache with the given geometry and replacement policy.
 func New(cfg Config, pol Policy) *Cache {
 	sets := cfg.Sets()
+	words := (cfg.Ways + 63) / 64
 	c := &Cache{
 		cfg:        cfg,
 		sets:       sets,
 		ways:       cfg.Ways,
+		words:      words,
 		setMask:    uint64(sets - 1),
 		blockShift: uint(bits.TrailingZeros(uint(cfg.BlockBytes))),
-		lines:      make([]line, sets*cfg.Ways),
+		tags:       make([]uint64, sets*cfg.Ways),
+		valid:      make([]uint64, sets*words),
+		dirty:      make([]uint64, sets*words),
 		pol:        pol,
+	}
+	c.bypass, _ = pol.(Bypasser)
+	if tail := cfg.Ways % 64; tail != 0 {
+		for set := 0; set < sets; set++ {
+			c.valid[set*words+words-1] = ^uint64(0) << tail
+		}
 	}
 	if cfg.SampleShift > 0 {
 		c.sampled = make([]bool, sets)
@@ -320,7 +339,7 @@ func (c *Cache) Policy() Policy { return c.pol }
 // promotion positions, dueling votes) accumulate together. With no sink
 // attached, the Access hot path pays exactly one nil check per event site.
 func (c *Cache) SetTelemetry(s *telemetry.Sink) {
-	s.Attach(len(c.lines))
+	s.Attach(len(c.tags))
 	c.tel = s
 	if ins, ok := c.pol.(Instrumented); ok {
 		ins.SetTelemetry(s)
@@ -353,19 +372,17 @@ func (c *Cache) Access(r trace.Record) bool {
 		c.Stats.Writes++
 	}
 	base := int(set) * c.ways
-	ls := c.lines[base : base+c.ways]
-	for w := range ls {
-		if ls[w].valid && ls[w].block == block {
-			c.Stats.Hits++
-			if r.Write {
-				ls[w].dirty = true
-			}
-			if c.tel != nil {
-				c.tel.Hit(base + w)
-			}
-			c.pol.OnHit(set, w, r)
-			return true
+	vbase := int(set) * c.words
+	if w := c.find(block, base, vbase); w >= 0 {
+		c.Stats.Hits++
+		if r.Write {
+			c.dirty[vbase+w>>6] |= 1 << (w & 63)
 		}
+		if c.tel != nil {
+			c.tel.Hit(base + w)
+		}
+		c.pol.OnHit(set, w, r)
+		return true
 	}
 	c.Stats.Misses++
 	if c.tel != nil {
@@ -373,14 +390,14 @@ func (c *Cache) Access(r trace.Record) bool {
 	}
 	c.pol.OnMiss(set, r)
 	w := -1
-	for i := range ls {
-		if !ls[i].valid {
-			w = i
+	for j := 0; j < c.words; j++ {
+		if invalid := ^c.valid[vbase+j]; invalid != 0 {
+			w = j<<6 + bits.TrailingZeros64(invalid)
 			break
 		}
 	}
 	if w < 0 {
-		if bp, ok := c.pol.(Bypasser); ok && bp.ShouldBypass(set, r) {
+		if c.bypass != nil && c.bypass.ShouldBypass(set, r) {
 			c.tel.Bypass() // nil-safe; off the common path
 			return false
 		}
@@ -389,23 +406,44 @@ func (c *Cache) Access(r trace.Record) bool {
 			panic(fmt.Sprintf("cache: %s: policy %s chose invalid victim way %d", c.cfg.Name, c.pol.Name(), w))
 		}
 		c.Stats.Evictions++
-		if ls[w].dirty {
+		dirty := c.dirty[vbase+w>>6]>>(w&63)&1 == 1
+		if dirty {
 			c.Stats.Writebacks++
 		}
 		if c.tel != nil {
-			c.tel.Evict(base+w, ls[w].dirty)
+			c.tel.Evict(base+w, dirty)
 		}
 		c.pol.OnEvict(set, w, r)
 		if c.OnEviction != nil {
-			c.OnEviction(ls[w].block << c.blockShift)
+			c.OnEviction(c.tags[base+w] << c.blockShift)
 		}
 	}
-	ls[w] = line{block: block, valid: true, dirty: r.Write}
+	c.tags[base+w] = block
+	bit := uint64(1) << (w & 63)
+	c.valid[vbase+w>>6] |= bit
+	if r.Write {
+		c.dirty[vbase+w>>6] |= bit
+	} else {
+		c.dirty[vbase+w>>6] &^= bit
+	}
 	if c.tel != nil {
 		c.tel.Fill(base + w)
 	}
 	c.pol.OnFill(set, w, r)
 	return false
+}
+
+// find returns the way of the set at tag offset base and valid-word offset
+// vbase that holds block, or -1. Tags are compared first; an invalidated
+// way may keep a stale copy of the tag, so a match counts only when the
+// way's valid bit is set.
+func (c *Cache) find(block uint64, base, vbase int) int {
+	for w, t := range c.tags[base : base+c.ways] {
+		if t == block && c.valid[vbase+w>>6]>>(w&63)&1 == 1 {
+			return w
+		}
+	}
+	return -1
 }
 
 // Invalidate removes the block holding addr if present, returning whether
@@ -414,29 +452,22 @@ func (c *Cache) Access(r trace.Record) bool {
 // and will be preferred for the next fill.
 func (c *Cache) Invalidate(addr uint64) bool {
 	block := c.Block(addr)
-	set := uint32(block & c.setMask)
-	base := int(set) * c.ways
-	for w := 0; w < c.ways; w++ {
-		if c.lines[base+w].valid && c.lines[base+w].block == block {
-			c.lines[base+w].valid = false
-			return true
-		}
+	set := int(block & c.setMask)
+	vbase := set * c.words
+	w := c.find(block, set*c.ways, vbase)
+	if w < 0 {
+		return false
 	}
-	return false
+	c.valid[vbase+w>>6] &^= 1 << (w & 63)
+	return true
 }
 
 // Contains reports whether the block holding addr is present (no state
 // change; for tests).
 func (c *Cache) Contains(addr uint64) bool {
 	block := c.Block(addr)
-	set := uint32(block & c.setMask)
-	base := int(set) * c.ways
-	for w := 0; w < c.ways; w++ {
-		if c.lines[base+w].valid && c.lines[base+w].block == block {
-			return true
-		}
-	}
-	return false
+	set := int(block & c.setMask)
+	return c.find(block, set*c.ways, set*c.words) >= 0
 }
 
 // ResetStats zeroes the counters and any attached telemetry (e.g. after

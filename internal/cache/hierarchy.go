@@ -65,6 +65,8 @@ func NewHierarchy(l1, l2, l3 *Cache) *Hierarchy {
 // Callers that keep the stream long-term may copy it down to its final
 // length: the budget is an upper bound, though a close one for most
 // workloads (at default scale 72% of the suite's references reach the LLC).
+// A capture that needs only the stream is cheaper through CaptureLLC, which
+// reserves the same way and models no L3.
 func (h *Hierarchy) ReserveLLC(n int) {
 	if n > 0 && cap(h.LLCStream)-len(h.LLCStream) < n {
 		grown := make([]trace.Record, len(h.LLCStream), len(h.LLCStream)+n)
@@ -109,11 +111,7 @@ func (h *Hierarchy) Access(r trace.Record) Level {
 	}
 	if h.RecordLLC {
 		cr := r
-		g := h.gapSinceLLC
-		if g > 1<<31 {
-			g = 1 << 31
-		}
-		cr.Gap = uint32(g)
+		cr.Gap = llcGap(h.gapSinceLLC)
 		h.LLCStream = append(h.LLCStream, cr)
 	}
 	h.gapSinceLLC = 0
@@ -121,6 +119,44 @@ func (h *Hierarchy) Access(r trace.Record) Level {
 		return LevelL3
 	}
 	return LevelMemory
+}
+
+// llcGap converts the instructions since the previous LLC reference into an
+// LLC record's Gap, clamped to 2^31 so it fits the field.
+func llcGap(g uint64) uint32 {
+	return uint32(min(g, 1<<31))
+}
+
+// CaptureLLC returns the stream of src's references that reach the last
+// level: each reference goes to l1, and on an l1 miss to l2, and the
+// references that miss both are returned in order. Each record's Gap holds
+// the instructions since the previous returned record, clamped to 2^31. It
+// returns exactly the LLCStream a Hierarchy over l1 and l2 with RecordLLC
+// set would capture, without modelling an L3: a record enters the stream
+// before any L3 lookup, and a non-inclusive L3 never reaches back into L1
+// or L2, so nothing the L3 does can change the stream. budget reserves
+// room for that many records up front (as ReserveLLC does); the stream can
+// never outgrow the references pushed in, so src's record count removes
+// every regrowth copy. A budget below 1 reserves nothing.
+func CaptureLLC(src trace.Source, l1, l2 *Cache, budget int) []trace.Record {
+	var out []trace.Record
+	if budget > 0 {
+		out = make([]trace.Record, 0, budget)
+	}
+	var gap uint64
+	for {
+		r, ok := src.Next()
+		if !ok {
+			return out
+		}
+		gap += uint64(r.Gap)
+		if l1.Access(r) || l2.Access(r) {
+			continue
+		}
+		r.Gap = llcGap(gap)
+		out = append(out, r)
+		gap = 0
+	}
 }
 
 // Latency returns the access latency in cycles for a reference satisfied at

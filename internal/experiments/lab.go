@@ -65,9 +65,8 @@ type Lab struct {
 
 	suite []workload.Workload
 	// streams maps a workload to its LLC stream per phase. WithSampling
-	// views share it by pointer: capture is independent of both the LLC
-	// replacement policy (records are captured before the L3 lookup) and set
-	// sampling (capture always runs at full fidelity).
+	// views share it by pointer: the capture models only L1 and L2, so it
+	// depends on neither the LLC's replacement policy nor its set sampling.
 	streams *memo[[]ga.Stream]
 	results memo[phaseResult]      // key: policyKey|workload|phase
 	optimal memo[phaseResult]      // key: workload|phase
@@ -159,28 +158,20 @@ func (l *Lab) Streams(w workload.Workload) []ga.Stream {
 	return l.streams.get(w.Name, func() []ga.Stream { return l.buildStreams(w) })
 }
 
-// buildStreams is the expensive hierarchy replay behind Streams, run exactly
+// buildStreams is the expensive L1/L2 capture behind Streams, run exactly
 // once per workload.
 func (l *Lab) buildStreams(w workload.Workload) []ga.Stream {
-	// Capture always runs at full fidelity: records reach the stream before
-	// the L3 lookup, so a sampled L3 here would change nothing about the
-	// stream while making the capture hierarchy's stats misleading.
-	llcCfg := l.Cfg
-	llcCfg.SampleShift = 0
+	// The capture has no L3: the stream is what misses L1 and L2, so the
+	// LLC under study (its policy and its sampling) cannot change it.
+	lru := func(cfg cache.Config) *cache.Cache {
+		return cache.New(cfg, policy.NewTrueLRU(cfg.Sets(), cfg.Ways))
+	}
 	out := make([]ga.Stream, 0, len(w.Phases))
 	for pi, ph := range w.Phases {
-		h := cache.NewHierarchy(
-			cache.New(cache.L1Config, policy.NewTrueLRU(cache.L1Config.Sets(), cache.L1Config.Ways)),
-			cache.New(cache.L2Config, policy.NewTrueLRU(cache.L2Config.Sets(), cache.L2Config.Ways)),
-			cache.New(llcCfg, policy.NewTrueLRU(llcCfg.Sets(), llcCfg.Ways)),
-		)
-		h.RecordLLC = true
+		src := &workload.Limit{Src: ph.Source(phaseSeed(w.Name, pi)), N: uint64(l.Scale.PhaseRecords)}
 		// The LLC stream is bounded by the source's record budget; reserving
 		// it up front removes every regrowth copy from the capture loop.
-		h.ReserveLLC(l.Scale.PhaseRecords)
-		src := &workload.Limit{Src: ph.Source(phaseSeed(w.Name, pi)), N: uint64(l.Scale.PhaseRecords)}
-		h.Run(src)
-		recs := h.LLCStream
+		recs := cache.CaptureLLC(src, lru(cache.L1Config), lru(cache.L2Config), l.Scale.PhaseRecords)
 		// The budget is an upper bound. L1/L2 filter out only some
 		// references (at default scale 72% of the suite's reach the LLC,
 		// 95% on the benchmark's probe workloads), so the copy below runs

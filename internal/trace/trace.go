@@ -17,17 +17,20 @@ import (
 	"io"
 )
 
-// Record is one memory reference in a trace.
+// Record is one memory reference in a trace. The fields are ordered widest
+// first so the struct packs into 24 bytes with no interior padding: streams
+// of millions of records are the simulator's largest resident data, and
+// every replay walks them.
 type Record struct {
-	// Gap is the number of instructions executed since the previous record,
-	// inclusive of this memory instruction; it is always >= 1 and is used
-	// by the CPU timing models to account for non-memory work.
-	Gap uint32
 	// PC is the address of the memory instruction (used by PC-indexed
 	// policies such as SHiP).
 	PC uint64
 	// Addr is the byte address of the data reference.
 	Addr uint64
+	// Gap is the number of instructions executed since the previous record,
+	// inclusive of this memory instruction; it is always >= 1 and is used
+	// by the CPU timing models to account for non-memory work.
+	Gap uint32
 	// Write is true for stores.
 	Write bool
 	// Core identifies the requesting core in multi-core simulations

@@ -6,7 +6,17 @@ import (
 	"io"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
+
+// TestRecordSize pins the record layout: streams of millions of records are
+// the largest resident data, so a field that re-pads the struct past 24
+// bytes must fail here rather than quietly grow every stream by a third.
+func TestRecordSize(t *testing.T) {
+	if got := unsafe.Sizeof(Record{}); got != 24 {
+		t.Fatalf("unsafe.Sizeof(Record{}) = %d bytes, want 24", got)
+	}
+}
 
 func sampleRecords() []Record {
 	return []Record{
