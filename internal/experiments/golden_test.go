@@ -18,20 +18,23 @@ import (
 //	go test ./internal/experiments -run TestGolden -update
 //
 // Each golden test owns one section of the file ("grid" for the policy
-// roster, "lattice" for the one-pass sweep) and rewrites only its own, so a
-// partial -update run never discards the other section's fingerprints.
+// roster's MPKI, "lattice" for the one-pass sweep, "cpi" for the roster's
+// window-model CPI) and rewrites only its own, so a partial -update run
+// never discards the other sections' fingerprints.
 // Review the diff before committing — any change means the simulation is no
 // longer bit-compatible with the checked-in fingerprints.
-var updateGolden = flag.Bool("update", false, "rewrite testdata/golden_mpki.json with current MPKI values")
+var updateGolden = flag.Bool("update", false, "rewrite testdata/golden_mpki.json with current MPKI and CPI values")
 
 const goldenPath = "testdata/golden_mpki.json"
 
 // goldenFile is the fingerprint document: grid is workload -> policy key ->
 // MPKI for the roster policies at the paper LLC; lattice is workload ->
-// lattice point label -> MPKI for the one-pass geometry sweep.
+// lattice point label -> MPKI for the one-pass geometry sweep; cpi is
+// workload -> policy key -> window-model CPI for the same roster.
 type goldenFile struct {
 	Grid    map[string]map[string]string `json:"grid"`
 	Lattice map[string]map[string]string `json:"lattice"`
+	CPI     map[string]map[string]string `json:"cpi"`
 }
 
 // loadGoldenFile reads the checked-in fingerprint document; missing files
@@ -89,7 +92,7 @@ func compareGoldenSection(t *testing.T, section string, got, want map[string]map
 			if wv, ok := wantRow[key]; !ok {
 				t.Errorf("%s: %s/%s missing from golden file (regenerate with -update?)", section, wl, key)
 			} else if v != wv {
-				t.Errorf("%s: %s/%s: MPKI %s, golden %s", section, wl, key, v, wv)
+				t.Errorf("%s: %s/%s: computed %s, golden %s", section, wl, key, v, wv)
 			}
 		}
 	}
@@ -105,7 +108,7 @@ func goldenSpecs() []Spec {
 	}
 }
 
-// goldenKey formats an MPKI for exact comparison. 'g'/17 round-trips every
+// goldenKey formats an MPKI or CPI for exact comparison. 'g'/17 round-trips every
 // float64 bit pattern, so two runs match iff their doubles are identical.
 func goldenKey(v float64) string { return strconv.FormatFloat(v, 'g', 17, 64) }
 
@@ -148,6 +151,35 @@ func TestGoldenMPKI(t *testing.T) {
 	}
 
 	compareGoldenSection(t, "grid", got, loadGolden(t))
+}
+
+// TestGoldenCPI pins the smoke-scale window-model CPI of every roster policy
+// on every workload, exactly, the way TestGoldenMPKI pins MPKI. MPKI alone
+// cannot see the timing model: a change to the window model's dispatch,
+// retirement or DRAM serialization moves these values and no MPKI. It
+// shares the -update flow but rewrites only the cpi section.
+func TestGoldenCPI(t *testing.T) {
+	lab := NewLab(Smoke).SetWorkers(1)
+	specs := goldenSpecs()
+
+	got := map[string]map[string]string{}
+	for _, w := range lab.Suite() {
+		row := map[string]string{}
+		for _, spec := range specs {
+			row[spec.Key] = goldenKey(lab.CPI(spec, w))
+		}
+		got[w.Name] = row
+	}
+
+	if *updateGolden {
+		g := loadGoldenFile(t)
+		g.CPI = got
+		saveGoldenFile(t, g)
+		t.Logf("rewrote %s cpi section: %d workloads x %d policies", goldenPath, len(got), len(specs))
+		return
+	}
+
+	compareGoldenSection(t, "cpi", got, loadGoldenFile(t).CPI)
 }
 
 // goldenLatticeSpec is the fingerprinted one-pass lattice: the paper LLC's
