@@ -44,12 +44,13 @@ bench:
 # policy (the LRU baseline of every figure and the L1/L2 capture), the
 # tree-PLRU words behind every GIPPR policy and the kernel, the
 # replacement policies, the set duel that picks the vector or mode in
-# every follower set of DGIPPR, DGIPLR, DIP, DRRIP and GIPPR+bypass, and
-# the cache with its engine choice and replay walk each carry
-# PKG_COVER_MIN on top — they are the exactness anchors of the sweep,
-# replay, why-report, LRU, PLRU and policy paths, so their differential
-# batteries must keep covering them. Raise the floors when coverage
-# durably improves; never lower them to make a PR pass.
+# every follower set of DGIPPR, DGIPLR, DIP, DRRIP and GIPPR+bypass, the
+# cache with its engine choice and replay walk, and the window timing
+# model behind every CPI each carry PKG_COVER_MIN on top — they are the
+# exactness anchors of the sweep, replay, why-report, LRU, PLRU, policy
+# and timing paths, so their differential batteries must keep covering
+# them. Raise the floors when coverage durably improves; never lower them
+# to make a PR pass.
 COVER_MIN ?= 75.0
 PKG_COVER_MIN ?= 85.0
 COVERPROFILE ?= cover.out
@@ -60,7 +61,7 @@ cover: vet
 	awk -v t=$$total -v min=$(COVER_MIN) 'BEGIN { \
 		if (t+0 < min+0) { printf "coverage %.1f%% is below the %.1f%% gate\n", t, min; exit 1 } \
 		printf "coverage %.1f%% meets the %.1f%% gate\n", t, min }'
-	@for pkg in internal/stackdist internal/batchreplay internal/explain internal/recency internal/plrutree internal/policy internal/dueling internal/cache; do \
+	@for pkg in internal/stackdist internal/batchreplay internal/explain internal/recency internal/plrutree internal/policy internal/dueling internal/cache internal/cpu; do \
 		pct=$$($(GO) test -short -count=1 -cover ./$$pkg | awk '{ for (i=1;i<=NF;i++) if ($$i ~ /%/) { gsub("%","",$$i); print $$i } }'); \
 		awk -v p=$$pkg -v t=$$pct -v min=$(PKG_COVER_MIN) 'BEGIN { \
 			if (t+0 < min+0) { printf "%s coverage %.1f%% is below the %.1f%% gate\n", p, t, min; exit 1 } \
@@ -85,8 +86,9 @@ staticcheck:
 # (binary trace reader, IPV parser, job submissions), the single-pass
 # multi-model replay kernel, the batched branch-free replay kernel's scalar
 # equivalence, the one-pass sweep, the explain decomposition, the packed
-# recency stacks against a naive list model, and the tree-PLRU words
-# against a pointer-based tree.
+# recency stacks against a naive list model, the tree-PLRU words against a
+# pointer-based tree, and the integer-tick window model against its
+# float64 reference.
 # Each newly interesting input is minimized for at most 1s: at the default
 # of 60s a worker could spend most of a 10s window minimizing one input and
 # execute almost nothing else.
@@ -102,6 +104,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzExplainDecomposition -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/explain
 	$(GO) test -run=^$$ -fuzz=FuzzMoveTo -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/recency
 	$(GO) test -run=^$$ -fuzz=FuzzTrees -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/plrutree
+	$(GO) test -run=^$$ -fuzz=FuzzWindowModel -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/cpu
 
 check: race cover bench fuzz staticcheck serve-smoke
 

@@ -562,16 +562,58 @@ func BenchmarkBeladyOptimal(b *testing.B) {
 	reportPerRecord(b, len(stream))
 }
 
+// mcfPhase returns one generated phase of mcf_like at GIPPR_SCALE's phase
+// length, and a function that captures its LLC stream through fresh LRU L1
+// and L2 caches, as Lab.Streams does.
+func mcfPhase(b *testing.B) ([]trace.Record, func() []trace.Record) {
+	w, err := workload.ByName("mcf_like")
+	if err != nil {
+		b.Fatal(err)
+	}
+	recs := w.Phases[0].Records(1, experiments.ScaleFromEnv().PhaseRecords)
+	lru := func(cfg cache.Config) *cache.Cache {
+		return cache.New(cfg, policy.NewTrueLRU(cfg.Sets(), cfg.Ways))
+	}
+	return recs, func() []trace.Record {
+		return cache.CaptureLLC(trace.NewSliceSource(recs), lru(cache.L1Config), lru(cache.L2Config), len(recs))
+	}
+}
+
+// BenchmarkWindowModel measures the window model alone on the records of a
+// real LLC stream: one captured phase of mcf_like at GIPPR_SCALE's phase
+// length, with the hit bits one-vector GIPPR gives it. The capture and the
+// replay that finds the hit bits run before the timer; the timed loop
+// steps a hit with Step and a miss with StepMiss, so its cost follows the
+// stream's mix of gaps and misses. Metric: ns per LLC record.
 func BenchmarkWindowModel(b *testing.B) {
-	b.ReportAllocs()
-	m := cpu.DefaultWindowModel()
-	for i := 0; i < b.N; i++ {
-		if i%7 == 0 {
-			m.StepMiss(5, 230)
-		} else {
-			m.Step(5, 30)
+	_, capture := mcfPhase(b)
+	llc := capture()
+	cfg := cache.L3Config
+	e := cache.NewEngine(cfg, policy.NewGIPPR(cfg.Sets(), cfg.Ways, ipv.PaperWIGIPPR), nil)
+	hit := make([]bool, len(llc))
+	var hits batchreplay.HitBits
+	for off := 0; off < len(llc); off += batchreplay.BlockSize {
+		blk := llc[off:min(off+batchreplay.BlockSize, len(llc))]
+		e.AccessBlock(blk, &hits)
+		for j := range blk {
+			hit[off+j] = hits.Bit(j)
 		}
 	}
+	hitLat, missLat := cfg.HitLatency, cfg.HitLatency+cache.DRAMLatency
+	m := cpu.DefaultWindowModel()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.Reset()
+		for j, r := range llc {
+			if hit[j] {
+				m.Step(r.Gap, hitLat)
+			} else {
+				m.StepMiss(r.Gap, missLat)
+			}
+		}
+	}
+	reportPerRecord(b, len(llc))
 }
 
 func BenchmarkHierarchyAccess(b *testing.B) {
@@ -594,19 +636,12 @@ func BenchmarkHierarchyAccess(b *testing.B) {
 // region. Metrics: ns per reference pushed in, and the share of references
 // that reach the LLC.
 func BenchmarkCapture(b *testing.B) {
-	w, err := workload.ByName("mcf_like")
-	if err != nil {
-		b.Fatal(err)
-	}
-	recs := w.Phases[0].Records(1, experiments.ScaleFromEnv().PhaseRecords)
-	lru := func(cfg cache.Config) *cache.Cache {
-		return cache.New(cfg, policy.NewTrueLRU(cfg.Sets(), cfg.Ways))
-	}
+	recs, capture := mcfPhase(b)
 	var llc []trace.Record
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		llc = cache.CaptureLLC(trace.NewSliceSource(recs), lru(cache.L1Config), lru(cache.L2Config), len(recs))
+		llc = capture()
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(recs)), "ns/ref")
 	b.ReportMetric(float64(len(llc))/float64(len(recs)), "llc/ref")

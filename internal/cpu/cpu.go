@@ -10,6 +10,9 @@
 //     limited by issue width and by in-order retirement of the instruction
 //     window, so independent long-latency misses that fall within a window
 //     overlap naturally (MLP), and DRAM-latency misses stall the window.
+//     It keeps exact time in integer ticks of 1/width cycle (a quarter
+//     cycle on the paper's core), and a replay steps it once per block of
+//     LLC records.
 //
 // Neither model is cycle-accurate; the paper's CMP$im is itself "accurate to
 // within 4% of a detailed cycle-accurate simulator", and what the
@@ -18,6 +21,7 @@
 package cpu
 
 import (
+	"gippr/internal/batchreplay"
 	"gippr/internal/cache"
 	"gippr/internal/trace"
 )
@@ -77,42 +81,43 @@ func (m LinearModel) SampledCPI(rs cache.ReplayStats, factor float64) float64 {
 // retirement time. Misses whose dispatch times fall within a window overlap,
 // which is exactly the MLP effect the paper's linear fitness function
 // cannot see (Section 4.3).
+//
+// Time is kept in integer ticks of 1/width cycle: a dispatch slot is one
+// tick, and every latency and the DRAM interval are whole numbers of
+// ticks. Each instruction is then a short chain of integer maxima, which
+// compile to conditional moves instead of data-dependent branches. At a
+// power-of-two width, such as the paper's 4, Cycles is bit-identical to
+// a float64 model that adds 1/width cycle per dispatch: every value that
+// model computes is a multiple of 1/width, and below 2^50 cycles (some
+// 2^40 instructions into a stream) float64 adds such multiples exactly, so
+// its sums equal the tick sums divided by width. At any other width the
+// ticks are exact where float64 would round.
 type WindowModel struct {
-	width      float64
-	robSize    int
-	retire     []float64
-	head       int
-	prevRetire float64
-	clock      float64
+	width      int64   // ticks per cycle
+	retire     []int64 // retirement tick of each in-window instruction (a ring)
+	head       int     // ring slot of the oldest in-window instruction
+	prevRetire int64   // retirement tick of the youngest instruction
+	clock      int64   // earliest dispatch tick of the next instruction
+	memReady   int64   // earliest tick the DRAM channel takes the next miss
 	instrs     uint64
-
-	// MemInterval is the minimum number of cycles between successive DRAM
-	// fills (the bandwidth/MSHR limit). Without it, an in-order-retire
-	// window with unlimited memory concurrency makes CPI insensitive to
-	// miss counts once misses are denser than one per window — every
-	// window refill costs one DRAM latency regardless of how many misses
-	// it contains. Real memory systems serialize on channel bandwidth and
-	// MSHR occupancy; this single parameter restores that first-order
-	// effect. Applied only to StepMiss accesses.
-	MemInterval float64
-	memReady    float64
 }
 
-// DefaultMemInterval is the default DRAM service interval in cycles (a 64-
-// byte line on a core running a few GHz against tens of GB/s of bandwidth).
-const DefaultMemInterval = 10
+// memInterval is the minimum number of cycles between successive DRAM fills
+// (the bandwidth/MSHR limit): a 64-byte line on a core running a few GHz
+// against tens of GB/s of bandwidth. Without it, an in-order-retire window
+// with unlimited memory concurrency makes CPI insensitive to miss counts
+// once misses are denser than one per window — every window refill costs
+// one DRAM latency regardless of how many misses it contains. Real memory
+// systems serialize on channel bandwidth and MSHR occupancy; this single
+// constant restores that first-order effect. It applies to misses only.
+const memInterval = 10
 
 // NewWindowModel returns a model; the paper's core is NewWindowModel(4, 128).
 func NewWindowModel(width, robSize int) *WindowModel {
 	if width < 1 || robSize < 1 {
 		panic("cpu: invalid window model parameters")
 	}
-	return &WindowModel{
-		width:       float64(width),
-		robSize:     robSize,
-		retire:      make([]float64, robSize),
-		MemInterval: DefaultMemInterval,
-	}
+	return &WindowModel{width: int64(width), retire: make([]int64, robSize)}
 }
 
 // DefaultWindowModel is the paper's 4-wide, 128-entry configuration.
@@ -121,9 +126,7 @@ func DefaultWindowModel() *WindowModel { return NewWindowModel(4, 128) }
 // Reset clears accumulated time (used at the end of cache warm-up so only
 // the measurement window is timed).
 func (m *WindowModel) Reset() {
-	for i := range m.retire {
-		m.retire[i] = 0
-	}
+	clear(m.retire)
 	m.head = 0
 	m.prevRetire = 0
 	m.clock = 0
@@ -131,84 +134,71 @@ func (m *WindowModel) Reset() {
 	m.memReady = 0
 }
 
-// instr dispatches one instruction with the given latency. When mem is
-// true the instruction occupies the DRAM channel: its service cannot begin
-// before the previous miss's slot frees (MemInterval serialization).
-func (m *WindowModel) instr(latency float64, mem bool) {
-	d := m.clock
-	if r := m.retire[m.head]; r > d {
-		d = r // window full: wait for the oldest in-window instruction
-	}
-	start := d
-	if mem {
-		if m.memReady > start {
-			start = m.memReady
-		}
-		m.memReady = start + m.MemInterval
-	}
-	c := start + latency
-	if c < m.prevRetire {
-		c = m.prevRetire // in-order retirement
-	}
-	m.retire[m.head] = c
-	m.head++
-	if m.head == m.robSize {
-		m.head = 0
-	}
-	m.prevRetire = c
-	m.clock = d + 1/m.width
-	m.instrs++
-}
-
-// bulkNonMem advances past gap-1 single-cycle instructions, simulating the
-// last window's worth individually and fast-forwarding the rest. The fast
-// path honours both bounds on dispatch: issue bandwidth, and the window
-// drain — at most robSize instructions can be in flight past the last
-// retirement, so a long-latency instruction still charges its stall even
-// when followed by a huge non-memory stretch.
-func (m *WindowModel) bulkNonMem(nonMem int) int {
-	if nonMem <= 2*m.robSize {
-		return nonMem
-	}
-	skip := nonMem - m.robSize
-	byWidth := m.clock + float64(skip)/m.width
-	byDrain := m.prevRetire + float64(skip-m.robSize)/m.width
-	if byDrain > byWidth {
-		byWidth = byDrain
-	}
-	m.clock = byWidth
-	if m.prevRetire < m.clock {
-		m.prevRetire = m.clock
-	}
-	m.instrs += uint64(skip)
-	return m.robSize
-}
-
 // Step accounts one trace record whose memory access hit in a cache: gap-1
 // single-cycle non-memory instructions followed by one memory instruction
 // with the given latency.
 func (m *WindowModel) Step(gap uint32, latency int) {
-	nonMem := m.bulkNonMem(int(gap) - 1)
-	for i := 0; i < nonMem; i++ {
-		m.instr(1, false)
-	}
-	m.instr(float64(latency), false)
+	m.stepBlock([]trace.Record{{Gap: gap}}, &batchreplay.HitBits{1}, latency, latency)
 }
 
 // StepMiss accounts one trace record whose memory access goes to DRAM: as
 // Step, but the access also occupies a DRAM service slot, so dense miss
 // streams serialize on memory bandwidth.
 func (m *WindowModel) StepMiss(gap uint32, latency int) {
-	nonMem := m.bulkNonMem(int(gap) - 1)
-	for i := 0; i < nonMem; i++ {
-		m.instr(1, false)
+	m.stepBlock([]trace.Record{{Gap: gap}}, &batchreplay.HitBits{}, latency, latency)
+}
+
+// stepBlock accounts a block of records from an engine's hit bits: record j
+// is a Step at hitLat when bit j is set and a StepMiss at missLat when it is
+// clear. The model's state stays in locals across the block, and the hit
+// bit selects the latency and the DRAM slot by masking, not by a branch.
+func (m *WindowModel) stepBlock(blk []trace.Record, hits *batchreplay.HitBits, hitLat, missLat int) {
+	w := m.width
+	hitT, missExtra, memT := int64(hitLat)*w, int64(missLat-hitLat)*w, memInterval*w
+	retire, head, rob := m.retire, m.head, len(m.retire)
+	clock, prev, memReady, instrs := m.clock, m.prevRetire, m.memReady, m.instrs
+	for j := range blk {
+		miss := int64(hits[j>>6]>>(j&63)&1) - 1 // all ones on a miss, 0 on a hit
+		n := max(int(blk[j].Gap)-1, 0)          // single-cycle instructions first
+		if n > 2*rob {
+			// Fast-forward all but the last window's worth of them. Dispatch
+			// is bounded by issue bandwidth and by the window drain: at most
+			// rob instructions run ahead of the last retirement, so a long
+			// latency still charges its stall before a huge gap.
+			skip := n - rob
+			clock = max(clock+int64(skip), prev+int64(skip-rob))
+			prev = max(prev, clock)
+			instrs += uint64(skip)
+			n = rob
+		}
+		for range n {
+			d := max(clock, retire[head]) // window full: wait for the oldest
+			prev = max(d+w, prev)         // in-order retirement
+			retire[head] = prev
+			head++
+			if head == rob {
+				head = 0
+			}
+			clock = d + 1
+		}
+		d := max(clock, retire[head])
+		start := max(d, memReady&miss) // a miss waits for the DRAM channel
+		memReady = max(memReady, (start+memT)&miss)
+		prev = max(start+hitT+missExtra&miss, prev)
+		retire[head] = prev
+		head++
+		if head == rob {
+			head = 0
+		}
+		clock = d + 1
+		instrs += uint64(n) + 1
 	}
-	m.instr(float64(latency), true)
+	m.head, m.clock, m.prevRetire, m.memReady, m.instrs = head, clock, prev, memReady, instrs
 }
 
 // Cycles returns the current total cycle count (time of the last
 // retirement).
-func (m *WindowModel) Cycles() float64 { return m.prevRetire }
+func (m *WindowModel) Cycles() float64 { return float64(m.prevRetire) / float64(m.width) }
 
 // Instructions returns the number of instructions accounted so far.
 func (m *WindowModel) Instructions() uint64 { return m.instrs }
@@ -218,7 +208,7 @@ func (m *WindowModel) IPC() float64 {
 	if m.prevRetire == 0 {
 		return 0
 	}
-	return float64(m.instrs) / m.prevRetire
+	return float64(m.instrs) / m.Cycles()
 }
 
 // RunResult summarizes a timed hierarchy simulation.

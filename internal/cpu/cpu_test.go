@@ -42,7 +42,7 @@ func TestLinearModelMonotonicInMisses(t *testing.T) {
 func TestWindowModelPeakIPC(t *testing.T) {
 	m := NewWindowModel(4, 128)
 	for i := 0; i < 100000; i++ {
-		m.instr(1, false)
+		m.Step(1, 1)
 	}
 	if ipc := m.IPC(); ipc < 3.9 || ipc > 4.01 {
 		t.Fatalf("single-cycle stream IPC = %v, want ~4", ipc)
@@ -101,7 +101,7 @@ func TestWindowModelWindowStall(t *testing.T) {
 	// for the miss to retire (in-order window of 4).
 	m.Step(1, 100) // the miss retires at ~101
 	for i := 0; i < 10; i++ {
-		m.instr(1, false)
+		m.Step(1, 1)
 	}
 	if m.Cycles() < 100 {
 		t.Fatalf("window did not hold back retirement: %v", m.Cycles())
@@ -124,9 +124,9 @@ func TestWindowModelBulkAdvanceMatchesExact(t *testing.T) {
 	bulk.Step(100_000, 200)
 	exact := NewWindowModel(4, 128)
 	for i := 0; i < 100_000-1; i++ {
-		exact.instr(1, false)
+		exact.Step(1, 1)
 	}
-	exact.instr(200, false)
+	exact.Step(1, 200)
 	rel := math.Abs(bulk.Cycles()-exact.Cycles()) / exact.Cycles()
 	if rel > 0.01 {
 		t.Fatalf("bulk %v vs exact %v (rel %.4f)", bulk.Cycles(), exact.Cycles(), rel)

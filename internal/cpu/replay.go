@@ -38,8 +38,8 @@ func WindowReplay(stream []trace.Record, cfg cache.Config, pol cache.Policy,
 // own engine (policy pols[i], on the batched kernel or a scalar cache as
 // cache.NewEngine picks), its own window model models[i], and — when sinks
 // is non-nil — its own telemetry sink sinks[i] (individual entries may be
-// nil). Each window model is reset before the walk and stepped from its
-// engine's hit bits after every measured block; warm-up never steps it, so
+// nil). Each window model is reset before the walk and stepped once per
+// measured block from its engine's hit bits; warm-up never steps it, so
 // this is the same as resetting it at the warm boundary. Every per-model
 // result is bit-identical to a WindowReplay of the same (stream, policy)
 // pair, with the sink describing exactly the timed window; the saving is
@@ -69,14 +69,7 @@ func MultiWindowReplay(stream []trace.Record, cfg cache.Config, pols []cache.Pol
 	}
 	hitLat, missLat := cfg.HitLatency, cfg.HitLatency+cache.DRAMLatency
 	cache.Replay(stream, warm, engines, func(i int, blk []trace.Record, hits *batchreplay.HitBits) {
-		m := models[i]
-		for j := range blk {
-			if hits.Bit(j) {
-				m.Step(blk[j].Gap, hitLat)
-			} else {
-				m.StepMiss(blk[j].Gap, missLat)
-			}
-		}
+		models[i].stepBlock(blk, hits, hitLat, missLat)
 	})
 	results := make([]ReplayResult, len(pols))
 	for i, e := range engines {
