@@ -39,17 +39,16 @@ bench:
 
 # Coverage gate: short-mode statement coverage must stay at or above the
 # floor measured when the gate was introduced (75.6% total). The one-pass
-# stack-distance engine, the batched replay kernel, the policy-diff
-# explain engine, the packed recency stacks behind every exact-LRU
-# policy (the LRU baseline of every figure and the L1/L2 capture), the
-# tree-PLRU words behind every GIPPR policy and the kernel, the
-# replacement policies, the set duel that picks the vector or mode in
-# every follower set of DGIPPR, DGIPLR, DIP, DRRIP and GIPPR+bypass, the
-# cache with its engine choice and replay walk, and the window timing
-# model behind every CPI each carry PKG_COVER_MIN on top — they are the
-# exactness anchors of the sweep, replay, why-report, LRU, PLRU, policy
-# and timing paths, so their differential batteries must keep covering
-# them. Raise the floors when coverage durably improves; never lower them
+# stack-distance engine, the policy-diff explain engine, the packed
+# recency stacks behind every exact-LRU policy (the LRU baseline of every
+# figure and the L1/L2 capture), the tree-PLRU words behind every GIPPR
+# policy and the cache's IPV step, the replacement policies, the set duel
+# that picks the vector or mode in every follower set of DGIPPR, DGIPLR,
+# DIP, DRRIP and GIPPR+bypass, the one cache type with its IPV step and
+# replay walk, and the window timing model behind every CPI each carry
+# PKG_COVER_MIN on top — they are the exactness anchors of the sweep,
+# replay, why-report, LRU, PLRU, policy and timing paths, so their
+# differential batteries must keep covering them. Raise the floors when coverage durably improves; never lower them
 # to make a PR pass.
 COVER_MIN ?= 75.0
 PKG_COVER_MIN ?= 85.0
@@ -61,7 +60,7 @@ cover: vet
 	awk -v t=$$total -v min=$(COVER_MIN) 'BEGIN { \
 		if (t+0 < min+0) { printf "coverage %.1f%% is below the %.1f%% gate\n", t, min; exit 1 } \
 		printf "coverage %.1f%% meets the %.1f%% gate\n", t, min }'
-	@for pkg in internal/stackdist internal/batchreplay internal/explain internal/recency internal/plrutree internal/policy internal/dueling internal/cache internal/cpu; do \
+	@for pkg in internal/stackdist internal/explain internal/recency internal/plrutree internal/policy internal/dueling internal/cache internal/cpu; do \
 		pct=$$($(GO) test -short -count=1 -cover ./$$pkg | awk '{ for (i=1;i<=NF;i++) if ($$i ~ /%/) { gsub("%","",$$i); print $$i } }'); \
 		awk -v p=$$pkg -v t=$$pct -v min=$(PKG_COVER_MIN) 'BEGIN { \
 			if (t+0 < min+0) { printf "%s coverage %.1f%% is below the %.1f%% gate\n", p, t, min; exit 1 } \
@@ -84,11 +83,10 @@ staticcheck:
 
 # Fuzz smoke: a few seconds per target over the external-input boundaries
 # (binary trace reader, IPV parser, job submissions), the single-pass
-# multi-model replay kernel, the batched branch-free replay kernel's scalar
-# equivalence, the one-pass sweep, the explain decomposition, the packed
-# recency stacks against a naive list model, the tree-PLRU words against a
-# pointer-based tree, and the integer-tick window model against its
-# float64 reference.
+# multi-model replay walk, the cache's IPV step against GIPPR's callbacks,
+# the one-pass sweep, the explain decomposition, the packed recency stacks
+# against a naive list model, the tree-PLRU words against a pointer-based
+# tree, and the integer-tick window model against its float64 reference.
 # Each newly interesting input is minimized for at most 1s: at the default
 # of 60s a worker could spend most of a 10s window minimizing one input and
 # execute almost nothing else.
@@ -98,7 +96,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzReader -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/trace
 	$(GO) test -run=^$$ -fuzz=FuzzParseVector -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/ipv
 	$(GO) test -run=^$$ -fuzz=FuzzMultiRunConsistency -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/cpu
-	$(GO) test -run=^$$ -fuzz=FuzzBatchedReplayConsistency -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/batchreplay
+	$(GO) test -run=^$$ -fuzz=FuzzBatchedReplayConsistency -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/cache
 	$(GO) test -run=^$$ -fuzz=FuzzSubmitRequest -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/serve
 	$(GO) test -run=^$$ -fuzz=FuzzOnePassConsistency -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/stackdist
 	$(GO) test -run=^$$ -fuzz=FuzzExplainDecomposition -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/explain

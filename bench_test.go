@@ -15,7 +15,6 @@ import (
 	"sync"
 	"testing"
 
-	"gippr/internal/batchreplay"
 	"gippr/internal/cache"
 	"gippr/internal/cpu"
 	"gippr/internal/experiments"
@@ -477,52 +476,76 @@ func reportPerRecord(b *testing.B, records int) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(records), "ns/record")
 }
 
-// BenchmarkReplayStream measures the simulator's hot loop on both engines.
-// The scalar pair pins the telemetry tax: the cache and policy are built
-// outside the timed region so the loop body is pure Access traffic — with
-// the sink disabled the only cost is a handful of nil checks, with a sink
-// attached every hit, miss, eviction, fill and IPV move is recorded into
-// fixed-size counters and histograms. The batched pair drives the same
-// stream through the branch-free kernel (internal/batchreplay) that
-// ReplayStream dispatches Packable policies onto; its speedup over the
-// scalar engine is the whole point of the kernel (EXPERIMENTS.md records
-// the measured ratio). All four variants must report 0 allocs/op.
+// hidePacked hides a policy's PackedIPV method, so a cache over it runs
+// the Policy callbacks instead of the IPV step. SetTelemetry is re-exposed
+// so a sink still reaches the wrapped policy.
+type hidePacked struct{ cache.Policy }
+
+func (h hidePacked) SetTelemetry(t *telemetry.Sink) {
+	if ins, ok := h.Policy.(cache.Instrumented); ok {
+		ins.SetTelemetry(t)
+	}
+}
+
+// countFills is hidePacked with the wrapped policy's PackedIPV answer kept,
+// counting the OnFill calls its cache makes: the IPV step makes none.
+type countFills struct {
+	hidePacked
+	fills *int
+}
+
+func (c countFills) OnFill(set uint32, way int, r trace.Record) {
+	*c.fills++
+	c.Policy.OnFill(set, way, r)
+}
+
+func (c countFills) PackedIPV() ([]int, plrutree.Trees, bool) {
+	return c.Policy.(cache.Packable).PackedIPV()
+}
+
+// BenchmarkReplayStream measures the simulator's hot loop: one-vector
+// GIPPR at the L3 geometry, modelled a block at a time with AccessBlock as
+// cache.Replay drives it. The cache and policy are built outside the timed
+// region. The step pair runs the cache's inline IPV step; the callbacks
+// pair runs the same policy behind hidePacked, through the Policy
+// interface — the path every policy without a packed form takes. Each pair
+// pins the telemetry tax: with the sink disabled the only cost is a
+// handful of nil checks, with a sink attached every hit, miss, eviction,
+// fill and IPV move is recorded into fixed-size counters and histograms.
+// EXPERIMENTS.md records the measured ratio. All four variants must
+// report 0 allocs/op.
 func BenchmarkReplayStream(b *testing.B) {
 	cfg := cache.L3Config
 	stream := microStream(100_000)
-	runScalar := func(b *testing.B, sink *telemetry.Sink) {
-		c := cache.New(cfg, policy.NewGIPPR(cfg.Sets(), cfg.Ways, ipv.PaperWIGIPPR))
+	run := func(b *testing.B, step bool, sink *telemetry.Sink) {
+		var fills int
+		var pol cache.Policy = policy.NewGIPPR(cfg.Sets(), cfg.Ways, ipv.PaperWIGIPPR)
+		if step {
+			pol = countFills{hidePacked{pol}, &fills}
+		} else {
+			pol = hidePacked{pol}
+		}
+		c := cache.New(cfg, pol)
 		if sink != nil {
 			c.SetTelemetry(sink)
 		}
+		var hits cache.HitBits
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			for _, r := range stream {
-				c.Access(r)
+			for off := 0; off < len(stream); off += cache.BlockSize {
+				c.AccessBlock(stream[off:min(off+cache.BlockSize, len(stream))], &hits)
 			}
 		}
 		reportPerRecord(b, len(stream))
-	}
-	runBatched := func(b *testing.B, sink *telemetry.Sink) {
-		e := cache.NewEngine(cfg, policy.NewGIPPR(cfg.Sets(), cfg.Ways, ipv.PaperWIGIPPR), sink)
-		if _, scalar := e.(*cache.Cache); scalar {
-			b.Fatal("GIPPR did not dispatch to the batched kernel")
+		if fills != 0 {
+			b.Fatal("GIPPR did not take the IPV step")
 		}
-		var hits batchreplay.HitBits
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for off := 0; off < len(stream); off += batchreplay.BlockSize {
-				e.AccessBlock(stream[off:min(off+batchreplay.BlockSize, len(stream))], &hits)
-			}
-		}
-		reportPerRecord(b, len(stream))
 	}
-	b.Run("scalar/telemetry=off", func(b *testing.B) { runScalar(b, nil) })
-	b.Run("scalar/telemetry=on", func(b *testing.B) { runScalar(b, &telemetry.Sink{}) })
-	b.Run("batched/telemetry=off", func(b *testing.B) { runBatched(b, nil) })
-	b.Run("batched/telemetry=on", func(b *testing.B) { runBatched(b, &telemetry.Sink{}) })
+	b.Run("step/telemetry=off", func(b *testing.B) { run(b, true, nil) })
+	b.Run("step/telemetry=on", func(b *testing.B) { run(b, true, &telemetry.Sink{}) })
+	b.Run("callbacks/telemetry=off", func(b *testing.B) { run(b, false, nil) })
+	b.Run("callbacks/telemetry=on", func(b *testing.B) { run(b, false, &telemetry.Sink{}) })
 }
 
 func BenchmarkPolicyLRU(b *testing.B) {
@@ -589,12 +612,12 @@ func BenchmarkWindowModel(b *testing.B) {
 	_, capture := mcfPhase(b)
 	llc := capture()
 	cfg := cache.L3Config
-	e := cache.NewEngine(cfg, policy.NewGIPPR(cfg.Sets(), cfg.Ways, ipv.PaperWIGIPPR), nil)
+	c := cache.New(cfg, policy.NewGIPPR(cfg.Sets(), cfg.Ways, ipv.PaperWIGIPPR))
 	hit := make([]bool, len(llc))
-	var hits batchreplay.HitBits
-	for off := 0; off < len(llc); off += batchreplay.BlockSize {
-		blk := llc[off:min(off+batchreplay.BlockSize, len(llc))]
-		e.AccessBlock(blk, &hits)
+	var hits cache.HitBits
+	for off := 0; off < len(llc); off += cache.BlockSize {
+		blk := llc[off:min(off+cache.BlockSize, len(llc))]
+		c.AccessBlock(blk, &hits)
 		for j := range blk {
 			hit[off+j] = hits.Bit(j)
 		}

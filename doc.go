@@ -32,10 +32,12 @@
 // records that only populate cache state — they count toward no statistic,
 // no telemetry event, and no MPKI figure. Measurement covers exactly the
 // remaining records, a warm beyond the stream's length clamps to it, and
-// warm 0 measures the whole stream. Zero-valued options likewise default
-// to the Session's own configuration: Sweep geometry fields fall back to
-// the configured LLC, and ExplainOptions' zero value measures the whole
-// stream under the Session's fidelity.
+// warm 0 measures the whole stream, as a negative warm does everywhere but
+// Sweep, which validates its options and refuses one with ErrBadGeometry.
+// Zero-valued options likewise default to the Session's own configuration:
+// Sweep geometry fields fall back to the configured LLC, and
+// ExplainOptions' zero value measures the whole stream under the Session's
+// fidelity.
 //
 // Beyond replaying, Session.Explain answers *why* two policies differ: an
 // Explanation decomposes the miss delta exactly across reuse-interval

@@ -21,7 +21,17 @@
 // simulation), and searches such as the genetic algorithm replay it into an
 // LLC-only model with ReplayStream — exactly the paper's Valgrind-trace
 // methodology (Section 4.3), and orders of magnitude faster than
-// re-simulating L1/L2.
+// re-simulating L1/L2. Replay is the one walk behind every such replay: it
+// drives any number of caches over a stream in BlockSize blocks.
+//
+// One Cache type models every level. For a Packable policy (PLRU and
+// one-vector GIPPR) New resolves the policy's vector and tree-PLRU state
+// once, and each access then runs the paper's step inline (Sections
+// 3.3-3.4): a hit moves the block to V[i], a fill places it at V[k], the
+// victim is the PLRU leaf. A probe over one tag byte per way finds the hit
+// way in a few word operations. Every other policy runs through the Policy
+// callbacks. Both paths produce the same counters, telemetry events and
+// policy state, bit for bit (DESIGN.md §14).
 package cache
 
 import (
@@ -29,6 +39,7 @@ import (
 	"fmt"
 	"math/bits"
 
+	"gippr/internal/plrutree"
 	"gippr/internal/telemetry"
 	"gippr/internal/trace"
 	"gippr/internal/xrand"
@@ -79,6 +90,21 @@ type Instrumented interface {
 // used at an inclusive level.
 type Bypasser interface {
 	ShouldBypass(set uint32, r trace.Record) bool
+}
+
+// Packable is optionally implemented by replacement policies whose
+// behaviour is exactly "insertion/promotion vector over tree-PLRU": on a
+// hit a block at tree position i moves to V[i], on a fill the incoming
+// block is placed at V[k], the victim is the tree-PLRU block, and OnMiss
+// and OnEvict have no observable effect. PackedIPV returns that vector
+// (length ways+1), the policy's trees, which the cache then updates in
+// place, and ok=true. Policies with any further state or decision (a duel,
+// a predictor) return ok=false. New runs the inline step for a Packable
+// policy that answers ok, is not a Bypasser, and whose trees have the
+// cache's sets and ways; policy.GIPPR implements it, so PLRU and
+// one-vector GIPPR take the step.
+type Packable interface {
+	PackedIPV() ([]int, plrutree.Trees, bool)
 }
 
 // Config describes one cache's geometry.
@@ -260,10 +286,10 @@ func (s Stats) HitRate() float64 {
 	return float64(s.Hits) / float64(s.Accesses)
 }
 
-// Cache is one level of set-associative cache. Its tag store has the
-// layout of the batched kernel (package batchreplay): one flat array of
-// block numbers and, per set, way-indexed valid and dirty bit words, so the
-// hit probe compares tags alone and reads a valid bit only on a match.
+// Cache is one level of set-associative cache. Its tag store is one flat
+// array of block numbers and, per set, way-indexed valid and dirty bit
+// words, so the hit probe compares tags alone and reads a valid bit only on
+// a match.
 type Cache struct {
 	cfg        Config
 	sets       int
@@ -285,6 +311,18 @@ type Cache struct {
 	bypass  Bypasser // pol as a Bypasser; nil when it cannot bypass
 	Stats   Stats
 	tel     *telemetry.Sink // nil when telemetry is disabled
+
+	// The step's state, set only for a Packable policy (see step): the
+	// promotion targets V[0..ways-1] (nil when the callbacks run), the
+	// insertion position V[ways], and the policy's own trees. sig holds
+	// one tag byte per way (the byte just above the set index), eight ways
+	// to a word, sigWords words per set.
+	vec      []int
+	insPos   int
+	trees    plrutree.Trees
+	sig      []uint64
+	sigWords int
+	sigShift uint
 
 	// OnEviction, if set, is called with the byte address of every valid
 	// block this cache evicts. Hierarchies use it to implement inclusion
@@ -309,6 +347,14 @@ func New(cfg Config, pol Policy) *Cache {
 		pol:        pol,
 	}
 	c.bypass, _ = pol.(Bypasser)
+	if pk, ok := pol.(Packable); ok && c.bypass == nil {
+		if vec, trees, ok := pk.PackedIPV(); ok && trees.Sets() == sets && trees.Ways() == cfg.Ways {
+			c.vec, c.insPos, c.trees = vec[:cfg.Ways], vec[cfg.Ways], trees
+			c.sigWords = (cfg.Ways + 7) / 8
+			c.sigShift = uint(bits.Len(uint(sets - 1)))
+			c.sig = make([]uint64, sets*c.sigWords)
+		}
+	}
 	if tail := cfg.Ways % 64; tail != 0 {
 		for set := 0; set < sets; set++ {
 			c.valid[set*words+words-1] = ^uint64(0) << tail
@@ -360,6 +406,9 @@ func (c *Cache) SetOf(addr uint64) uint32 { return uint32(c.Block(addr) & c.setM
 func (c *Cache) Access(r trace.Record) bool {
 	block := c.Block(r.Addr)
 	set := uint32(block & c.setMask)
+	if c.vec != nil {
+		return c.step(block, set, r.Write)
+	}
 	if c.sampled != nil && !c.sampled[set] {
 		// Out-of-sample set: no tags are kept for it, so nothing to do.
 		// Reported as a hit so timing models charge the optimistic latency
@@ -430,6 +479,93 @@ func (c *Cache) Access(r trace.Record) bool {
 		c.tel.Fill(base + w)
 	}
 	c.pol.OnFill(set, w, r)
+	return false
+}
+
+// laneLSB and laneMSB broadcast a byte lane's low and high bit across a
+// word: the building blocks of step's signature probe.
+const (
+	laneLSB = 0x0101010101010101
+	laneMSB = 0x8080808080808080
+)
+
+// step is Access for a Packable policy: the same state machine with the
+// policy's callbacks inlined as IPV moves on its trees, and the tag scan
+// replaced by a probe of the set's signature bytes. A SWAR zero-byte scan
+// of sig^probe flags every way whose byte matches, plus the odd borrow
+// artifact just above a real match; each candidate is then checked against
+// its valid bit and full tag, so collisions and the stale bytes Invalidate
+// leaves change nothing. Lanes past ways hold no way, and their valid bits
+// are parked at 1, so the probe skips them. Counters, telemetry events (Hit,
+// Promote on a hit; Miss, Evict, Fill, Insert on a miss) and the
+// OnEviction call come in Access's order. Tree-PLRU has at most 64 ways, so
+// a set's valid and dirty bits are one word each.
+func (c *Cache) step(block uint64, set uint32, write bool) bool {
+	if c.sampled != nil && !c.sampled[set] {
+		c.Stats.Skipped++
+		return true
+	}
+	c.Stats.Accesses++
+	if write {
+		c.Stats.Writes++
+	}
+	base := int(set) * c.ways
+	valid := c.valid[set]
+	sbase := int(set) * c.sigWords
+	probe := uint64(byte(block>>c.sigShift)) * laneLSB
+	for j := 0; j < c.sigWords; j++ {
+		z := c.sig[sbase+j] ^ probe
+		for zb := (z - laneLSB) &^ z & laneMSB; zb != 0; zb &= zb - 1 {
+			w := j<<3 + bits.TrailingZeros64(zb)>>3
+			if w < c.ways && valid>>w&1 == 1 && c.tags[base+w] == block {
+				c.Stats.Hits++
+				if write {
+					c.dirty[set] |= 1 << w
+				}
+				from := c.trees.Position(set, w)
+				if c.tel != nil {
+					c.tel.Hit(base + w)
+					c.tel.Promote(from, c.vec[from])
+				}
+				c.trees.SetPosition(set, w, c.vec[from])
+				return true
+			}
+		}
+	}
+	c.Stats.Misses++
+	if c.tel != nil {
+		c.tel.Miss()
+	}
+	// The lowest clear valid bit is the first invalid way. A full set's
+	// word is all ones, the bits past ways being parked at 1, so it has
+	// none and TrailingZeros64 reads 64.
+	w := bits.TrailingZeros64(^valid)
+	if w >= c.ways {
+		w = c.trees.Victim(set)
+		c.Stats.Evictions++
+		dirty := c.dirty[set] >> w & 1
+		c.Stats.Writebacks += dirty
+		if c.tel != nil {
+			c.tel.Evict(base+w, dirty == 1)
+		}
+		if c.OnEviction != nil {
+			c.OnEviction(c.tags[base+w] << c.blockShift)
+		}
+	}
+	c.tags[base+w] = block
+	sw, shift := sbase+w>>3, uint(w&7)<<3
+	c.sig[sw] = c.sig[sw]&^(0xFF<<shift) | probe&0xFF<<shift
+	c.valid[set] |= 1 << w
+	if write {
+		c.dirty[set] |= 1 << w
+	} else {
+		c.dirty[set] &^= 1 << w
+	}
+	if c.tel != nil {
+		c.tel.Fill(base + w)
+		c.tel.Insert(c.insPos)
+	}
+	c.trees.SetPosition(set, w, c.insPos)
 	return false
 }
 

@@ -1,7 +1,6 @@
 package cache
 
 import (
-	"gippr/internal/batchreplay"
 	"gippr/internal/telemetry"
 	"gippr/internal/trace"
 )
@@ -217,22 +216,20 @@ func ReplayStream(stream []trace.Record, cfg Config, pol Policy, warm int) Repla
 // to the LLC for the duration of the replay. Warm-up events are discarded
 // at the warm boundary (the sink is reset together with the cache stats),
 // so the sink describes exactly the measurement window. A nil sink makes it
-// identical to ReplayStream.
-//
-// The replay runs on the engine NewEngine picks: the packed branch-free
-// kernel for policies that opt into it (batchreplay.Packable — PLRU and
-// single-vector GIPPR do), Cache.Access otherwise. The two are
-// bit-identical in every observable: stats, telemetry event sequence and
-// final policy state (FuzzBatchedReplayConsistency and the golden-MPKI
-// suite pin this), so the choice needs no call-site opt-in.
+// identical to ReplayStream. For a Packable policy (PLRU and one-vector
+// GIPPR) the LLC runs the inline IPV step, with the same stats, telemetry
+// events and final policy state as the callbacks, so the choice needs no
+// call-site opt-in.
 func ReplayStreamTel(stream []trace.Record, cfg Config, pol Policy, warm int, tel *telemetry.Sink) ReplayStats {
-	e := NewEngine(cfg, pol, tel)
+	c := New(cfg, pol)
+	if tel != nil {
+		c.SetTelemetry(tel)
+	}
 	var instrs uint64
-	Replay(stream, warm, []Engine{e}, func(_ int, blk []trace.Record, _ *batchreplay.HitBits) {
+	Replay(stream, warm, []*Cache{c}, func(_ int, blk []trace.Record, _ *HitBits) {
 		for i := range blk {
 			instrs += uint64(blk[i].Gap)
 		}
 	})
-	st := e.Finish()
-	return ReplayStats{Accesses: st.Accesses, Hits: st.Hits, Misses: st.Misses, Instructions: instrs}
+	return ReplayStats{Accesses: c.Stats.Accesses, Hits: c.Stats.Hits, Misses: c.Stats.Misses, Instructions: instrs}
 }

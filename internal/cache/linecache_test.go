@@ -152,7 +152,10 @@ func (c *lineCache) contains(addr uint64) bool {
 
 // lineRefCases are the geometries Cache is checked against lineCache at:
 // associativities on both sides of each 64-way word boundary (one, two, and
-// three and four valid words per set), a sampled cache, and a Bypasser.
+// three and four valid words per set), a sampled cache, a Bypasser, and
+// PLRU and one-vector GIPPR, whose caches take the IPV step (lineCache
+// runs their callbacks) — at 2 and 4 ways with spare signature lanes and
+// parked valid bits, and at 64 ways with neither.
 var lineRefCases = []struct {
 	name  string
 	sets  int
@@ -174,6 +177,11 @@ var lineRefCases = []struct {
 	{"SRRIP", 8, 128, 0, func(s, w int) cache.Policy { return policy.NewSRRIP(s, w) }},
 	{"SRRIP", 8, 200, 0, func(s, w int) cache.Policy { return policy.NewSRRIP(s, w) }},
 	{"GIPPR+bypass", 64, 16, 0, func(s, w int) cache.Policy { return policy.NewBypassGIPPR(s, w, ipv.PaperWIGIPPR) }},
+	{"PLRU", 8, 4, 0, func(s, w int) cache.Policy { return policy.NewPLRU(s, w) }},
+	{"PLRU", 8, 64, 0, func(s, w int) cache.Policy { return policy.NewPLRU(s, w) }},
+	{"GIPPR", 8, 2, 0, func(s, w int) cache.Policy { return policy.NewGIPPR(s, w, ipv.LIP(w)) }},
+	{"GIPPR", 64, 16, 0, func(s, w int) cache.Policy { return policy.NewGIPPR(s, w, ipv.PaperWIGIPPR) }},
+	{"GIPPR-sampled", 16, 8, 1, func(s, w int) cache.Policy { return policy.NewGIPPR(s, w, ipv.MidClimb(w)) }},
 }
 
 func lru(sets, ways int) cache.Policy { return policy.NewTrueLRU(sets, ways) }

@@ -1,0 +1,73 @@
+package cache
+
+import "gippr/internal/trace"
+
+// BlockSize is the number of records Replay hands each cache at a time.
+// 256 records keep a block and its hit bitmap (4 words) comfortably inside
+// L1 while amortizing the walk's per-block overheads; block size only
+// affects throughput, never results, because blocks are modelled in stream
+// order with no reordering inside or across them.
+const BlockSize = 256
+
+// HitBits is the per-block hit bitmap filled by AccessBlock: bit i set means
+// record i of the block hit (or was skipped by set sampling, which the
+// timing models treat as a hit — the same convention as Access's return
+// value).
+type HitBits [BlockSize / 64]uint64
+
+// Bit reports record i's hit flag.
+func (h *HitBits) Bit(i int) bool { return h[i>>6]>>(i&63)&1 == 1 }
+
+// AccessBlock models up to BlockSize records in stream order, as Access
+// would one at a time, and fills hits with their hit flags. A cache that
+// runs the IPV step calls it directly, without Access's dispatch.
+func (c *Cache) AccessBlock(recs []trace.Record, hits *HitBits) {
+	*hits = HitBits{}
+	if c.vec == nil {
+		for i := range recs {
+			if c.Access(recs[i]) {
+				hits[i>>6] |= 1 << (i & 63)
+			}
+		}
+		return
+	}
+	for i := range recs {
+		block := recs[i].Addr >> c.blockShift
+		if c.step(block, uint32(block&c.setMask), recs[i].Write) {
+			hits[i>>6] |= 1 << (i & 63)
+		}
+	}
+}
+
+// Replay walks a captured LLC stream through every cache in BlockSize
+// blocks: the first warm records (clamped to the stream; a negative warm
+// warms nothing) only warm the caches, each cache's stats and telemetry are
+// then reset, and the rest is measured. After cache i models a measured
+// block, measure (when non-nil) is called with i, the block and its hit
+// bits, so per-record consumers such as a timing model see each record
+// after its own access. Caches share nothing, so each one's counters,
+// events and final state are those of a replay of the stream through it
+// alone.
+func Replay(stream []trace.Record, warm int, caches []*Cache,
+	measure func(i int, blk []trace.Record, hits *HitBits)) {
+	warm = min(max(warm, 0), len(stream))
+	var hits HitBits
+	for off := 0; off < warm; off += BlockSize {
+		blk := stream[off:min(off+BlockSize, warm)]
+		for _, c := range caches {
+			c.AccessBlock(blk, &hits)
+		}
+	}
+	for _, c := range caches {
+		c.ResetStats()
+	}
+	for off := warm; off < len(stream); off += BlockSize {
+		blk := stream[off:min(off+BlockSize, len(stream))]
+		for i, c := range caches {
+			c.AccessBlock(blk, &hits)
+			if measure != nil {
+				measure(i, blk, &hits)
+			}
+		}
+	}
+}

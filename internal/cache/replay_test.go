@@ -3,7 +3,6 @@ package cache_test
 import (
 	"testing"
 
-	"gippr/internal/batchreplay"
 	"gippr/internal/cache"
 	"gippr/internal/policy"
 	"gippr/internal/telemetry"
@@ -11,14 +10,15 @@ import (
 	"gippr/internal/xrand"
 )
 
-// TestReplayAllocatesNothingPerBlock gates the shared walk: once the engines
+// TestReplayAllocatesNothingPerBlock gates the shared walk: once the caches
 // are built, Replay over a 40-block stream allocates exactly what it
-// allocates over a 1-block stream — kernel and scalar engines, telemetry off
-// and on, with a measure callback consuming every block's hit bits.
+// allocates over a 1-block stream — caches on the IPV step and on the
+// callbacks, telemetry off and on, with a measure callback consuming every
+// block's hit bits.
 func TestReplayAllocatesNothingPerBlock(t *testing.T) {
 	cfg := cache.Config{Name: "z", SizeBytes: 16 * 16 * 64, Ways: 16, BlockBytes: 64, HitLatency: 30}
 	rng := xrand.New(0xA110C)
-	stream := make([]trace.Record, 40*batchreplay.BlockSize)
+	stream := make([]trace.Record, 40*cache.BlockSize)
 	for i := range stream {
 		stream[i] = trace.Record{Addr: rng.Uint64n(2*16*16) * 64, Gap: 3, Write: rng.Intn(4) == 0}
 	}
@@ -28,20 +28,19 @@ func TestReplayAllocatesNothingPerBlock(t *testing.T) {
 		}
 		return nil
 	}
-	var engines []cache.Engine
+	var caches []*cache.Cache
+	var fills [2]int // policy fills under PLRU and under true LRU
 	for _, tel := range []bool{false, true} {
-		kernel := cache.NewEngine(cfg, policy.NewPLRU(cfg.Sets(), cfg.Ways), sink(tel))
-		if _, scalar := kernel.(*cache.Cache); scalar {
-			t.Fatal("PLRU did not engage the kernel")
+		for i, pol := range []cache.Policy{policy.NewPLRU(cfg.Sets(), cfg.Ways), policy.NewTrueLRU(cfg.Sets(), cfg.Ways)} {
+			c := cache.New(cfg, count(pol, &fills[i]))
+			if s := sink(tel); s != nil {
+				c.SetTelemetry(s)
+			}
+			caches = append(caches, c)
 		}
-		scalar := cache.NewEngine(cfg, policy.NewTrueLRU(cfg.Sets(), cfg.Ways), sink(tel))
-		if _, ok := scalar.(*cache.Cache); !ok {
-			t.Fatal("true LRU engaged the kernel")
-		}
-		engines = append(engines, kernel, scalar)
 	}
 	var hits uint64
-	measure := func(_ int, blk []trace.Record, h *batchreplay.HitBits) {
+	measure := func(_ int, blk []trace.Record, h *cache.HitBits) {
 		for i := range blk {
 			if h.Bit(i) {
 				hits++
@@ -50,14 +49,17 @@ func TestReplayAllocatesNothingPerBlock(t *testing.T) {
 	}
 	allocs := func(recs []trace.Record) float64 {
 		return testing.AllocsPerRun(10, func() {
-			cache.Replay(recs, len(recs)/4, engines, measure)
+			cache.Replay(recs, len(recs)/4, caches, measure)
 		})
 	}
-	one, forty := allocs(stream[:batchreplay.BlockSize]), allocs(stream)
+	one, forty := allocs(stream[:cache.BlockSize]), allocs(stream)
 	if forty != one {
 		t.Errorf("Replay allocates %v over 40 blocks, %v over 1: want no allocation per block", forty, one)
 	}
 	if hits == 0 {
-		t.Fatal("no engine hit; the measured blocks are vacuous")
+		t.Fatal("no cache hit; the measured blocks are vacuous")
+	}
+	if fills[0] != 0 || fills[1] == 0 {
+		t.Fatalf("policy fills: %d under PLRU, %d under true LRU; want the step for PLRU only", fills[0], fills[1])
 	}
 }

@@ -21,7 +21,6 @@
 package cpu
 
 import (
-	"gippr/internal/batchreplay"
 	"gippr/internal/cache"
 	"gippr/internal/trace"
 )
@@ -138,21 +137,21 @@ func (m *WindowModel) Reset() {
 // single-cycle non-memory instructions followed by one memory instruction
 // with the given latency.
 func (m *WindowModel) Step(gap uint32, latency int) {
-	m.stepBlock([]trace.Record{{Gap: gap}}, &batchreplay.HitBits{1}, latency, latency)
+	m.stepBlock([]trace.Record{{Gap: gap}}, &cache.HitBits{1}, latency, latency)
 }
 
 // StepMiss accounts one trace record whose memory access goes to DRAM: as
 // Step, but the access also occupies a DRAM service slot, so dense miss
 // streams serialize on memory bandwidth.
 func (m *WindowModel) StepMiss(gap uint32, latency int) {
-	m.stepBlock([]trace.Record{{Gap: gap}}, &batchreplay.HitBits{}, latency, latency)
+	m.stepBlock([]trace.Record{{Gap: gap}}, &cache.HitBits{}, latency, latency)
 }
 
-// stepBlock accounts a block of records from an engine's hit bits: record j
+// stepBlock accounts a block of records from a cache's hit bits: record j
 // is a Step at hitLat when bit j is set and a StepMiss at missLat when it is
 // clear. The model's state stays in locals across the block, and the hit
 // bit selects the latency and the DRAM slot by masking, not by a branch.
-func (m *WindowModel) stepBlock(blk []trace.Record, hits *batchreplay.HitBits, hitLat, missLat int) {
+func (m *WindowModel) stepBlock(blk []trace.Record, hits *cache.HitBits, hitLat, missLat int) {
 	w := m.width
 	hitT, missExtra, memT := int64(hitLat)*w, int64(missLat-hitLat)*w, memInterval*w
 	retire, head, rob := m.retire, m.head, len(m.retire)

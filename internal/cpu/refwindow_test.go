@@ -5,7 +5,7 @@ import (
 	"reflect"
 	"testing"
 
-	"gippr/internal/batchreplay"
+	"gippr/internal/cache"
 	"gippr/internal/trace"
 	"gippr/internal/xrand"
 )
@@ -95,7 +95,7 @@ func (m *refWindow) IPC() float64 {
 // latencies of a hit and of a miss.
 type windowBlock struct {
 	recs            []trace.Record
-	hits            batchreplay.HitBits
+	hits            cache.HitBits
 	hitLat, missLat int
 }
 
@@ -156,7 +156,7 @@ func TestWindowModelMatchesReference(t *testing.T) {
 			blocks := make([]windowBlock, 40)
 			for b := range blocks {
 				blk := &blocks[b]
-				blk.recs = make([]trace.Record, 1+rng.Intn(batchreplay.BlockSize))
+				blk.recs = make([]trace.Record, 1+rng.Intn(cache.BlockSize))
 				blk.hitLat, blk.missLat = lats[rng.Intn(len(lats))], lats[rng.Intn(len(lats))]
 				for j := range blk.recs {
 					gap := uint32(1 + rng.Intn(12))
@@ -211,7 +211,7 @@ func FuzzWindowModel(f *testing.F) {
 			j := len(blk.recs)
 			blk.recs = append(blk.recs, trace.Record{Gap: gap})
 			blk.hits[j>>6] |= uint64(c&1) << (j & 63)
-			if c&2 != 0 || len(blk.recs) == batchreplay.BlockSize {
+			if c&2 != 0 || len(blk.recs) == cache.BlockSize {
 				blocks = append(blocks, blk)
 				blk = windowBlock{}
 			}

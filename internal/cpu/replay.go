@@ -1,7 +1,6 @@
 package cpu
 
 import (
-	"gippr/internal/batchreplay"
 	"gippr/internal/cache"
 	"gippr/internal/telemetry"
 	"gippr/internal/trace"
@@ -35,11 +34,10 @@ func WindowReplay(stream []trace.Record, cfg cache.Config, pol cache.Policy,
 
 // MultiWindowReplay replays one captured LLC stream through several
 // independent cache models in a single cache.Replay walk: model i gets its
-// own engine (policy pols[i], on the batched kernel or a scalar cache as
-// cache.NewEngine picks), its own window model models[i], and — when sinks
-// is non-nil — its own telemetry sink sinks[i] (individual entries may be
-// nil). Each window model is reset before the walk and stepped once per
-// measured block from its engine's hit bits; warm-up never steps it, so
+// own cache (policy pols[i]), its own window model models[i], and — when
+// sinks is non-nil — its own telemetry sink sinks[i] (individual entries
+// may be nil). Each window model is reset before the walk and stepped once
+// per measured block from its cache's hit bits; warm-up never steps it, so
 // this is the same as resetting it at the warm boundary. Every per-model
 // result is bit-identical to a WindowReplay of the same (stream, policy)
 // pair, with the sink describing exactly the timed window; the saving is
@@ -58,22 +56,21 @@ func MultiWindowReplay(stream []trace.Record, cfg cache.Config, pols []cache.Pol
 	if len(pols) == 0 {
 		return nil
 	}
-	engines := make([]cache.Engine, len(pols))
+	caches := make([]*cache.Cache, len(pols))
 	for i, pol := range pols {
-		var tel *telemetry.Sink
-		if sinks != nil {
-			tel = sinks[i]
+		caches[i] = cache.New(cfg, pol)
+		if sinks != nil && sinks[i] != nil {
+			caches[i].SetTelemetry(sinks[i])
 		}
-		engines[i] = cache.NewEngine(cfg, pol, tel)
 		models[i].Reset()
 	}
 	hitLat, missLat := cfg.HitLatency, cfg.HitLatency+cache.DRAMLatency
-	cache.Replay(stream, warm, engines, func(i int, blk []trace.Record, hits *batchreplay.HitBits) {
+	cache.Replay(stream, warm, caches, func(i int, blk []trace.Record, hits *cache.HitBits) {
 		models[i].stepBlock(blk, hits, hitLat, missLat)
 	})
 	results := make([]ReplayResult, len(pols))
-	for i, e := range engines {
-		st := e.Finish()
+	for i, c := range caches {
+		st := c.Stats
 		m := models[i]
 		res := ReplayResult{
 			Instructions: m.Instructions(),

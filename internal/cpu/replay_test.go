@@ -6,6 +6,7 @@ import (
 
 	"gippr/internal/cache"
 	"gippr/internal/ipv"
+	"gippr/internal/plrutree"
 	"gippr/internal/policy"
 	"gippr/internal/telemetry"
 	"gippr/internal/trace"
@@ -163,11 +164,20 @@ func TestMultiWindowReplayEdgeCases(t *testing.T) {
 	}
 }
 
-// scalarEngine hides a policy's PackedIPV method so cache.NewEngine routes
-// it down the scalar Cache path — the reference side of the packed-vs-scalar
-// comparison. SetTelemetry is re-exposed so instrumented runs still reach
-// the wrapped policy.
-type scalarEngine struct{ cache.Policy }
+// scalarEngine hides a policy's PackedIPV method so a cache over it runs
+// the Policy callbacks — the reference side of the step-versus-callbacks
+// comparison — and counts the OnFill calls its cache makes in fills.
+// SetTelemetry is re-exposed so instrumented runs still reach the wrapped
+// policy.
+type scalarEngine struct {
+	cache.Policy
+	fills *int
+}
+
+func (s scalarEngine) OnFill(set uint32, way int, r trace.Record) {
+	*s.fills++
+	s.Policy.OnFill(set, way, r)
+}
 
 func (s scalarEngine) SetTelemetry(t *telemetry.Sink) {
 	if ins, ok := s.Policy.(cache.Instrumented); ok {
@@ -175,12 +185,26 @@ func (s scalarEngine) SetTelemetry(t *telemetry.Sink) {
 	}
 }
 
-// TestMultiWindowReplayPackedMatchesScalar mixes batched-kernel models and
-// scalar models in one MultiWindowReplay call: each Packable policy (PLRU,
-// GIPPR) runs once through the kernel and once wrapped in scalarEngine, plus
-// one policy with no packed form at all. Every kernel model must agree with
-// its scalar twin — timing results and full telemetry sinks — and with a
-// standalone one-policy replay of the same pair.
+// packedEngine is scalarEngine with the wrapped policy's PackedIPV answer,
+// so a cache over it takes the IPV step exactly when it would over the
+// bare policy. The step calls no callback: no fills after a replay with
+// misses means the step ran.
+type packedEngine struct{ scalarEngine }
+
+func (p packedEngine) PackedIPV() ([]int, plrutree.Trees, bool) {
+	if pk, ok := p.Policy.(cache.Packable); ok {
+		return pk.PackedIPV()
+	}
+	return nil, plrutree.Trees{}, false
+}
+
+// TestMultiWindowReplayPackedMatchesScalar mixes models on the IPV step and
+// models on the callbacks in one MultiWindowReplay call: each Packable
+// policy (PLRU, GIPPR) runs once on the step and once wrapped in
+// scalarEngine, plus one policy with no packed form at all. Every step
+// model must agree with its callbacks twin — timing results and full
+// telemetry sinks — and with a standalone one-policy replay of the same
+// pair.
 func TestMultiWindowReplayPackedMatchesScalar(t *testing.T) {
 	cfg := cache.Config{Name: "r", SizeBytes: 32 * 8 * 64, Ways: 8, BlockBytes: 64, HitLatency: 30}
 	const warm = 1500
@@ -205,42 +229,42 @@ func TestMultiWindowReplayPackedMatchesScalar(t *testing.T) {
 		func() cache.Policy { return policy.NewGIPPR(cfg.Sets(), cfg.Ways, vec) },
 		func() cache.Policy { return &replayLRU{ways: cfg.Ways, stamps: make([]uint64, cfg.Sets()*cfg.Ways)} },
 	}
-	// Sanity-check the routing itself: the first two makers must engage the
-	// kernel, and the scalarEngine wrapper must defeat it.
-	for i, mk := range makers {
-		_, scalar := cache.NewEngine(cfg, mk(), nil).(*cache.Cache)
-		if want := i < 2; !scalar != want {
-			t.Fatalf("maker %d: packed dispatch = %v, want %v", i, !scalar, want)
-		}
-		if _, scalar := cache.NewEngine(cfg, scalarEngine{mk()}, nil).(*cache.Cache); !scalar {
-			t.Fatalf("maker %d: scalarEngine wrapper still dispatched to the kernel", i)
-		}
-	}
 
-	// One call with kernel and scalar twins interleaved.
+	// One call with step and callbacks twins interleaved.
 	pols := make([]cache.Policy, 0, 2*len(makers))
 	models := make([]*WindowModel, 0, 2*len(makers))
 	sinks := make([]*telemetry.Sink, 0, 2*len(makers))
-	for _, mk := range makers {
-		pols = append(pols, mk(), scalarEngine{mk()})
+	fills := make([][2]int, len(makers))
+	for i, mk := range makers {
+		pols = append(pols, packedEngine{scalarEngine{mk(), &fills[i][0]}}, scalarEngine{mk(), &fills[i][1]})
 		models = append(models, DefaultWindowModel(), DefaultWindowModel())
 		sinks = append(sinks, &telemetry.Sink{}, &telemetry.Sink{})
 	}
 	multi := MultiWindowReplay(stream, cfg, pols, warm, models, sinks)
 
+	// Check the routing itself: the first two makers must take the step,
+	// and the scalarEngine wrapper must defeat it.
+	for i := range makers {
+		if step, want := fills[i][0] == 0, i < 2; step != want {
+			t.Fatalf("maker %d: IPV step ran = %v, want %v", i, step, want)
+		}
+		if fills[i][1] == 0 {
+			t.Fatalf("maker %d: the scalarEngine wrapper took the IPV step", i)
+		}
+	}
 	for i, mk := range makers {
-		kernel, scalar := multi[2*i], multi[2*i+1]
-		if kernel != scalar {
-			t.Errorf("maker %d: kernel %+v != scalar twin %+v", i, kernel, scalar)
+		step, scalar := multi[2*i], multi[2*i+1]
+		if step != scalar {
+			t.Errorf("maker %d: step %+v != callbacks twin %+v", i, step, scalar)
 		}
 		if !reflect.DeepEqual(sinks[2*i], sinks[2*i+1]) {
-			t.Errorf("maker %d: kernel sink diverged from scalar twin's", i)
+			t.Errorf("maker %d: step sink diverged from callbacks twin's", i)
 		}
 		sink := &telemetry.Sink{}
 		single := MultiWindowReplay(stream, cfg, []cache.Policy{mk()}, warm,
 			[]*WindowModel{DefaultWindowModel()}, []*telemetry.Sink{sink})[0]
-		if kernel != single {
-			t.Errorf("maker %d: multi %+v != standalone %+v", i, kernel, single)
+		if step != single {
+			t.Errorf("maker %d: multi %+v != standalone %+v", i, step, single)
 		}
 		if !reflect.DeepEqual(sinks[2*i], sink) {
 			t.Errorf("maker %d: multi sink diverged from standalone sink", i)
@@ -273,9 +297,9 @@ func TestLinearModelSampledCPI(t *testing.T) {
 // single-pass multi-model kernel and through sequential per-policy replays,
 // and requires exact agreement. Any cross-model state leak in the shared
 // block walk (one model's cache or window state bleeding into another's)
-// shows up as a mismatch. The models mix both engines: the scalar test
-// policies, plus PLRU and GIPPR on the batched kernel next to scalarEngine
-// twins, and each kernel model must also equal its twin. The fuzz input
+// shows up as a mismatch. The models mix both cache paths: the test
+// policies on the callbacks, plus PLRU and GIPPR on the IPV step next to
+// scalarEngine twins, and each step model must also equal its twin. The fuzz input
 // encodes the stream — each record is (addr byte, gap byte) — plus the warm
 // length and an optional sample shift, so the corpus explores full-fidelity
 // and sampled geometries alike.
@@ -303,14 +327,14 @@ func FuzzMultiRunConsistency(f *testing.F) {
 		warm := int(warmByte) % (len(stream) + 1)
 		makers := multiTestMakers(cfg)
 		twinsAt := len(makers)
+		var stepFills, scalarFills int
 		for _, mk := range []func() cache.Policy{
 			func() cache.Policy { return policy.NewPLRU(cfg.Sets(), cfg.Ways) },
 			func() cache.Policy { return policy.NewGIPPR(cfg.Sets(), cfg.Ways, ipv.LIP(cfg.Ways)) },
 		} {
-			if _, scalar := cache.NewEngine(cfg, mk(), nil).(*cache.Cache); scalar {
-				t.Fatalf("%s did not engage the kernel", mk().Name())
-			}
-			makers = append(makers, mk, func() cache.Policy { return scalarEngine{mk()} })
+			makers = append(makers,
+				func() cache.Policy { return packedEngine{scalarEngine{mk(), &stepFills}} },
+				func() cache.Policy { return scalarEngine{mk(), &scalarFills} })
 		}
 		pols := make([]cache.Policy, len(makers))
 		models := make([]*WindowModel, len(makers))
@@ -327,8 +351,11 @@ func FuzzMultiRunConsistency(f *testing.F) {
 		}
 		for i := twinsAt; i < len(makers); i += 2 {
 			if multi[i] != multi[i+1] {
-				t.Fatalf("model %d diverged from its scalar twin:\nkernel %+v\nscalar %+v", i, multi[i], multi[i+1])
+				t.Fatalf("model %d diverged from its callbacks twin:\nstep      %+v\ncallbacks %+v", i, multi[i], multi[i+1])
 			}
+		}
+		if stepFills != 0 {
+			t.Fatalf("the IPV step did not run: %d policy fills", stepFills)
 		}
 	})
 }

@@ -54,8 +54,8 @@ func requireSettled(t *testing.T, l *Lab, specs []Spec) {
 // fingerprints as TestGoldenMPKI: a walk shared by every spec must
 // reproduce the one-spec walks' MPKIs bit-identically, not merely
 // approximately — at one worker and at eight, so neither scheduling nor the
-// batched replay kernel (which carries the Packable roster policies, see
-// internal/batchreplay) can perturb a fingerprint.
+// cache's inline IPV step (which carries the Packable roster policies, see
+// cache.Packable) can perturb a fingerprint.
 func TestGoldenMPKIMultiRun(t *testing.T) {
 	want := loadGolden(t)
 	specs := goldenSpecs()

@@ -28,9 +28,9 @@
 // The nodes on way w's path depend only on (k, w), and set_index writes them
 // from (w, x) alone, never reading the old bits. So Trees precomputes, per
 // way, the path mask, and per (way, position), the path bits, and
-// SetPosition is one word&^mask | vals expression. GIPPR's scalar callbacks
-// and the batched replay kernel (package batchreplay) both run on these
-// words, so a replay on either engine leaves the same state in the policy.
+// SetPosition is one word&^mask | vals expression. GIPPR's callbacks and
+// the inline IPV step of package cache both run on these words, so a
+// replay on either path leaves the same state in the policy.
 package plrutree
 
 import "fmt"

@@ -94,11 +94,11 @@ func (p *GIPPR) OnFill(set uint32, way int, _ trace.Record) {
 // Victim implements cache.Policy: the PLRU block (position k-1).
 func (p *GIPPR) Victim(set uint32, _ trace.Record) int { return p.trees.Victim(set) }
 
-// PackedIPV implements batchreplay.Packable: one-vector GIPPR is by
-// definition IPV over tree-PLRU with no further state, so its replays may
-// run through the batched branch-free kernel, which updates the policy's
-// own trees in place. A duel's per-miss counter updates are outside the
-// kernel's model, so duelling GIPPR returns false.
+// PackedIPV implements cache.Packable: one-vector GIPPR is by definition
+// IPV over tree-PLRU with no further state, so a cache over it runs the
+// inline IPV step, which updates the policy's own trees in place. A duel's
+// per-miss counter updates are outside the step's model, so duelling GIPPR
+// returns false.
 func (p *GIPPR) PackedIPV() ([]int, plrutree.Trees, bool) {
 	if p.duel != nil {
 		return nil, plrutree.Trees{}, false
@@ -114,5 +114,6 @@ func (p *GIPPR) OverheadBits() (float64, int) { return float64(p.trees.Ways() - 
 var (
 	_ cache.Policy       = (*GIPPR)(nil)
 	_ cache.Instrumented = (*GIPPR)(nil)
+	_ cache.Packable     = (*GIPPR)(nil)
 	_ Overheader         = (*GIPPR)(nil)
 )

@@ -18,7 +18,7 @@
 // rotation is branch-free SWAR arithmetic: a per-lane compare builds the
 // mask of positions between source and target and one add or subtract
 // shifts them all at once. That is the packed-word discipline of
-// plrutree.Trees and the batchreplay kernel (DESIGN.md §14), applied to
+// plrutree.Trees and the cache's IPV step (DESIGN.md §14), applied to
 // exact recency.
 package recency
 

@@ -19,12 +19,12 @@
 //
 // Tree-PLRU has no inclusion property (a taller tree is not a superset of a
 // shorter one), so PLRU points cannot come out of a stack histogram.
-// Instead each configured geometry is a real policy.NewPLRU model built by
-// cache.NewEngine, and all of them run through one cache.Replay walk beside
+// Instead each configured geometry is a real cache.New model under
+// policy.NewPLRU, and all of them run through one cache.Replay walk beside
 // the forest loop — grouped simulation in the style of
 // cpu.MultiWindowReplay — so PLRU results are exact by construction. Every
-// geometry Validate admits (power-of-two ways in 2..64) is inside the
-// batched kernel's domain, so the PLRU points run on the kernel.
+// geometry Validate admits (power-of-two ways in 2..64) is a tree-PLRU
+// shape, so the PLRU points run on the cache's inline IPV step.
 package stackdist
 
 import (
@@ -314,7 +314,7 @@ func Run(stream []trace.Record, opts Options) (*Sweep, error) {
 		}
 	}
 
-	plru := make([]cache.Engine, len(opts.PLRU))
+	plru := make([]*cache.Cache, len(opts.PLRU))
 	for i, g := range opts.PLRU {
 		cfg := cache.Config{
 			Name:       fmt.Sprintf("plru-%dx%d", g.Sets, g.Ways),
@@ -322,7 +322,7 @@ func Run(stream []trace.Record, opts Options) (*Sweep, error) {
 			Ways:       g.Ways,
 			BlockBytes: opts.BlockBytes,
 		}
-		plru[i] = cache.NewEngine(cfg, policy.NewPLRU(g.Sets, g.Ways), nil)
+		plru[i] = cache.New(cfg, policy.NewPLRU(g.Sets, g.Ways))
 	}
 	cache.Replay(stream, warm, plru, nil)
 
@@ -357,7 +357,7 @@ func Run(stream []trace.Record, opts Options) (*Sweep, error) {
 		}
 	}
 	for i, g := range opts.PLRU {
-		st := plru[i].Finish()
+		st := plru[i].Stats
 		sw.Results = append(sw.Results, GeometryResult{
 			Policy: PolicyPLRU, Sets: g.Sets, Ways: g.Ways,
 			Accesses: st.Accesses, Hits: st.Hits, Misses: st.Misses,

@@ -98,11 +98,12 @@ func lruConfig(sets, ways, blockBytes int) cache.Config {
 
 // scalarPLRU is the per-record tree-PLRU reference: a cache.New +
 // policy.NewPLRU cache driven one Access at a time, with ResetStats at the
-// warm boundary. Run carries its PLRU points on the batched kernel (and so
-// does cache.ReplayStream), so this keeps the check a comparison of two
-// engines.
+// warm boundary. Run carries its PLRU points on the cache's inline IPV step
+// (and so does cache.ReplayStream), so the policy here is wrapped to hide
+// its PackedIPV method and run its callbacks instead, which keeps the
+// check a comparison of two paths.
 func scalarPLRU(stream []trace.Record, sets, ways, blockBytes, warm int) cache.Stats {
-	c := cache.New(lruConfig(sets, ways, blockBytes), policy.NewPLRU(sets, ways))
+	c := cache.New(lruConfig(sets, ways, blockBytes), struct{ cache.Policy }{policy.NewPLRU(sets, ways)})
 	warm = min(warm, len(stream))
 	for _, r := range stream[:warm] {
 		c.Access(r)

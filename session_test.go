@@ -3,6 +3,7 @@ package gippr
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -136,6 +137,37 @@ func TestSessionReplayMatchesLegacy(t *testing.T) {
 	want := ReplayStream(stream, LLCConfig(), NewPLRU(LLCConfig().Sets(), LLCConfig().Ways), 5_000)
 	if got != want {
 		t.Errorf("Session.Replay = %+v, legacy ReplayStream = %+v", got, want)
+	}
+}
+
+// A negative warm-up count measures the whole stream, as warm 0 does, on
+// both the IPV step (PLRU) and the callbacks (LRU), and in Explain.
+func TestSessionNegativeWarm(t *testing.T) {
+	stream := sessionStream(5_000)
+	s, err := New(LLCConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := s.Config()
+	for _, mk := range []func() Policy{
+		func() Policy { return NewPLRU(cfg.Sets(), cfg.Ways) },
+		func() Policy { return NewLRU(cfg.Sets(), cfg.Ways) },
+	} {
+		got, want := s.Replay(stream, mk(), -1), s.Replay(stream, mk(), 0)
+		if got != want {
+			t.Errorf("%s: Replay at warm -1 = %+v, at warm 0 = %+v", mk().Name(), got, want)
+		}
+	}
+	got, err := s.Explain(stream, "lru", "plru", ExplainOptions{Warm: -1})
+	if err != nil {
+		t.Fatalf("Explain at warm -1: %v", err)
+	}
+	want, err := s.Explain(stream, "lru", "plru", ExplainOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("Explain at warm -1 = %+v, at warm 0 = %+v", got, want)
 	}
 }
 
