@@ -166,9 +166,12 @@ func (d *Duel) elect() {
 
 // Choose returns the policy index the given set should use right now:
 // leader sets always use their own policy; follower sets use the winner.
+// It spells out Selector.Leader so that callers which also draw a random
+// number, such as DRRIP's and DIP's bimodal fill, stay within the
+// inliner's budget.
 func (d *Duel) Choose(set uint32) int {
-	if l := d.sel.Leader(set); l >= 0 {
-		return l
+	if off := set % d.sel.period; off < d.sel.policies {
+		return int(off)
 	}
 	return d.winner
 }

@@ -1,17 +1,10 @@
 package policy
 
 import (
-	"fmt"
-
 	"gippr/internal/cache"
 	"gippr/internal/recency"
 	"gippr/internal/trace"
-	"gippr/internal/xrand"
 )
-
-// pippPromoteProb is PIPP's single-step promotion probability (Xie & Loh
-// use 3/4 for their baseline configuration).
-const pippPromoteProb = 0.75
 
 // PIPP is promotion/insertion pseudo-partitioning (Xie & Loh, ISCA 2009),
 // the shared-cache policy the paper cites as the generalization of
@@ -23,90 +16,104 @@ const pippPromoteProb = 0.75
 // naturally cede space because their blocks drift down — hence "pseudo"
 // partitioning.
 //
-// This implementation uses fixed allocations (equal by default) rather than
-// the original's UCP-style utility monitors; the monitors choose the
-// allocations but do not change the insertion/promotion mechanism under
-// study. Single-core traces (Core always 0) degrade to LIP with
-// stepwise promotion.
+// As in the cited design, UCP utility monitors choose the allocations at
+// run time: they start as an equal split (remainder to the lower-numbered
+// cores) and are recomputed every epoch. Cores beyond the allocation table
+// insert at LRU.
 type PIPP struct {
 	nop
-	rec   recency.Lanes
-	alloc []int // alloc[core] = partition size in ways
-	rng   *xrand.RNG
+	rec      recency.Lanes
+	monitors []*umon
+	alloc    []int // alloc[core] = partition size in ways
+	ways     int
+	accesses uint64
+	rng      *pippRNG
 }
 
-// NewPIPP returns a PIPP policy with explicit per-core allocations, which
-// must be positive and sum to at most the associativity.
-func NewPIPP(sets, ways int, alloc []int) *PIPP {
+// pippRNG is a minimal inlined xorshift so PIPP's promotion throttle stays
+// allocation-free on the hot path.
+type pippRNG struct{ s uint64 }
+
+func (r *pippRNG) bool75() bool {
+	r.s ^= r.s << 13
+	r.s ^= r.s >> 7
+	r.s ^= r.s << 17
+	return r.s&3 != 0 // 3 in 4
+}
+
+// NewPIPPDyn returns PIPP for the given core count, its allocations chosen
+// by UCP utility monitors.
+func NewPIPPDyn(sets, ways, cores int) *PIPP {
 	validateGeometry(sets, ways)
-	if len(alloc) == 0 {
-		panic("policy: PIPP needs at least one core allocation")
-	}
-	total := 0
-	for c, a := range alloc {
-		if a < 1 || a > ways {
-			panic(fmt.Sprintf("policy: PIPP allocation %d for core %d out of range", a, c))
-		}
-		total += a
-	}
-	if total > ways {
-		panic(fmt.Sprintf("policy: PIPP allocations sum to %d > %d ways", total, ways))
-	}
-	return &PIPP{
-		rec:   recency.New(sets, ways),
-		alloc: append([]int(nil), alloc...),
-		rng:   xrand.New(0x919),
-	}
-}
-
-// NewPIPPEqual returns PIPP with the associativity split equally among
-// cores (remainder to the lower-numbered cores).
-func NewPIPPEqual(sets, ways, cores int) *PIPP {
 	if cores < 1 || cores > ways {
 		panic("policy: PIPP core count out of range")
 	}
-	alloc := make([]int, cores)
-	for i := range alloc {
-		alloc[i] = ways / cores
-		if i < ways%cores {
-			alloc[i]++
+	p := &PIPP{
+		rec:   recency.New(sets, ways),
+		alloc: make([]int, cores),
+		ways:  ways,
+		rng:   &pippRNG{s: 0x9e3779b97f4a7c15},
+	}
+	for c := 0; c < cores; c++ {
+		p.monitors = append(p.monitors, newUMON(ways))
+		p.alloc[c] = ways / cores
+		if c < ways%cores {
+			p.alloc[c]++
 		}
 	}
-	return NewPIPP(sets, ways, alloc)
+	return p
 }
 
 // Name implements cache.Policy.
-func (p *PIPP) Name() string { return fmt.Sprintf("PIPP%v", p.alloc) }
+func (p *PIPP) Name() string { return "PIPP-dyn" }
 
-// Allocations returns a copy of the per-core partition sizes.
+// Allocations returns a copy of the current per-core partition sizes.
 func (p *PIPP) Allocations() []int { return append([]int(nil), p.alloc...) }
 
-// OnHit implements cache.Policy: promote by one position with probability
-// 3/4 (never past MRU).
-func (p *PIPP) OnHit(set uint32, way int, _ trace.Record) {
-	if pos := p.rec.Position(set, way); pos > 0 && p.rng.Bool(pippPromoteProb) {
+func (p *PIPP) tick(set uint32, r trace.Record) {
+	p.accesses++
+	if set&umonSampleMask == 0 && int(r.Core) < len(p.monitors) {
+		p.monitors[r.Core].access(set, r.Addr>>6)
+	}
+	if p.accesses%umonEpochLength == 0 {
+		p.alloc = ucpAllocate(p.monitors, p.ways)
+		for _, m := range p.monitors {
+			m.decay()
+		}
+	}
+}
+
+// OnHit implements cache.Policy: single-step promotion with probability 3/4
+// (never past MRU).
+func (p *PIPP) OnHit(set uint32, way int, r trace.Record) {
+	p.tick(set, r)
+	if pos := p.rec.Position(set, way); pos > 0 && p.rng.bool75() {
 		p.rec.MoveTo(set, way, pos-1)
 	}
 }
+
+// OnMiss implements cache.Policy.
+func (p *PIPP) OnMiss(set uint32, r trace.Record) { p.tick(set, r) }
 
 // Victim implements cache.Policy: the LRU block.
 func (p *PIPP) Victim(set uint32, _ trace.Record) int { return p.rec.Victim(set) }
 
 // OnFill implements cache.Policy: insert at the requesting core's
-// allocation position, counted from the LRU end. Unknown cores (beyond the
-// allocation table) insert at LRU.
+// allocation position, counted from the LRU end.
 func (p *PIPP) OnFill(set uint32, way int, r trace.Record) {
 	a := 1
 	if int(r.Core) < len(p.alloc) {
 		a = p.alloc[r.Core]
 	}
-	p.rec.MoveTo(set, way, p.rec.Ways()-a)
+	p.rec.MoveTo(set, way, p.ways-a)
 }
 
-// OverheadBits implements Overheader: the LRU stack plus the allocation
-// registers.
+// OverheadBits implements Overheader: the LRU stack, the allocation
+// registers, and the sampled ATDs (tag+position per monitored line).
 func (p *PIPP) OverheadBits() (float64, int) {
-	return stackBits(p.rec.Ways()), len(p.alloc) * log2ceil(p.rec.Ways()+1)
+	atdBits := len(p.monitors) * (4096 / (umonSampleMask + 1)) * p.ways * 40
+	return stackBits(p.ways),
+		len(p.alloc)*log2ceil(p.ways+1) + atdBits
 }
 
 var (

@@ -6,16 +6,22 @@
 //   - re-reference interval prediction: SRRIP, BRRIP, DRRIP (Jaleel et al.);
 //   - protecting distance: PDP (Duong et al.);
 //   - signature-based hit prediction: SHiP-lite (Wu et al.);
+//   - shared-cache pseudo-partitioning: PIPP (Xie & Loh) with UCP monitors;
 //   - the paper's contributions: GIPLR (IPV over true LRU), GIPPR (IPV over
 //     tree PseudoLRU) and DGIPPR (set-dueling over two or four IPVs);
 //   - Belady's MIN optimal replacement, as an offline trace algorithm.
 //
-// The paper's mechanism is one IPV over a recency state, and so are LRU,
-// LIP, multi-step LRU and tree PseudoLRU. Two types carry all of them:
-// GIPLR over exact LRU and GIPPR over tree PseudoLRU. Each takes one
-// vector, or a power-of-two number duelling through one dueling.Duel over
-// the shared recency bits (DGIPLR, DGIPPR); the constructors (NewTrueLRU,
-// NewPLRU, NewDGIPPR4, ...) differ only in vectors and name.
+// The paper's mechanism is an insertion/promotion rule over one recency
+// state, and each replacement state here has one type that carries every
+// policy over it. GIPLR (exact LRU) and GIPPR (tree PseudoLRU) take one
+// IPV, or a power-of-two number duelling through one dueling.Duel over the
+// shared recency bits (LRU, LIP, multi-step LRU, DGIPLR; PLRU, DGIPPR).
+// RRIP takes a vector over per-block RRPVs (SRRIP, RRIPV, and NRU as 1-bit
+// RRIP); its fill, like DIP's over exact LRU, can take a bimodal arm, alone
+// (BRRIP, BIP) or duelled (DRRIP, DIP). PIPP's allocations come from UCP
+// monitors. SHiP (over RRIP) and GIPPR+bypass (over GIPPR) share one
+// PC-signature predictor. The constructors (NewTrueLRU, NewPLRU, NewDRRIP,
+// NewNRU, ...) differ only in vectors, arms and name.
 //
 // Each policy reports its replacement-state storage via the Overheader
 // interface so the paper's overhead comparison (Section 3.6) can be

@@ -1,50 +1,138 @@
 package policy
 
 import (
+	"fmt"
+
 	"gippr/internal/cache"
-	"gippr/internal/dueling"
 	"gippr/internal/trace"
-	"gippr/internal/xrand"
 )
 
-// RRIP constants (Jaleel et al., ISCA 2010), 2-bit variant as evaluated in
-// the paper: re-reference prediction values (RRPVs) range 0 (near-immediate
-// re-reference) to 3 (distant). Hit priority (HP) promotion sets a hit
-// block's RRPV to 0.
-const (
-	rrpvBits      = 2
-	rrpvMax       = 1<<rrpvBits - 1 // 3: distant re-reference (eviction candidate)
-	rrpvLong      = rrpvMax - 1     // 2: long re-reference (SRRIP insertion)
-	brripThrottle = 32              // BRRIP inserts at rrpvLong once per 32 fills
-)
+// rrpvBits is the RRPV width the paper evaluates RRIP with (Jaleel et al.,
+// ISCA 2010): re-reference prediction values range from 0 (near-immediate
+// re-reference) to 3 (distant).
+const rrpvBits = 2
 
-// rripState is the shared RRPV machinery of SRRIP/BRRIP/DRRIP.
-type rripState struct {
+// RRIPVector is an insertion/promotion vector over the 2-bit RRPV space:
+// Promote[v] is the new RRPV of a block hit at RRPV v; Insert is the RRPV
+// given to an incoming block. Classic SRRIP-HP is Promote = [0,0,0,0],
+// Insert = 2; SRRIP-FP is Promote = [0,0,1,2], Insert = 2.
+type RRIPVector struct {
+	Promote [4]uint8
+	Insert  uint8
+}
+
+// Validate checks all values fit in 2 bits.
+func (v RRIPVector) Validate() error {
+	for i, p := range v.Promote {
+		if p > 3 {
+			return fmt.Errorf("policy: RRIP vector promote[%d] = %d out of range", i, p)
+		}
+	}
+	if v.Insert > 3 {
+		return fmt.Errorf("policy: RRIP vector insert = %d out of range", v.Insert)
+	}
+	return nil
+}
+
+// SRRIPHPVector is the hit-priority RRIP transition vector.
+var SRRIPHPVector = RRIPVector{Promote: [4]uint8{0, 0, 0, 0}, Insert: 2}
+
+// SRRIPFPVector is the frequency-priority RRIP transition vector.
+var SRRIPFPVector = RRIPVector{Promote: [4]uint8{0, 0, 1, 2}, Insert: 2}
+
+// RRIP is re-reference interval prediction (Jaleel et al., ISCA 2010) as an
+// insertion/promotion vector over each block's RRPV, the paper's
+// future-work item 5 ("it may be adapted to other LRU-like algorithms such
+// as RRIP"): a hit moves a block from RRPV v to Promote[v], a fill inserts
+// at Insert or, on a bimodal arm, at the distant RRPV, and the victim is
+// the leftmost block at the distant RRPV, aging the whole set until one
+// exists. Every RRIP policy is one:
+//
+//   - SRRIP: hit priority (SRRIPHPVector);
+//   - BRRIP: SRRIP's vector with the bimodal fill, RRIP's analogue of BIP;
+//   - DRRIP: SRRIP duelling BRRIP over the shared RRPVs, the paper's
+//     primary state-of-the-art comparison point (2 bits per block versus
+//     GIPPR's <1);
+//   - RRIPV: any vector; with 4^5 = 1024 vectors the space is small enough
+//     to search exhaustively;
+//   - NRU: 1-bit RRPVs, each the complement of NRU's reference bit, with
+//     hits and fills at 0: a hit or fill marks a block referenced, the
+//     victim is the leftmost unreferenced block, and a set with none clears
+//     every reference first.
+type RRIP struct {
+	bimodal
+	name string
 	ways int
+	bits int   // RRPV width: 2, or 1 for NRU
+	max  uint8 // the distant RRPV, 1<<bits - 1
+	vec  RRIPVector
 	rrpv []uint8 // flattened [set*ways+way]
 }
 
-func newRRIPState(sets, ways int) rripState {
+// newRRIP returns RRIP under vector v with every block at the distant RRPV
+// and no bimodal arm.
+func newRRIP(name string, sets, ways, bits int, v RRIPVector) *RRIP {
 	validateGeometry(sets, ways)
-	st := rripState{ways: ways, rrpv: make([]uint8, sets*ways)}
-	for i := range st.rrpv {
-		st.rrpv[i] = rrpvMax // empty ways predict distant re-reference
+	p := &RRIP{name: name, ways: ways, bits: bits, max: 1<<bits - 1, vec: v, rrpv: make([]uint8, sets*ways)}
+	for i := range p.rrpv {
+		p.rrpv[i] = p.max // empty ways predict distant re-reference
 	}
-	return st
+	return p
 }
 
-func (st *rripState) set(set uint32) []uint8 {
-	base := int(set) * st.ways
-	return st.rrpv[base : base+st.ways]
+// NewSRRIP returns static RRIP with hit priority: insert at RRPV 2,
+// promote to RRPV 0 on hit, evict at RRPV 3.
+func NewSRRIP(sets, ways int) *RRIP { return newRRIP("SRRIP", sets, ways, rrpvBits, SRRIPHPVector) }
+
+// NewBRRIP returns bimodal RRIP: insert at RRPV 3 (distant) except once per
+// 32 fills at RRPV 2, protecting against thrashing.
+func NewBRRIP(sets, ways int) *RRIP {
+	p := newRRIP("BRRIP", sets, ways, rrpvBits, SRRIPHPVector)
+	p.bimodal = newBimodal(0xbead)
+	return p
 }
 
-// victim finds the leftmost way with RRPV == max, aging the whole set until
-// one exists.
-func (st *rripState) victim(set uint32) int {
-	rr := st.set(set)
+// NewDRRIP returns dynamic RRIP: set-dueling between SRRIP (arm 0) and
+// BRRIP (arm 1) insertion, with a 10-bit PSEL and 32 leader sets per arm.
+func NewDRRIP(sets, ways int) *RRIP {
+	p := newRRIP("DRRIP", sets, ways, rrpvBits, SRRIPHPVector)
+	p.bimodal = newDuelledBimodal(sets, 0xd44)
+	return p
+}
+
+// NewRRIPV returns RRIP replacement with the given transition vector.
+func NewRRIPV(sets, ways int, v RRIPVector) *RRIP {
+	if err := v.Validate(); err != nil {
+		panic(err)
+	}
+	return newRRIP(fmt.Sprintf("RRIPV[%v %d]", v.Promote, v.Insert), sets, ways, rrpvBits, v)
+}
+
+// NewNRU returns not-recently-used replacement, the hardware-cheap policy
+// RRIP generalizes: RRIP with 1-bit RRPVs.
+func NewNRU(sets, ways int) *RRIP { return newRRIP("NRU", sets, ways, 1, RRIPVector{}) }
+
+// Name implements cache.Policy.
+func (p *RRIP) Name() string { return p.name }
+
+func (p *RRIP) set(set uint32) []uint8 {
+	base := int(set) * p.ways
+	return p.rrpv[base : base+p.ways]
+}
+
+// OnHit implements cache.Policy.
+func (p *RRIP) OnHit(set uint32, way int, _ trace.Record) {
+	rr := p.set(set)
+	rr[way] = p.vec.Promote[rr[way]]
+}
+
+// Victim implements cache.Policy: the leftmost way at the distant RRPV,
+// aging the whole set until one exists.
+func (p *RRIP) Victim(set uint32, _ trace.Record) int {
+	rr, max := p.set(set), p.max
 	for {
 		for w, v := range rr {
-			if v == rrpvMax {
+			if v == max {
 				return w
 			}
 		}
@@ -54,123 +142,19 @@ func (st *rripState) victim(set uint32) int {
 	}
 }
 
-// SRRIP is static re-reference interval prediction with hit priority:
-// insert at RRPV 2, promote to RRPV 0 on hit, evict at RRPV 3.
-type SRRIP struct {
-	nop
-	st rripState
-}
-
-// NewSRRIP returns static RRIP replacement.
-func NewSRRIP(sets, ways int) *SRRIP { return &SRRIP{st: newRRIPState(sets, ways)} }
-
-// Name implements cache.Policy.
-func (p *SRRIP) Name() string { return "SRRIP" }
-
-// OnHit implements cache.Policy.
-func (p *SRRIP) OnHit(set uint32, way int, _ trace.Record) { p.st.set(set)[way] = 0 }
-
-// Victim implements cache.Policy.
-func (p *SRRIP) Victim(set uint32, _ trace.Record) int { return p.st.victim(set) }
-
 // OnFill implements cache.Policy.
-func (p *SRRIP) OnFill(set uint32, way int, _ trace.Record) { p.st.set(set)[way] = rrpvLong }
-
-// OverheadBits implements Overheader.
-func (p *SRRIP) OverheadBits() (float64, int) { return float64(rrpvBits * p.st.ways), 0 }
-
-// BRRIP is bimodal RRIP: insert at RRPV 3 (distant) except once per 32
-// fills at RRPV 2 — RRIP's analogue of BIP, protecting against thrashing.
-type BRRIP struct {
-	nop
-	st  rripState
-	rng *xrand.RNG
-}
-
-// NewBRRIP returns bimodal RRIP replacement.
-func NewBRRIP(sets, ways int) *BRRIP {
-	return &BRRIP{st: newRRIPState(sets, ways), rng: xrand.New(0xbead)}
-}
-
-// Name implements cache.Policy.
-func (p *BRRIP) Name() string { return "BRRIP" }
-
-// OnHit implements cache.Policy.
-func (p *BRRIP) OnHit(set uint32, way int, _ trace.Record) { p.st.set(set)[way] = 0 }
-
-// Victim implements cache.Policy.
-func (p *BRRIP) Victim(set uint32, _ trace.Record) int { return p.st.victim(set) }
-
-// OnFill implements cache.Policy.
-func (p *BRRIP) OnFill(set uint32, way int, _ trace.Record) {
-	if p.rng.OneIn(brripThrottle) {
-		p.st.set(set)[way] = rrpvLong
-	} else {
-		p.st.set(set)[way] = rrpvMax
+func (p *RRIP) OnFill(set uint32, way int, _ trace.Record) {
+	v := p.vec.Insert
+	if p.rng != nil && p.far(set) {
+		v = p.max
 	}
+	p.set(set)[way] = v
 }
 
-// OverheadBits implements Overheader.
-func (p *BRRIP) OverheadBits() (float64, int) { return float64(rrpvBits * p.st.ways), 0 }
-
-// DRRIP is dynamic RRIP: set-dueling between SRRIP and BRRIP insertion over
-// shared RRPVs, with a 10-bit PSEL and 32 leader sets per policy. This is
-// the primary state-of-the-art comparison point in the paper (2 bits per
-// block versus GIPPR's <1).
-type DRRIP struct {
-	nop
-	st   rripState
-	duel *dueling.Duel
-	rng  *xrand.RNG
-}
-
-// NewDRRIP returns dynamic RRIP replacement.
-func NewDRRIP(sets, ways int) *DRRIP {
-	return &DRRIP{
-		st:   newRRIPState(sets, ways),
-		duel: dueling.NewDuel(sets, 2, leadersFor(sets, 2), 10),
-		rng:  xrand.New(0xd44),
-	}
-}
-
-// Name implements cache.Policy.
-func (p *DRRIP) Name() string { return "DRRIP" }
-
-// OnHit implements cache.Policy.
-func (p *DRRIP) OnHit(set uint32, way int, _ trace.Record) { p.st.set(set)[way] = 0 }
-
-// OnMiss implements cache.Policy.
-func (p *DRRIP) OnMiss(set uint32, _ trace.Record) { p.duel.OnMiss(set) }
-
-// Victim implements cache.Policy.
-func (p *DRRIP) Victim(set uint32, _ trace.Record) int { return p.st.victim(set) }
-
-// OnFill implements cache.Policy: policy 0 = SRRIP insertion, policy 1 =
-// BRRIP insertion.
-func (p *DRRIP) OnFill(set uint32, way int, _ trace.Record) {
-	if p.duel.Choose(set) == 0 {
-		p.st.set(set)[way] = rrpvLong
-		return
-	}
-	if p.rng.OneIn(brripThrottle) {
-		p.st.set(set)[way] = rrpvLong
-	} else {
-		p.st.set(set)[way] = rrpvMax
-	}
-}
-
-// Winner returns the insertion mode follower sets currently use (0 = SRRIP,
-// 1 = BRRIP).
-func (p *DRRIP) Winner() int { return p.duel.Winner() }
-
-// OverheadBits implements Overheader: 2 bits per block plus the PSEL.
-func (p *DRRIP) OverheadBits() (float64, int) { return float64(rrpvBits * p.st.ways), 10 }
+// OverheadBits implements Overheader: the RRPVs plus the PSEL, if any.
+func (p *RRIP) OverheadBits() (float64, int) { return float64(p.bits * p.ways), p.globalBits() }
 
 var (
-	_ cache.Policy = (*SRRIP)(nil)
-	_ cache.Policy = (*BRRIP)(nil)
-	_ cache.Policy = (*DRRIP)(nil)
-	_ Overheader   = (*SRRIP)(nil)
-	_ Overheader   = (*BRRIP)(nil)
-	_ Overheader   = (*DRRIP)(nil)
+	_ cache.Policy = (*RRIP)(nil)
+	_ Overheader   = (*RRIP)(nil)
 )

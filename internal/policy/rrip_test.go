@@ -8,15 +8,15 @@ import (
 )
 
 func TestRRIPVictimAging(t *testing.T) {
-	st := newRRIPState(1, 4)
-	rr := st.set(0)
+	p := NewSRRIP(1, 4)
+	rr := p.set(0)
 	// All empty ways start at max: the first way is the victim.
-	if v := st.victim(0); v != 0 {
+	if v := p.Victim(0, trace.Record{}); v != 0 {
 		t.Fatalf("initial victim %d", v)
 	}
 	// Give everyone low RRPVs; victim search must age until one saturates.
 	rr[0], rr[1], rr[2], rr[3] = 0, 1, 2, 1
-	if v := st.victim(0); v != 2 {
+	if v := p.Victim(0, trace.Record{}); v != 2 {
 		t.Fatalf("victim %d, want 2 (first to reach max)", v)
 	}
 	// Aging must have bumped everyone by the same amount (one round).
@@ -26,10 +26,10 @@ func TestRRIPVictimAging(t *testing.T) {
 }
 
 func TestRRIPVictimLeftmostTieBreak(t *testing.T) {
-	st := newRRIPState(1, 4)
-	rr := st.set(0)
+	p := NewSRRIP(1, 4)
+	rr := p.set(0)
 	rr[0], rr[1], rr[2], rr[3] = 3, 3, 3, 3
-	if v := st.victim(0); v != 0 {
+	if v := p.Victim(0, trace.Record{}); v != 0 {
 		t.Fatalf("tie-break victim %d", v)
 	}
 }
@@ -37,11 +37,11 @@ func TestRRIPVictimLeftmostTieBreak(t *testing.T) {
 func TestSRRIPInsertsAtLong(t *testing.T) {
 	p := NewSRRIP(4, 4)
 	p.OnFill(0, 2, trace.Record{})
-	if got := p.st.set(0)[2]; got != rrpvLong {
+	if got := p.set(0)[2]; got != 2 {
 		t.Fatalf("fill RRPV = %d", got)
 	}
 	p.OnHit(0, 2, trace.Record{})
-	if got := p.st.set(0)[2]; got != 0 {
+	if got := p.set(0)[2]; got != 0 {
 		t.Fatalf("hit RRPV = %d", got)
 	}
 }
@@ -51,13 +51,13 @@ func TestBRRIPMostlyDistant(t *testing.T) {
 	distant, long := 0, 0
 	for i := 0; i < 3200; i++ {
 		p.OnFill(0, 0, trace.Record{})
-		switch p.st.set(0)[0] {
-		case rrpvMax:
+		switch p.set(0)[0] {
+		case 3:
 			distant++
-		case rrpvLong:
+		case 2:
 			long++
 		default:
-			t.Fatalf("unexpected RRPV %d", p.st.set(0)[0])
+			t.Fatalf("unexpected RRPV %d", p.set(0)[0])
 		}
 	}
 	if long == 0 {
@@ -107,5 +107,37 @@ func TestDRRIPTracksSRRIPOnFriendlyWorkload(t *testing.T) {
 	// better static policy.
 	if float64(dr.Misses) > 1.10*float64(sr.Misses) {
 		t.Fatalf("DRRIP misses %d too far above SRRIP %d", dr.Misses, sr.Misses)
+	}
+}
+
+func TestNRUVictimSelection(t *testing.T) {
+	p := NewNRU(4, 4)
+	r := trace.Record{}
+	// Mark ways 0 and 1 referenced.
+	p.OnFill(0, 0, r)
+	p.OnFill(0, 1, r)
+	if v := p.Victim(0, r); v != 2 {
+		t.Fatalf("victim %d, want first unreferenced way 2", v)
+	}
+	// Saturate: all referenced -> clear and pick way 0.
+	p.OnFill(0, 2, r)
+	p.OnFill(0, 3, r)
+	if v := p.Victim(0, r); v != 0 {
+		t.Fatalf("victim after saturation %d", v)
+	}
+	// The clear must have reset the bits: every RRPV back at 1.
+	if p.set(0)[1] != 1 {
+		t.Fatal("reference bits not cleared")
+	}
+}
+
+func TestNRUApproximatesLRUBehaviour(t *testing.T) {
+	cfg := testConfig()
+	stream := mixStreams(100, 40000, 3)
+	nru := run(cfg, NewNRU(cfg.Sets(), cfg.Ways), stream)
+	lru := run(cfg, NewTrueLRU(cfg.Sets(), cfg.Ways), stream)
+	ratio := float64(nru.Misses) / float64(lru.Misses)
+	if ratio < 0.7 || ratio > 1.3 {
+		t.Fatalf("NRU/LRU miss ratio %.3f, expected rough parity", ratio)
 	}
 }

@@ -47,19 +47,19 @@ func TestSHiPLearnsDeadPC(t *testing.T) {
 func TestSHiPCountersMove(t *testing.T) {
 	p := NewSHiP(16, 4)
 	sig := shipSignature(0x2000)
-	start := p.shct[sig]
+	start := p.pred.shct[sig]
 	// Fill and evict without reuse repeatedly: counter must reach zero.
 	r := trace.Record{Gap: 1, PC: 0x2000}
 	for i := 0; i < 10; i++ {
 		p.OnFill(0, 0, r)
 		p.OnEvict(0, 0, r)
 	}
-	if p.shct[sig] != 0 {
-		t.Fatalf("dead signature counter = %d (started %d)", p.shct[sig], start)
+	if p.pred.shct[sig] != 0 {
+		t.Fatalf("dead signature counter = %d (started %d)", p.pred.shct[sig], start)
 	}
 	// Once dead, fills insert at distant RRPV.
 	p.OnFill(0, 1, r)
-	if got := p.st.set(0)[1]; got != rrpvMax {
+	if got := p.set(0)[1]; got != 3 {
 		t.Fatalf("dead-signature fill RRPV = %d", got)
 	}
 	// Reuse trains the counter back up and fills return to long RRPV.
@@ -68,7 +68,7 @@ func TestSHiPCountersMove(t *testing.T) {
 		p.OnHit(0, 2, r)
 	}
 	p.OnFill(0, 3, r)
-	if got := p.st.set(0)[3]; got != rrpvLong {
+	if got := p.set(0)[3]; got != 2 {
 		t.Fatalf("live-signature fill RRPV = %d", got)
 	}
 }
@@ -78,11 +78,11 @@ func TestSHiPOutcomeBitResets(t *testing.T) {
 	r := trace.Record{Gap: 1, PC: 0x3000}
 	p.OnFill(0, 0, r)
 	p.OnHit(0, 0, r)
-	if !p.reused[0] {
+	if !p.pred.reused[0] {
 		t.Fatal("outcome bit not set on hit")
 	}
 	p.OnFill(0, 0, r)
-	if p.reused[0] {
+	if p.pred.reused[0] {
 		t.Fatal("outcome bit not cleared on refill")
 	}
 }
@@ -91,12 +91,12 @@ func TestSHiPHitIncrementsOnce(t *testing.T) {
 	p := NewSHiP(16, 4)
 	r := trace.Record{Gap: 1, PC: 0x4000}
 	sig := shipSignature(0x4000)
-	base := p.shct[sig]
+	base := p.pred.shct[sig]
 	p.OnFill(0, 0, r)
 	p.OnHit(0, 0, r)
 	p.OnHit(0, 0, r)
 	p.OnHit(0, 0, r)
-	if got := p.shct[sig]; got != base+1 {
+	if got := p.pred.shct[sig]; got != base+1 {
 		t.Fatalf("counter after repeated hits = %d, want %d", got, base+1)
 	}
 }

@@ -63,58 +63,9 @@ func (p *FIFO) OnFill(set uint32, way int, _ trace.Record) {
 // OverheadBits implements Overheader: one way pointer per set.
 func (p *FIFO) OverheadBits() (float64, int) { return float64(log2ceil(p.ways)), 0 }
 
-// NRU is not-recently-used replacement: one reference bit per block, set on
-// hit and fill; the victim is the first way (in physical order) whose bit is
-// clear, and when every bit is set they are all cleared first. NRU is the
-// hardware-cheap policy RRIP generalizes.
-type NRU struct {
-	nop
-	ways int
-	ref  []bool // flattened [set*ways+way]
-}
-
-// NewNRU returns not-recently-used replacement.
-func NewNRU(sets, ways int) *NRU {
-	validateGeometry(sets, ways)
-	return &NRU{ways: ways, ref: make([]bool, sets*ways)}
-}
-
-// Name implements cache.Policy.
-func (p *NRU) Name() string { return "NRU" }
-
-func (p *NRU) set(set uint32) []bool {
-	base := int(set) * p.ways
-	return p.ref[base : base+p.ways]
-}
-
-// OnHit implements cache.Policy.
-func (p *NRU) OnHit(set uint32, way int, _ trace.Record) { p.set(set)[way] = true }
-
-// OnFill implements cache.Policy.
-func (p *NRU) OnFill(set uint32, way int, _ trace.Record) { p.set(set)[way] = true }
-
-// Victim implements cache.Policy.
-func (p *NRU) Victim(set uint32, _ trace.Record) int {
-	bits := p.set(set)
-	for w, b := range bits {
-		if !b {
-			return w
-		}
-	}
-	for w := range bits {
-		bits[w] = false
-	}
-	return 0
-}
-
-// OverheadBits implements Overheader: one bit per block.
-func (p *NRU) OverheadBits() (float64, int) { return float64(p.ways), 0 }
-
 var (
 	_ cache.Policy = (*Random)(nil)
 	_ cache.Policy = (*FIFO)(nil)
-	_ cache.Policy = (*NRU)(nil)
 	_ Overheader   = (*Random)(nil)
 	_ Overheader   = (*FIFO)(nil)
-	_ Overheader   = (*NRU)(nil)
 )

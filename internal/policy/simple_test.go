@@ -42,38 +42,6 @@ func TestFIFOPanicsOnHugeWays(t *testing.T) {
 	NewFIFO(1, 256)
 }
 
-func TestNRUVictimSelection(t *testing.T) {
-	p := NewNRU(4, 4)
-	r := trace.Record{}
-	// Mark ways 0 and 1 referenced.
-	p.OnFill(0, 0, r)
-	p.OnFill(0, 1, r)
-	if v := p.Victim(0, r); v != 2 {
-		t.Fatalf("victim %d, want first unreferenced way 2", v)
-	}
-	// Saturate: all referenced -> clear and pick way 0.
-	p.OnFill(0, 2, r)
-	p.OnFill(0, 3, r)
-	if v := p.Victim(0, r); v != 0 {
-		t.Fatalf("victim after saturation %d", v)
-	}
-	// The clear must have reset the bits.
-	if p.set(0)[1] {
-		t.Fatal("reference bits not cleared")
-	}
-}
-
-func TestNRUApproximatesLRUBehaviour(t *testing.T) {
-	cfg := testConfig()
-	stream := mixStreams(100, 40000, 3)
-	nru := run(cfg, NewNRU(cfg.Sets(), cfg.Ways), stream)
-	lru := run(cfg, NewTrueLRU(cfg.Sets(), cfg.Ways), stream)
-	ratio := float64(nru.Misses) / float64(lru.Misses)
-	if ratio < 0.7 || ratio > 1.3 {
-		t.Fatalf("NRU/LRU miss ratio %.3f, expected rough parity", ratio)
-	}
-}
-
 func TestRandomIsDeterministicAcrossRuns(t *testing.T) {
 	cfg := testConfig()
 	stream := uniformBlocks(512, 20000, 12)

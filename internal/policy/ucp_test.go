@@ -1,11 +1,6 @@
 package policy
 
-import (
-	"testing"
-
-	"gippr/internal/cache"
-	"gippr/internal/trace"
-)
+import "testing"
 
 func TestUMONCountsHitPositions(t *testing.T) {
 	u := newUMON(4)
@@ -73,76 +68,5 @@ func TestUCPAllocateEqualUtility(t *testing.T) {
 	alloc := ucpAllocate([]*umon{a, b}, 8)
 	if alloc[0]+alloc[1] != 8 || alloc[0] < 3 || alloc[1] < 3 {
 		t.Fatalf("equal utility split %v", alloc)
-	}
-}
-
-func TestPIPPDynAdaptsAllocations(t *testing.T) {
-	// Core 0 streams (no reuse); core 1 loops over a reusable set. After
-	// enough epochs the monitors must shift ways to core 1.
-	cfg := cache.Config{Name: "u", SizeBytes: 64 * 16 * 64, Ways: 16, BlockBytes: 64, HitLatency: 1}
-	p := NewPIPPDyn(cfg.Sets(), cfg.Ways, 2)
-	c := cache.New(cfg, p)
-	next := uint64(1 << 20)
-	hot := 0
-	for i := 0; i < 3*umonEpochLength; i++ {
-		if i%2 == 0 {
-			c.Access(trace.Record{Gap: 1, Addr: next * 64, Core: 0})
-			next++
-		} else {
-			c.Access(trace.Record{Gap: 1, Addr: uint64(hot%600) * 64, Core: 1})
-			hot++
-		}
-	}
-	alloc := p.Allocations()
-	if alloc[1] <= alloc[0] {
-		t.Fatalf("allocations %v: the reusing core did not win ways", alloc)
-	}
-}
-
-func TestPIPPDynBeatsLRUWithStreamingCoRunner(t *testing.T) {
-	cfg := testConfig()
-	recs := make([]trace.Record, 150_000)
-	next := uint64(1 << 20)
-	hot := 0
-	for i := range recs {
-		if i%2 == 0 {
-			recs[i] = trace.Record{Gap: 1, Addr: next * 64, Core: 0}
-			next++
-		} else {
-			recs[i] = trace.Record{Gap: 1, Addr: uint64(hot%200) * 64, Core: 1}
-			hot++
-		}
-	}
-	lru := runRecs(cfg, NewTrueLRU(cfg.Sets(), cfg.Ways), recs)
-	dyn := runRecs(cfg, NewPIPPDyn(cfg.Sets(), cfg.Ways, 2), recs)
-	if dyn.Misses >= lru.Misses {
-		t.Fatalf("PIPP-dyn misses %d not below LRU %d", dyn.Misses, lru.Misses)
-	}
-}
-
-func TestPIPPDynConstructorValidation(t *testing.T) {
-	for i, f := range []func(){
-		func() { NewPIPPDyn(16, 16, 0) },
-		func() { NewPIPPDyn(16, 16, 17) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("case %d accepted", i)
-				}
-			}()
-			f()
-		}()
-	}
-}
-
-func TestPIPPDynOverheadCountsATD(t *testing.T) {
-	p := NewPIPPDyn(4096, 16, 4)
-	_, global := p.OverheadBits()
-	if global < 4*64*16*40 { // 4 cores x 64 sampled sets x 16 ways x ~tag
-		t.Fatalf("ATD storage undercounted: %d", global)
-	}
-	if p.Name() != "PIPP-dyn" {
-		t.Fatal("name")
 	}
 }
