@@ -11,7 +11,6 @@ import (
 	"strings"
 
 	"gippr/internal/cache"
-	"gippr/internal/ipv"
 	"gippr/internal/multicore"
 	"gippr/internal/parallel"
 	"gippr/internal/policy"
@@ -125,7 +124,7 @@ func AssocSweep(l *Lab) *Table {
 		mk := map[string]func() cache.Policy{
 			"LRU":   func() cache.Policy { return policy.NewTrueLRU(sets, ways) },
 			"PLRU":  func() cache.Policy { return policy.NewPLRU(sets, ways) },
-			"GIPPR": func() cache.Policy { return policy.NewGIPPR(sets, ways, scaleVector(WIVector1(), ways)) },
+			"GIPPR": func() cache.Policy { return policy.NewGIPPR(sets, ways, WIVector1().ScaleTo(ways)) },
 			"DRRIP": func() cache.Policy { return policy.NewDRRIP(sets, ways) },
 		}
 		var ratios []float64
@@ -146,26 +145,6 @@ func AssocSweep(l *Lab) *Table {
 		t.Rows = append(t.Rows, TableRow{Name: fmt.Sprintf("%d-way", ways), Values: cells[wi]})
 	}
 	return t
-}
-
-// scaleVector adapts a 16-way vector to another associativity by
-// proportional scaling (same scheme as the policy registry).
-func scaleVector(v ipv.Vector, ways int) ipv.Vector {
-	if v.K() == ways {
-		return v
-	}
-	out := make(ipv.Vector, ways+1)
-	for i := range out {
-		src := i * v.K() / ways
-		if i == ways {
-			src = v.K()
-		}
-		out[i] = v[src] * ways / v.K()
-		if out[i] >= ways {
-			out[i] = ways - 1
-		}
-	}
-	return out
 }
 
 // RRIPVResult is the outcome of the exhaustive RRIP-transition-vector

@@ -388,15 +388,6 @@ func (l *Lab) GAEnvCtx(ctx context.Context) (*ga.Env, error) {
 	).SetWorkers(l.Workers), nil
 }
 
-// GAEnvLRU is the Section 2 proof-of-concept environment: the same fitness
-// over the GIPLR family (true-LRU IPVs).
-func (l *Lab) GAEnvLRU() *ga.Env {
-	return ga.NewEnv(l.Cfg, cpu.DefaultLinearModel(), l.Scale.WarmFrac, l.GAStreams(),
-		func(sets, ways int) cache.Policy { return policy.NewTrueLRU(sets, ways) },
-		func(sets, ways int, v ipv.Vector) cache.Policy { return policy.NewGIPLR(sets, ways, v) },
-	).SetWorkers(l.Workers)
-}
-
 // LLCStreamStats summarizes the captured streams (for reports and tests).
 type LLCStreamStats struct {
 	Workload string

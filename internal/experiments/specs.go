@@ -30,53 +30,33 @@ func SpecForIPV(label string, v ipv.Vector) Spec {
 	}}
 }
 
-// Baseline and prior-work policy specs. Labels follow the paper's figures.
+// Baseline and prior-work policy specs: the registry's policies under its
+// names and labels, which follow the paper's figures.
 var (
-	SpecLRU = Spec{Key: "lru", Label: "LRU", New: func(_ string, s, w int) cache.Policy {
-		return policy.NewTrueLRU(s, w)
-	}}
-	SpecPLRU = Spec{Key: "plru", Label: "PLRU", New: func(_ string, s, w int) cache.Policy {
-		return policy.NewPLRU(s, w)
-	}}
-	SpecRandom = Spec{Key: "random", Label: "Random", New: func(_ string, s, w int) cache.Policy {
-		return policy.NewRandom(s, w)
-	}}
-	SpecFIFO = Spec{Key: "fifo", Label: "FIFO", New: func(_ string, s, w int) cache.Policy {
-		return policy.NewFIFO(s, w)
-	}}
-	SpecNRU = Spec{Key: "nru", Label: "NRU", New: func(_ string, s, w int) cache.Policy {
-		return policy.NewNRU(s, w)
-	}}
-	SpecLIP = Spec{Key: "lip", Label: "LIP", New: func(_ string, s, w int) cache.Policy {
-		return policy.NewLIP(s, w)
-	}}
-	SpecBIP = Spec{Key: "bip", Label: "BIP", New: func(_ string, s, w int) cache.Policy {
-		return policy.NewBIP(s, w)
-	}}
-	SpecDIP = Spec{Key: "dip", Label: "DIP", New: func(_ string, s, w int) cache.Policy {
-		return policy.NewDIP(s, w)
-	}}
-	SpecSRRIP = Spec{Key: "srrip", Label: "SRRIP", New: func(_ string, s, w int) cache.Policy {
-		return policy.NewSRRIP(s, w)
-	}}
-	SpecBRRIP = Spec{Key: "brrip", Label: "BRRIP", New: func(_ string, s, w int) cache.Policy {
-		return policy.NewBRRIP(s, w)
-	}}
-	SpecDRRIP = Spec{Key: "drrip", Label: "DRRIP", New: func(_ string, s, w int) cache.Policy {
-		return policy.NewDRRIP(s, w)
-	}}
-	SpecPDP = Spec{Key: "pdp", Label: "PDP", New: func(_ string, s, w int) cache.Policy {
-		return policy.NewPDP(s, w)
-	}}
-	SpecSHiP = Spec{Key: "ship", Label: "SHiP", New: func(_ string, s, w int) cache.Policy {
-		return policy.NewSHiP(s, w)
-	}}
-	SpecMSLRU = Spec{Key: "mslru", Label: "MSLRU", New: func(_ string, s, w int) cache.Policy {
-		p := policy.NewMSLRU(s, w, policy.DefaultMSLRUStep(w))
-		p.SetName("MSLRU")
-		return p
-	}}
+	SpecLRU    = registrySpec("lru")
+	SpecPLRU   = registrySpec("plru")
+	SpecRandom = registrySpec("random")
+	SpecFIFO   = registrySpec("fifo")
+	SpecNRU    = registrySpec("nru")
+	SpecLIP    = registrySpec("lip")
+	SpecBIP    = registrySpec("bip")
+	SpecDIP    = registrySpec("dip")
+	SpecSRRIP  = registrySpec("srrip")
+	SpecBRRIP  = registrySpec("brrip")
+	SpecDRRIP  = registrySpec("drrip")
+	SpecPDP    = registrySpec("pdp")
+	SpecSHiP   = registrySpec("ship")
+	SpecMSLRU  = registrySpec("mslru")
 )
+
+// registrySpec is SpecFromRegistry for a name the registry is known to hold.
+func registrySpec(name string) Spec {
+	s, err := SpecFromRegistry(name)
+	if err != nil {
+		panic(err)
+	}
+	return s
+}
 
 // SpecGIPLR is the Figure 4 policy: the evolved IPV over true LRU.
 var SpecGIPLR = Spec{Key: "giplr", Label: "GIPLR", New: func(_ string, s, w int) cache.Policy {

@@ -130,6 +130,28 @@ func (v Vector) Equal(w Vector) bool {
 	return true
 }
 
+// ScaleTo adapts a vector to a k-way cache by scaling each entry
+// proportionally, so vectors published for 16 ways remain usable on other
+// geometries (tests exercise 4- and 8-way caches). A vector already for k
+// ways is returned unchanged.
+func (v Vector) ScaleTo(k int) Vector {
+	if v.K() == k {
+		return v
+	}
+	out := make(Vector, k+1)
+	for i := range out {
+		src := i * v.K() / k
+		if i == k {
+			src = v.K()
+		}
+		out[i] = v[src] * k / v.K()
+		if out[i] >= k {
+			out[i] = k - 1
+		}
+	}
+	return out
+}
+
 // String renders the vector in the paper's bracketed form,
 // e.g. "[ 0 0 1 0 3 0 1 2 1 0 5 1 0 0 1 11 13 ]".
 func (v Vector) String() string {

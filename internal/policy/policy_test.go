@@ -195,11 +195,11 @@ func containsStr(s, sub string) bool {
 
 func TestPaperVectorForScaling(t *testing.T) {
 	v16 := ipv.PaperWIGIPPR
-	if got := paperVectorFor(16, v16); !got.Equal(v16) {
+	if got := v16.ScaleTo(16); !got.Equal(v16) {
 		t.Fatal("16-way vector modified")
 	}
 	for _, k := range []int{4, 8, 32} {
-		scaled := paperVectorFor(k, v16)
+		scaled := v16.ScaleTo(k)
 		if scaled.K() != k {
 			t.Fatalf("scaled to k=%d got %d", k, scaled.K())
 		}

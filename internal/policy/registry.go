@@ -39,25 +39,25 @@ func Registry() map[string]Factory {
 			return p
 		}},
 		"giplr": {Name: "GIPLR", New: func(s, w int) cache.Policy {
-			return NewGIPLR(s, w, paperVectorFor(w, ipv.PaperGIPLR))
+			return NewGIPLR(s, w, ipv.PaperGIPLR.ScaleTo(w))
 		}},
 		"gippr": {Name: "GIPPR", New: func(s, w int) cache.Policy {
-			g := NewGIPPR(s, w, paperVectorFor(w, ipv.PaperWIGIPPR))
+			g := NewGIPPR(s, w, ipv.PaperWIGIPPR.ScaleTo(w))
 			g.SetName("GIPPR")
 			return g
 		}},
 		"2-dgippr": {Name: "2-DGIPPR", New: func(s, w int) cache.Policy {
 			return NewDGIPPR2(s, w, [2]ipv.Vector{
-				paperVectorFor(w, ipv.PaperWI2DGIPPR[0]),
-				paperVectorFor(w, ipv.PaperWI2DGIPPR[1]),
+				ipv.PaperWI2DGIPPR[0].ScaleTo(w),
+				ipv.PaperWI2DGIPPR[1].ScaleTo(w),
 			})
 		}},
 		"4-dgippr": {Name: "4-DGIPPR", New: func(s, w int) cache.Policy {
 			return NewDGIPPR4(s, w, [4]ipv.Vector{
-				paperVectorFor(w, ipv.PaperWI4DGIPPR[0]),
-				paperVectorFor(w, ipv.PaperWI4DGIPPR[1]),
-				paperVectorFor(w, ipv.PaperWI4DGIPPR[2]),
-				paperVectorFor(w, ipv.PaperWI4DGIPPR[3]),
+				ipv.PaperWI4DGIPPR[0].ScaleTo(w),
+				ipv.PaperWI4DGIPPR[1].ScaleTo(w),
+				ipv.PaperWI4DGIPPR[2].ScaleTo(w),
+				ipv.PaperWI4DGIPPR[3].ScaleTo(w),
 			})
 		}},
 	}
@@ -82,26 +82,4 @@ func Lookup(name string) (Factory, error) {
 		return Factory{}, fmt.Errorf("%w %q (known: %v)", ErrUnknownPolicy, name, Names())
 	}
 	return f, nil
-}
-
-// paperVectorFor adapts a published 16-way vector to other associativities
-// by scaling each entry proportionally, so the registry remains usable on
-// non-16-way geometries (tests exercise 4- and 8-way caches). For 16 ways
-// the vector is returned unchanged.
-func paperVectorFor(ways int, v ipv.Vector) ipv.Vector {
-	if v.K() == ways {
-		return v
-	}
-	out := make(ipv.Vector, ways+1)
-	for i := range out {
-		src := i * v.K() / ways
-		if i == ways {
-			src = v.K()
-		}
-		out[i] = v[src] * ways / v.K()
-		if out[i] >= ways {
-			out[i] = ways - 1
-		}
-	}
-	return out
 }
