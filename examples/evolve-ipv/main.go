@@ -45,7 +45,10 @@ func main() {
 		captureStream(sess, "dealII_like", 22, 200_000),
 		captureStream(sess, "lbm_like", 33, 200_000),
 	}
-	env := sess.EvolveEnv(1.0/3, streams)
+	env, err := sess.EvolveEnv(1.0/3, streams)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	cfg := gippr.DefaultEvolveConfig(0xbee)
 	cfg.Population = 16

@@ -139,9 +139,12 @@ func TestEvolveThroughFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	env := sess.EvolveEnv(1.0/3, []EvolveStream{
+	env, err := sess.EvolveEnv(1.0/3, []EvolveStream{
 		{Workload: "thrash", Weight: 1, Records: recs},
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	cfg := DefaultEvolveConfig(1)
 	cfg.Population = 6
 	cfg.Generations = 2
@@ -248,7 +251,10 @@ func TestAnnealFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	env := sess.EvolveEnv(1.0/3, []EvolveStream{{Workload: "t", Weight: 1, Records: recs}})
+	env, err := sess.EvolveEnv(1.0/3, []EvolveStream{{Workload: "t", Weight: 1, Records: recs}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	cfg := DefaultAnnealConfig(2)
 	cfg.Steps = 15
 	best, fit := Anneal(env, LIPVector(16), cfg)

@@ -71,7 +71,7 @@ func NewEnv(cfg cache.Config, model cpu.LinearModel, warmFrac float64,
 	streams []Stream,
 	newLRU func(sets, ways int) cache.Policy,
 	newPolicy func(sets, ways int, v ipv.Vector) cache.Policy) *Env {
-	if warmFrac < 0 || warmFrac >= 1 {
+	if !(warmFrac >= 0 && warmFrac < 1) { // NaN included
 		panic("ga: WarmFrac must be in [0,1)")
 	}
 	factor := 1.0

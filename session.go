@@ -286,10 +286,15 @@ func (s *Session) explainSide(stream []Record, name string, warm int) (explain.S
 
 // EvolveEnv builds a GIPPR fitness environment over LLC-filtered streams at
 // the Session's geometry: estimated speedup over true LRU under the linear
-// CPI model, with warmFrac of each stream used for cache warm-up.
-func (s *Session) EvolveEnv(warmFrac float64, streams []EvolveStream) *EvolveEnv {
+// CPI model, with warmFrac of each stream used for cache warm-up. A
+// warmFrac outside [0, 1), NaN included, returns an error wrapping
+// ErrBadGeometry, as Sweep does for a negative warm-up.
+func (s *Session) EvolveEnv(warmFrac float64, streams []EvolveStream) (*EvolveEnv, error) {
+	if !(warmFrac >= 0 && warmFrac < 1) {
+		return nil, fmt.Errorf("%w: warm-up fraction %v outside [0, 1)", ErrBadGeometry, warmFrac)
+	}
 	return ga.NewEnv(s.cfg, cpu.DefaultLinearModel(), warmFrac, streams,
 		func(sets, ways int) cache.Policy { return policy.NewTrueLRU(sets, ways) },
 		func(sets, ways int, v ipv.Vector) cache.Policy { return policy.NewGIPPR(sets, ways, v) },
-	)
+	), nil
 }

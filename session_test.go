@@ -3,6 +3,7 @@ package gippr
 import (
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -203,12 +204,29 @@ func TestSessionHierarchyAndEvolveEnv(t *testing.T) {
 		t.Error("session hierarchy not wired through L1..L3")
 	}
 
-	env := s.EvolveEnv(1.0/3, []EvolveStream{{Workload: "t", Weight: 1, Records: sessionStream(4_000)}})
-	if env == nil {
-		t.Fatal("EvolveEnv returned nil")
+	env, err := s.EvolveEnv(1.0/3, []EvolveStream{{Workload: "t", Weight: 1, Records: sessionStream(4_000)}})
+	if err != nil || env == nil {
+		t.Fatalf("EvolveEnv = (%v, %v)", env, err)
 	}
 	if f := env.Fitness(LRUVector(s.Config().Ways)); f <= 0 {
 		t.Errorf("LRU-vector fitness = %v, want > 0 (speedup ratio)", f)
+	}
+}
+
+// A warm-up fraction outside [0, 1), NaN included, is a domain error
+// wrapping ErrBadGeometry, not a panic or an environment that silently
+// measures the whole stream.
+func TestSessionEvolveEnvRejectsBadWarmFraction(t *testing.T) {
+	s, err := New(LLCConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	streams := []EvolveStream{{Workload: "t", Weight: 1, Records: sessionStream(1_000)}}
+	for _, warm := range []float64{-0.5, 1, math.NaN()} {
+		env, err := s.EvolveEnv(warm, streams)
+		if env != nil || !errors.Is(err, ErrBadGeometry) {
+			t.Errorf("EvolveEnv(%v) = (%v, %v), want (nil, ErrBadGeometry)", warm, env, err)
+		}
 	}
 }
 
