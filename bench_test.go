@@ -548,32 +548,13 @@ func BenchmarkReplayStream(b *testing.B) {
 	b.Run("callbacks/telemetry=on", func(b *testing.B) { run(b, false, &telemetry.Sink{}) })
 }
 
-func BenchmarkPolicyLRU(b *testing.B) {
-	benchPolicy(b, func(s, w int) cache.Policy { return policy.NewTrueLRU(s, w) })
-}
-
-func BenchmarkPolicyPLRU(b *testing.B) {
-	benchPolicy(b, func(s, w int) cache.Policy { return policy.NewPLRU(s, w) })
-}
-
-func BenchmarkPolicyGIPPR(b *testing.B) {
-	benchPolicy(b, func(s, w int) cache.Policy { return policy.NewGIPPR(s, w, ipv.PaperWIGIPPR) })
-}
-
-func BenchmarkPolicyDGIPPR4(b *testing.B) {
-	benchPolicy(b, func(s, w int) cache.Policy { return policy.NewDGIPPR4(s, w, ipv.PaperWI4DGIPPR) })
-}
-
-func BenchmarkPolicyDRRIP(b *testing.B) {
-	benchPolicy(b, func(s, w int) cache.Policy { return policy.NewDRRIP(s, w) })
-}
-
-func BenchmarkPolicyPDP(b *testing.B) {
-	benchPolicy(b, func(s, w int) cache.Policy { return policy.NewPDP(s, w) })
-}
-
-func BenchmarkPolicySHiP(b *testing.B) {
-	benchPolicy(b, func(s, w int) cache.Policy { return policy.NewSHiP(s, w) })
+// BenchmarkPolicy times one replay into the paper LLC per registry
+// policy, one sub-benchmark per registry name (-bench 'BenchmarkPolicy/drrip$').
+func BenchmarkPolicy(b *testing.B) {
+	for _, name := range policy.Names() {
+		f, _ := policy.Lookup(name)
+		b.Run(name, func(b *testing.B) { benchPolicy(b, f.New) })
+	}
 }
 
 func BenchmarkBeladyOptimal(b *testing.B) {
