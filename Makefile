@@ -82,9 +82,9 @@ staticcheck:
 	fi
 
 # Fuzz smoke: a few seconds per target over the external-input boundaries
-# (binary trace reader, IPV parser, job submissions), the single-pass
-# multi-model replay walk, the cache's IPV step against GIPPR's callbacks,
-# the one-pass sweep, the explain decomposition, the packed recency stacks
+# (binary trace reader, IPV parser, job submissions), the multi-model
+# replay against one-policy replays, the cache's IPV step against GIPPR's
+# and GIPLR's callbacks, the one-pass sweep, the explain decomposition, the packed recency stacks
 # against a naive list model, the tree-PLRU words against a pointer-based
 # tree, and the integer-tick window model against its float64 reference.
 # Each newly interesting input is minimized for at most 1s: at the default

@@ -11,7 +11,9 @@ package gippr
 // ./cmd/gippr-report`. Scale follows GIPPR_SCALE (default: "default").
 
 import (
+	"context"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -21,6 +23,7 @@ import (
 	"gippr/internal/ipv"
 	"gippr/internal/plrutree"
 	"gippr/internal/policy"
+	"gippr/internal/recency"
 	"gippr/internal/stats"
 	"gippr/internal/telemetry"
 	"gippr/internal/trace"
@@ -207,6 +210,50 @@ func BenchmarkLabGrid(b *testing.B) {
 				l := experiments.NewLab(experiments.Smoke).SetWorkers(workers)
 				l.PrefetchWorkloads(specs, l.Suite()[:8], false)
 			}
+		})
+	}
+}
+
+// BenchmarkColdGrid times the grid a cold served job runs: each iteration
+// builds a fresh Lab at GIPPR_SCALE and runs Lab.Grid over gippr-serve's
+// six default policies plus one GIPPR under an explicit IPV, on the
+// benchmark's four probe workloads. That is stream generation, L1/L2
+// capture and Grid's per-phase batches, each batch replaying every policy
+// through cpu.MultiWindowReplay, as gippr-serve and gippr-sim run them
+// (BenchmarkLabGrid instead times Prefetch's one task per cell). Metrics:
+// ms/op and MB/op allocated.
+func BenchmarkColdGrid(b *testing.B) {
+	var specs []experiments.Spec
+	for _, name := range []string{"lru", "plru", "drrip", "pdp", "gippr", "4-dgippr"} {
+		s, err := experiments.SpecFromRegistry(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		specs = append(specs, s)
+	}
+	specs = append(specs, experiments.SpecForIPV("GIPPR*", ipv.MidClimb(cache.L3Config.Ways)))
+	var wls []workload.Workload
+	for _, name := range []string{"mcf_like", "lbm_like", "sphinx3_like", "dealII_like"} {
+		w, err := workload.ByName(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		wls = append(wls, w)
+	}
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < b.N; i++ {
+				l := experiments.NewLab(experiments.ScaleFromEnv()).SetWorkers(workers)
+				if _, err := l.Grid(context.Background(), specs, wls, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			b.ReportMetric(float64(b.Elapsed().Microseconds())/1e3/float64(b.N), "ms/op")
+			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/1e6/float64(b.N), "MB/op")
 		})
 	}
 }
@@ -476,9 +523,9 @@ func reportPerRecord(b *testing.B, records int) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(records), "ns/record")
 }
 
-// hidePacked hides a policy's PackedIPV method, so a cache over it runs
-// the Policy callbacks instead of the IPV step. SetTelemetry is re-exposed
-// so a sink still reaches the wrapped policy.
+// hidePacked hides a policy's PackedIPV and PackedLanes methods, so a
+// cache over it runs the Policy callbacks instead of the IPV step.
+// SetTelemetry is re-exposed so a sink still reaches the wrapped policy.
 type hidePacked struct{ cache.Policy }
 
 func (h hidePacked) SetTelemetry(t *telemetry.Sink) {
@@ -487,8 +534,9 @@ func (h hidePacked) SetTelemetry(t *telemetry.Sink) {
 	}
 }
 
-// countFills is hidePacked with the wrapped policy's PackedIPV answer kept,
-// counting the OnFill calls its cache makes: the IPV step makes none.
+// countFills is hidePacked with the wrapped policy's PackedIPV and
+// PackedLanes answers kept, counting the OnFill calls its cache makes: the
+// IPV step makes none.
 type countFills struct {
 	hidePacked
 	fills *int
@@ -500,7 +548,17 @@ func (c countFills) OnFill(set uint32, way int, r trace.Record) {
 }
 
 func (c countFills) PackedIPV() ([]int, plrutree.Trees, bool) {
-	return c.Policy.(cache.Packable).PackedIPV()
+	if pk, ok := c.Policy.(cache.Packable); ok {
+		return pk.PackedIPV()
+	}
+	return nil, plrutree.Trees{}, false
+}
+
+func (c countFills) PackedLanes() ([]int, recency.Lanes, bool) {
+	if pk, ok := c.Policy.(cache.PackableLanes); ok {
+		return pk.PackedLanes()
+	}
+	return nil, recency.Lanes{}, false
 }
 
 // BenchmarkReplayStream measures the simulator's hot loop: one-vector
@@ -512,14 +570,17 @@ func (c countFills) PackedIPV() ([]int, plrutree.Trees, bool) {
 // pins the telemetry tax: with the sink disabled the only cost is a
 // handful of nil checks, with a sink attached every hit, miss, eviction,
 // fill and IPV move is recorded into fixed-size counters and histograms.
-// EXPERIMENTS.md records the measured ratio. All four variants must
-// report 0 allocs/op.
+// The lru pair times exact LRU the same way, telemetry off: the step over
+// its recency lanes against its callbacks. EXPERIMENTS.md records the
+// measured ratios. All six variants must report 0 allocs/op.
 func BenchmarkReplayStream(b *testing.B) {
 	cfg := cache.L3Config
 	stream := microStream(100_000)
-	run := func(b *testing.B, step bool, sink *telemetry.Sink) {
+	gippr := func() cache.Policy { return policy.NewGIPPR(cfg.Sets(), cfg.Ways, ipv.PaperWIGIPPR) }
+	lru := func() cache.Policy { return policy.NewTrueLRU(cfg.Sets(), cfg.Ways) }
+	run := func(b *testing.B, mk func() cache.Policy, step bool, sink *telemetry.Sink) {
 		var fills int
-		var pol cache.Policy = policy.NewGIPPR(cfg.Sets(), cfg.Ways, ipv.PaperWIGIPPR)
+		pol := mk()
 		if step {
 			pol = countFills{hidePacked{pol}, &fills}
 		} else {
@@ -539,13 +600,15 @@ func BenchmarkReplayStream(b *testing.B) {
 		}
 		reportPerRecord(b, len(stream))
 		if fills != 0 {
-			b.Fatal("GIPPR did not take the IPV step")
+			b.Fatalf("%s did not take the IPV step", pol.Name())
 		}
 	}
-	b.Run("step/telemetry=off", func(b *testing.B) { run(b, true, nil) })
-	b.Run("step/telemetry=on", func(b *testing.B) { run(b, true, &telemetry.Sink{}) })
-	b.Run("callbacks/telemetry=off", func(b *testing.B) { run(b, false, nil) })
-	b.Run("callbacks/telemetry=on", func(b *testing.B) { run(b, false, &telemetry.Sink{}) })
+	b.Run("step/telemetry=off", func(b *testing.B) { run(b, gippr, true, nil) })
+	b.Run("step/telemetry=on", func(b *testing.B) { run(b, gippr, true, &telemetry.Sink{}) })
+	b.Run("callbacks/telemetry=off", func(b *testing.B) { run(b, gippr, false, nil) })
+	b.Run("callbacks/telemetry=on", func(b *testing.B) { run(b, gippr, false, &telemetry.Sink{}) })
+	b.Run("lru/step/telemetry=off", func(b *testing.B) { run(b, lru, true, nil) })
+	b.Run("lru/callbacks/telemetry=off", func(b *testing.B) { run(b, lru, false, nil) })
 }
 
 // BenchmarkPolicy times one replay into the paper LLC per registry

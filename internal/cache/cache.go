@@ -22,16 +22,21 @@
 // LLC-only model with ReplayStream — exactly the paper's Valgrind-trace
 // methodology (Section 4.3), and orders of magnitude faster than
 // re-simulating L1/L2. Replay is the one walk behind every such replay: it
-// drives any number of caches over a stream in BlockSize blocks.
+// drives one cache over a stream in BlockSize blocks, and a caller that
+// replays several policies walks the stream once per cache.
 //
-// One Cache type models every level. For a Packable policy (PLRU and
-// one-vector GIPPR) New resolves the policy's vector and tree-PLRU state
-// once, and each access then runs the paper's step inline (Sections
-// 3.3-3.4): a hit moves the block to V[i], a fill places it at V[k], the
-// victim is the PLRU leaf. A probe over one tag byte per way finds the hit
-// way in a few word operations. Every other policy runs through the Policy
-// callbacks. Both paths produce the same counters, telemetry events and
-// policy state, bit for bit (DESIGN.md §14).
+// One Cache type models every level. For a policy that is one IPV over a
+// packed recency state, New resolves the policy's vector and that state
+// once, and each access then runs the paper's step inline (Sections 2 and
+// 3.3-3.4): a hit moves the block at position i to V[i], a fill places it
+// at V[k], the victim is the block in the last position. The state is
+// tree-PLRU words for a Packable policy (PLRU and one-vector GIPPR) and
+// exact-LRU recency lanes for a PackableLanes one (LRU, LIP, multi-step LRU
+// and one-vector GIPLR, at up to 64 ways), so the L1 and L2 of every
+// capture take the step too. A probe over one tag byte per way finds the
+// hit way in a few word operations. Every other policy runs through the
+// Policy callbacks. Both paths produce the same counters, telemetry events
+// and policy state, bit for bit (DESIGN.md §14).
 package cache
 
 import (
@@ -40,6 +45,7 @@ import (
 	"math/bits"
 
 	"gippr/internal/plrutree"
+	"gippr/internal/recency"
 	"gippr/internal/telemetry"
 	"gippr/internal/trace"
 	"gippr/internal/xrand"
@@ -105,6 +111,19 @@ type Bypasser interface {
 // one-vector GIPPR take the step.
 type Packable interface {
 	PackedIPV() ([]int, plrutree.Trees, bool)
+}
+
+// PackableLanes is Packable over exact LRU: a policy whose behaviour is
+// exactly "insertion/promotion vector over a true-LRU recency stack"
+// returns that vector (length ways+1), its recency lanes and ok=true from
+// PackedLanes, and the cache runs the same inline step on the lanes. A hit
+// at stack position i moves the block to V[i], a fill to V[k], and the
+// victim is the block at position k-1. New takes it under Packable's
+// conditions, and only up to 64 ways, where a set's valid and dirty bits
+// are one word; policy.GIPLR implements it, so LRU, LIP, multi-step LRU
+// and one-vector GIPLR take the step, and DGIPLR does not.
+type PackableLanes interface {
+	PackedLanes() ([]int, recency.Lanes, bool)
 }
 
 // Config describes one cache's geometry.
@@ -312,14 +331,17 @@ type Cache struct {
 	Stats   Stats
 	tel     *telemetry.Sink // nil when telemetry is disabled
 
-	// The step's state, set only for a Packable policy (see step): the
-	// promotion targets V[0..ways-1] (nil when the callbacks run), the
-	// insertion position V[ways], and the policy's own trees. sig holds
-	// one tag byte per way (the byte just above the set index), eight ways
-	// to a word, sigWords words per set.
+	// The step's state, set only for a Packable or PackableLanes policy
+	// (see step): the promotion targets V[0..ways-1] (nil when the
+	// callbacks run), the insertion position V[ways], and the policy's own
+	// position state: its trees, or with exact set, its recency lanes. sig
+	// holds one tag byte per way (the byte just above the set index),
+	// eight ways to a word, sigWords words per set.
 	vec      []int
 	insPos   int
+	exact    bool
 	trees    plrutree.Trees
+	lanes    recency.Lanes
 	sig      []uint64
 	sigWords int
 	sigShift uint
@@ -347,13 +369,24 @@ func New(cfg Config, pol Policy) *Cache {
 		pol:        pol,
 	}
 	c.bypass, _ = pol.(Bypasser)
-	if pk, ok := pol.(Packable); ok && c.bypass == nil {
-		if vec, trees, ok := pk.PackedIPV(); ok && trees.Sets() == sets && trees.Ways() == cfg.Ways {
-			c.vec, c.insPos, c.trees = vec[:cfg.Ways], vec[cfg.Ways], trees
-			c.sigWords = (cfg.Ways + 7) / 8
-			c.sigShift = uint(bits.Len(uint(sets - 1)))
-			c.sig = make([]uint64, sets*c.sigWords)
+	var vec []int
+	if c.bypass == nil {
+		if pk, ok := pol.(Packable); ok {
+			if v, trees, ok := pk.PackedIPV(); ok && trees.Sets() == sets && trees.Ways() == cfg.Ways {
+				vec, c.trees = v, trees
+			}
 		}
+		if pk, ok := pol.(PackableLanes); ok && vec == nil && cfg.Ways <= 64 {
+			if v, lanes, ok := pk.PackedLanes(); ok && lanes.Sets() == sets && lanes.Ways() == cfg.Ways {
+				vec, c.lanes, c.exact = v, lanes, true
+			}
+		}
+	}
+	if vec != nil {
+		c.vec, c.insPos = vec[:cfg.Ways], vec[cfg.Ways]
+		c.sigWords = (cfg.Ways + 7) / 8
+		c.sigShift = uint(bits.Len(uint(sets - 1)))
+		c.sig = make([]uint64, sets*c.sigWords)
 	}
 	if tail := cfg.Ways % 64; tail != 0 {
 		for set := 0; set < sets; set++ {
@@ -489,17 +522,20 @@ const (
 	laneMSB = 0x8080808080808080
 )
 
-// step is Access for a Packable policy: the same state machine with the
-// policy's callbacks inlined as IPV moves on its trees, and the tag scan
-// replaced by a probe of the set's signature bytes. A SWAR zero-byte scan
-// of sig^probe flags every way whose byte matches, plus the odd borrow
-// artifact just above a real match; each candidate is then checked against
-// its valid bit and full tag, so collisions and the stale bytes Invalidate
-// leaves change nothing. Lanes past ways hold no way, and their valid bits
-// are parked at 1, so the probe skips them. Counters, telemetry events (Hit,
-// Promote on a hit; Miss, Evict, Fill, Insert on a miss) and the
-// OnEviction call come in Access's order. Tree-PLRU has at most 64 ways, so
-// a set's valid and dirty bits are one word each.
+// step is Access for a Packable or PackableLanes policy: the same state
+// machine with the policy's callbacks inlined as IPV moves on its position
+// state, and the tag scan replaced by a probe of the set's signature bytes.
+// The moves are the tree's find_index, set_index and find_plru, or with
+// exact set the recency lanes' Position, MoveTo and Victim; the branch
+// between them goes the same way on every access of a cache. A SWAR
+// zero-byte scan of sig^probe flags every way whose byte matches, plus the
+// odd borrow artifact just above a real match; each candidate is then
+// checked against its valid bit and full tag, so collisions and the stale
+// bytes Invalidate leaves change nothing. Lanes past ways hold no way, and
+// their valid bits are parked at 1, so the probe skips them. Counters,
+// telemetry events (Hit, Promote on a hit; Miss, Evict, Fill, Insert on a
+// miss) and the OnEviction call come in Access's order. The step runs at
+// up to 64 ways, so a set's valid and dirty bits are one word each.
 func (c *Cache) step(block uint64, set uint32, write bool) bool {
 	if c.sampled != nil && !c.sampled[set] {
 		c.Stats.Skipped++
@@ -522,12 +558,22 @@ func (c *Cache) step(block uint64, set uint32, write bool) bool {
 				if write {
 					c.dirty[set] |= 1 << w
 				}
-				from := c.trees.Position(set, w)
+				var from int
+				if c.exact {
+					from = c.lanes.Position(set, w)
+				} else {
+					from = c.trees.Position(set, w)
+				}
+				to := c.vec[from]
 				if c.tel != nil {
 					c.tel.Hit(base + w)
-					c.tel.Promote(from, c.vec[from])
+					c.tel.Promote(from, to)
 				}
-				c.trees.SetPosition(set, w, c.vec[from])
+				if c.exact {
+					c.lanes.MoveTo(set, w, to)
+				} else {
+					c.trees.SetPosition(set, w, to)
+				}
 				return true
 			}
 		}
@@ -541,7 +587,11 @@ func (c *Cache) step(block uint64, set uint32, write bool) bool {
 	// none and TrailingZeros64 reads 64.
 	w := bits.TrailingZeros64(^valid)
 	if w >= c.ways {
-		w = c.trees.Victim(set)
+		if c.exact {
+			w = c.lanes.Victim(set)
+		} else {
+			w = c.trees.Victim(set)
+		}
 		c.Stats.Evictions++
 		dirty := c.dirty[set] >> w & 1
 		c.Stats.Writebacks += dirty
@@ -565,7 +615,11 @@ func (c *Cache) step(block uint64, set uint32, write bool) bool {
 		c.tel.Fill(base + w)
 		c.tel.Insert(c.insPos)
 	}
-	c.trees.SetPosition(set, w, c.insPos)
+	if c.exact {
+		c.lanes.MoveTo(set, w, c.insPos)
+	} else {
+		c.trees.SetPosition(set, w, c.insPos)
+	}
 	return false
 }
 

@@ -14,9 +14,12 @@ import (
 
 // FuzzBatchedReplayConsistency drives arbitrary record streams and
 // geometries through ReplayStreamTel twice, once on the IPV step and once
-// on GIPPR's callbacks behind scalarOnly, and requires bit-identical
+// on the policy's callbacks behind scalarOnly, and requires bit-identical
 // results: the hit/miss/access triple (and hence MPKI), the full telemetry
-// sink with its event-ordered histograms, and the final policy tree state.
+// sink with its event-ordered histograms, and the final tree (GIPPR) or
+// lane (GIPLR) state. GIPPR runs under the derived vector; GIPLR runs
+// under LRU, LIP, multi-step LRU and the derived vector, and under the
+// derived vector again as the last level of a MakeInclusive hierarchy.
 // The input encodes the stream as (addr byte, gap byte) pairs — the
 // FuzzMultiRunConsistency convention — plus geometry selectors:
 // associativity and set-count exponents, an optional sampling shift, a
@@ -70,5 +73,25 @@ func FuzzBatchedReplayConsistency(f *testing.F) {
 				fastSink, slowSink, cfg, vec, warm)
 		}
 		sameTrees(t, fmt.Sprintf("cfg %+v vec %v warm %d", cfg, vec, warm), treesOf(fast), treesOf(slow))
+
+		for _, v := range []ipv.Vector{ipv.LRU(ways), ipv.LIP(ways), ipv.MultiStep(ways, policy.DefaultMSLRUStep(ways)), vec} {
+			fast := policy.NewGIPLR(sets, ways, v)
+			slow := policy.NewGIPLR(sets, ways, v)
+			var fastSink, slowSink telemetry.Sink
+			fastRes := cache.ReplayStreamTel(stream, cfg, fast, warm, &fastSink)
+			slowRes := cache.ReplayStreamTel(stream, cfg, scalarOnly{slow}, warm, &slowSink)
+			what := fmt.Sprintf("GIPLR cfg %+v vec %v warm %d", cfg, v, warm)
+			if fastRes != slowRes {
+				t.Fatalf("%s: step %+v != callbacks %+v", what, fastRes, slowRes)
+			}
+			if !reflect.DeepEqual(&fastSink, &slowSink) {
+				t.Fatalf("%s: telemetry sinks diverged", what)
+			}
+			sameLanes(t, what, lanesOf(fast), lanesOf(slow))
+		}
+		fastL, slowL := policy.NewGIPLR(sets, ways, vec), policy.NewGIPLR(sets, ways, vec)
+		what := fmt.Sprintf("GIPLR cfg %+v vec %v", cfg, vec)
+		matchInclusive(t, what, stream, cfg, fastL, slowL)
+		sameLanes(t, what+" inclusive", lanesOf(fastL), lanesOf(slowL))
 	})
 }

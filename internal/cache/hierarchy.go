@@ -216,17 +216,17 @@ func ReplayStream(stream []trace.Record, cfg Config, pol Policy, warm int) Repla
 // to the LLC for the duration of the replay. Warm-up events are discarded
 // at the warm boundary (the sink is reset together with the cache stats),
 // so the sink describes exactly the measurement window. A nil sink makes it
-// identical to ReplayStream. For a Packable policy (PLRU and one-vector
-// GIPPR) the LLC runs the inline IPV step, with the same stats, telemetry
-// events and final policy state as the callbacks, so the choice needs no
-// call-site opt-in.
+// identical to ReplayStream. For a Packable or PackableLanes policy (PLRU,
+// one-vector GIPPR, LRU and the other one-vector GIPLRs) the LLC runs the
+// inline IPV step, with the same stats, telemetry events and final policy
+// state as the callbacks, so the choice needs no call-site opt-in.
 func ReplayStreamTel(stream []trace.Record, cfg Config, pol Policy, warm int, tel *telemetry.Sink) ReplayStats {
 	c := New(cfg, pol)
 	if tel != nil {
 		c.SetTelemetry(tel)
 	}
 	var instrs uint64
-	Replay(stream, warm, []*Cache{c}, func(_ int, blk []trace.Record, _ *HitBits) {
+	Replay(stream, warm, c, func(blk []trace.Record, _ *HitBits) {
 		for i := range blk {
 			instrs += uint64(blk[i].Gap)
 		}

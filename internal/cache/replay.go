@@ -39,35 +39,28 @@ func (c *Cache) AccessBlock(recs []trace.Record, hits *HitBits) {
 	}
 }
 
-// Replay walks a captured LLC stream through every cache in BlockSize
+// Replay walks a captured LLC stream through one cache in BlockSize
 // blocks: the first warm records (clamped to the stream; a negative warm
-// warms nothing) only warm the caches, each cache's stats and telemetry are
-// then reset, and the rest is measured. After cache i models a measured
-// block, measure (when non-nil) is called with i, the block and its hit
-// bits, so per-record consumers such as a timing model see each record
-// after its own access. Caches share nothing, so each one's counters,
-// events and final state are those of a replay of the stream through it
-// alone.
-func Replay(stream []trace.Record, warm int, caches []*Cache,
-	measure func(i int, blk []trace.Record, hits *HitBits)) {
+// warms nothing) only warm the cache, its stats and telemetry are then
+// reset, and the rest is measured. After the cache models a measured
+// block, measure (when non-nil) is called with the block and its hit bits,
+// so per-record consumers such as a timing model see each record after its
+// own access. Callers that replay one stream under several policies walk
+// it once per cache: the models share nothing but the stream, and one
+// cache's tags and policy state stay in the host's caches for the whole
+// walk (DESIGN.md §9).
+func Replay(stream []trace.Record, warm int, c *Cache, measure func(blk []trace.Record, hits *HitBits)) {
 	warm = min(max(warm, 0), len(stream))
 	var hits HitBits
 	for off := 0; off < warm; off += BlockSize {
-		blk := stream[off:min(off+BlockSize, warm)]
-		for _, c := range caches {
-			c.AccessBlock(blk, &hits)
-		}
+		c.AccessBlock(stream[off:min(off+BlockSize, warm)], &hits)
 	}
-	for _, c := range caches {
-		c.ResetStats()
-	}
+	c.ResetStats()
 	for off := warm; off < len(stream); off += BlockSize {
 		blk := stream[off:min(off+BlockSize, len(stream))]
-		for i, c := range caches {
-			c.AccessBlock(blk, &hits)
-			if measure != nil {
-				measure(i, blk, &hits)
-			}
+		c.AccessBlock(blk, &hits)
+		if measure != nil {
+			measure(blk, &hits)
 		}
 	}
 }

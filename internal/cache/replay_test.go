@@ -10,11 +10,11 @@ import (
 	"gippr/internal/xrand"
 )
 
-// TestReplayAllocatesNothingPerBlock gates the shared walk: once the caches
-// are built, Replay over a 40-block stream allocates exactly what it
-// allocates over a 1-block stream — caches on the IPV step and on the
-// callbacks, telemetry off and on, with a measure callback consuming every
-// block's hit bits.
+// TestReplayAllocatesNothingPerBlock gates the walk: once the caches are
+// built, Replay over a 40-block stream allocates exactly what it allocates
+// over a 1-block stream — caches on the IPV step over trees and over
+// lanes and on the callbacks, telemetry off and on, with a measure
+// callback consuming every block's hit bits.
 func TestReplayAllocatesNothingPerBlock(t *testing.T) {
 	cfg := cache.Config{Name: "z", SizeBytes: 16 * 16 * 64, Ways: 16, BlockBytes: 64, HitLatency: 30}
 	rng := xrand.New(0xA110C)
@@ -29,9 +29,10 @@ func TestReplayAllocatesNothingPerBlock(t *testing.T) {
 		return nil
 	}
 	var caches []*cache.Cache
-	var fills [2]int // policy fills under PLRU and under true LRU
+	var fills [3]int // policy fills under PLRU, true LRU and DIP
 	for _, tel := range []bool{false, true} {
-		for i, pol := range []cache.Policy{policy.NewPLRU(cfg.Sets(), cfg.Ways), policy.NewTrueLRU(cfg.Sets(), cfg.Ways)} {
+		for i, pol := range []cache.Policy{policy.NewPLRU(cfg.Sets(), cfg.Ways),
+			policy.NewTrueLRU(cfg.Sets(), cfg.Ways), policy.NewDIP(cfg.Sets(), cfg.Ways)} {
 			c := cache.New(cfg, count(pol, &fills[i]))
 			if s := sink(tel); s != nil {
 				c.SetTelemetry(s)
@@ -40,7 +41,7 @@ func TestReplayAllocatesNothingPerBlock(t *testing.T) {
 		}
 	}
 	var hits uint64
-	measure := func(_ int, blk []trace.Record, h *cache.HitBits) {
+	measure := func(blk []trace.Record, h *cache.HitBits) {
 		for i := range blk {
 			if h.Bit(i) {
 				hits++
@@ -49,7 +50,9 @@ func TestReplayAllocatesNothingPerBlock(t *testing.T) {
 	}
 	allocs := func(recs []trace.Record) float64 {
 		return testing.AllocsPerRun(10, func() {
-			cache.Replay(recs, len(recs)/4, caches, measure)
+			for _, c := range caches {
+				cache.Replay(recs, len(recs)/4, c, measure)
+			}
 		})
 	}
 	one, forty := allocs(stream[:cache.BlockSize]), allocs(stream)
@@ -59,7 +62,8 @@ func TestReplayAllocatesNothingPerBlock(t *testing.T) {
 	if hits == 0 {
 		t.Fatal("no cache hit; the measured blocks are vacuous")
 	}
-	if fills[0] != 0 || fills[1] == 0 {
-		t.Fatalf("policy fills: %d under PLRU, %d under true LRU; want the step for PLRU only", fills[0], fills[1])
+	if fills[0] != 0 || fills[1] != 0 || fills[2] == 0 {
+		t.Fatalf("policy fills: %d under PLRU, %d under true LRU, %d under DIP; want the step for PLRU and LRU only",
+			fills[0], fills[1], fills[2])
 	}
 }

@@ -9,15 +9,16 @@ import (
 	"gippr/internal/ipv"
 	"gippr/internal/plrutree"
 	"gippr/internal/policy"
+	"gippr/internal/recency"
 	"gippr/internal/telemetry"
 	"gippr/internal/trace"
 	"gippr/internal/xrand"
 )
 
-// scalarOnly hides a policy's PackedIPV method so a cache over it always
-// runs the Policy callbacks — the reference side of every step-versus-
-// callbacks comparison in this file. Interface embedding keeps only
-// cache.Policy's method set; SetTelemetry is re-exposed explicitly so
+// scalarOnly hides a policy's PackedIPV and PackedLanes methods so a cache
+// over it always runs the Policy callbacks — the reference side of every
+// step-versus-callbacks comparison in this file. Interface embedding keeps
+// only cache.Policy's method set; SetTelemetry is re-exposed explicitly so
 // instrumented comparisons still reach the wrapped policy.
 type scalarOnly struct{ cache.Policy }
 
@@ -27,11 +28,11 @@ func (s scalarOnly) SetTelemetry(t *telemetry.Sink) {
 	}
 }
 
-// counted wraps a policy, keeps its PackedIPV answer, and counts the
-// OnFill calls the cache makes. A cache over it therefore takes the IPV
-// step exactly when it would over the bare policy, and the step calls no
-// callback: no fills after a replay with misses means the step modelled
-// it all.
+// counted wraps a policy, keeps its PackedIPV and PackedLanes answers,
+// and counts the OnFill calls the cache makes. A cache over it therefore
+// takes the IPV step exactly when it would over the bare policy, and the
+// step calls no callback: no fills after a replay with misses means the
+// step modelled it all.
 type counted struct {
 	scalarOnly
 	fills *int
@@ -47,6 +48,13 @@ func (c counted) PackedIPV() ([]int, plrutree.Trees, bool) {
 		return pk.PackedIPV()
 	}
 	return nil, plrutree.Trees{}, false
+}
+
+func (c counted) PackedLanes() ([]int, recency.Lanes, bool) {
+	if pk, ok := c.Policy.(cache.PackableLanes); ok {
+		return pk.PackedLanes()
+	}
+	return nil, recency.Lanes{}, false
 }
 
 // countedBypass is counted for a Bypasser, which it stays.
@@ -122,7 +130,7 @@ func runStep(t testing.TB, stream []trace.Record, cfg cache.Config, pol cache.Po
 	if tel != nil {
 		c.SetTelemetry(tel)
 	}
-	cache.Replay(stream, warm, []*cache.Cache{c}, nil)
+	cache.Replay(stream, warm, c, nil)
 	if fills != 0 {
 		t.Fatalf("%s: the IPV step did not run (%d policy fills)", cfg.Name, fills)
 	}
@@ -143,6 +151,88 @@ func sameTrees(t *testing.T, what string, a, b plrutree.Trees) {
 		if fw, sw := a.Word(set), b.Word(set); fw != sw {
 			t.Fatalf("%s: set %d tree state %#x != callbacks' %#x", what, set, fw, sw)
 		}
+	}
+}
+
+// lanesOf returns a one-vector GIPLR's recency lanes, the state the step
+// and the callbacks both move in place.
+func lanesOf(p *policy.GIPLR) recency.Lanes {
+	_, lanes, _ := p.PackedLanes()
+	return lanes
+}
+
+// sameLanes fails unless a and b hold the same position for every way of
+// every set.
+func sameLanes(t testing.TB, what string, a, b recency.Lanes) {
+	t.Helper()
+	for set := uint32(0); set < uint32(a.Sets()); set++ {
+		for w := 0; w < a.Ways(); w++ {
+			if fp, sp := a.Position(set, w), b.Position(set, w); fp != sp {
+				t.Fatalf("%s: set %d way %d at position %d, callbacks' %d", what, set, w, fp, sp)
+			}
+		}
+	}
+}
+
+// matchReplays replays stream through a cache over fast on the IPV step
+// and through one over slow on the callbacks, telemetry on, and fails
+// unless every stat counter and the two sinks agree.
+func matchReplays(t testing.TB, what string, stream []trace.Record, cfg cache.Config, fast, slow cache.Policy, warm int) {
+	t.Helper()
+	var fastSink, slowSink telemetry.Sink
+	fastStats := runStep(t, stream, cfg, fast, warm, &fastSink)
+	slowStats := runScalar(stream, cfg, scalarOnly{slow}, warm, &slowSink)
+	if fastStats != slowStats {
+		t.Errorf("%s: step stats %+v != callbacks %+v", what, fastStats, slowStats)
+	}
+	if !reflect.DeepEqual(&fastSink, &slowSink) {
+		t.Errorf("%s: telemetry sinks diverge", what)
+	}
+}
+
+// replayInclusive drives stream through a MakeInclusive hierarchy whose
+// last level has cfg and runs llc, over two small levels whose policies
+// inner builds, and returns the three levels' counters. tel is attached to
+// the last level.
+func replayInclusive(stream []trace.Record, cfg cache.Config, llc cache.Policy,
+	inner func(sets, ways int) cache.Policy, tel *telemetry.Sink) [3]cache.Stats {
+	l1 := cache.Config{Name: "L1", SizeBytes: 2 * 4 * 64, Ways: 4, BlockBytes: 64}
+	l2 := cache.Config{Name: "L2", SizeBytes: 4 * 8 * 64, Ways: 8, BlockBytes: 64}
+	h := cache.NewHierarchy(cache.New(l1, inner(l1.Sets(), l1.Ways)),
+		cache.New(l2, inner(l2.Sets(), l2.Ways)), cache.New(cfg, llc))
+	h.MakeInclusive()
+	h.L3.SetTelemetry(tel)
+	for _, r := range stream {
+		h.Access(r)
+	}
+	return [3]cache.Stats{h.L1.Stats, h.L2.Stats, h.L3.Stats}
+}
+
+// matchInclusive runs stream through two MakeInclusive hierarchies with
+// last-level geometry cfg over LRU inner levels: one with fast and every
+// level on the IPV step, one with slow and every level on the callbacks.
+// The last level's evictions back-invalidate inner ways that the step
+// later refills from their old positions. It fails if the first hierarchy
+// calls any policy's OnFill, or if any level's counters or the last
+// level's telemetry differ between the two.
+func matchInclusive(t testing.TB, what string, stream []trace.Record, cfg cache.Config, fast, slow cache.Policy) {
+	t.Helper()
+	var fills int
+	var fastSink, slowSink telemetry.Sink
+	got := replayInclusive(stream, cfg, count(fast, &fills), func(sets, ways int) cache.Policy {
+		return count(policy.NewTrueLRU(sets, ways), &fills)
+	}, &fastSink)
+	want := replayInclusive(stream, cfg, scalarOnly{slow}, func(sets, ways int) cache.Policy {
+		return scalarOnly{policy.NewTrueLRU(sets, ways)}
+	}, &slowSink)
+	if fills != 0 {
+		t.Fatalf("%s inclusive: the IPV step did not run (%d policy fills)", what, fills)
+	}
+	if got != want {
+		t.Errorf("%s inclusive: step stats %+v != callbacks %+v", what, got, want)
+	}
+	if !reflect.DeepEqual(&fastSink, &slowSink) {
+		t.Errorf("%s inclusive: telemetry sinks diverge", what)
 	}
 }
 
@@ -181,45 +271,64 @@ func vectorsFor(ways int, rng *xrand.RNG) []ipv.Vector {
 	return vecs
 }
 
+// giplrVectors returns the IPVs the step over exact LRU is checked under:
+// LRU's all-zero vector, LIP's insert-at-LRU, the registry's multi-step
+// LRU, and a seeded random vector.
+func giplrVectors(ways int, rng *xrand.RNG) []ipv.Vector {
+	v := ipv.New(ways)
+	for j := range v {
+		v[j] = rng.Intn(ways)
+	}
+	return []ipv.Vector{ipv.LRU(ways), ipv.LIP(ways), ipv.MultiStep(ways, policy.DefaultMSLRUStep(ways)), v}
+}
+
 // TestKernelMatchesScalarAcrossGeometries is the step's differential
 // battery: for every geometry x vector x warm fraction, a cache.Replay
-// through the IPV step and a per-record replay through GIPPR's callbacks
-// must agree on every stat counter, produce DeepEqual telemetry sinks
-// (which pins the event sequence wherever the sink's access clock can see
-// it), and leave the two policy objects' trees in identical states.
+// through the IPV step and a per-record replay through the policy's
+// callbacks must agree on every stat counter, produce DeepEqual telemetry
+// sinks (which pins the event sequence wherever the sink's access clock
+// can see it), and leave the two policy objects' trees (GIPPR) or lanes
+// (GIPLR) in identical states. Each GIPLR geometry and vector also runs as
+// the last level of a MakeInclusive hierarchy.
 func TestKernelMatchesScalarAcrossGeometries(t *testing.T) {
 	n := 20_000
 	if testing.Short() {
 		n = 4_000
 	}
 	rng := xrand.New(0xBA7C4)
+	lrng := xrand.New(0x61B1)
 	for _, cfg := range stepConfigs() {
 		for vi, vec := range vectorsFor(cfg.Ways, rng) {
 			for _, warm := range []int{0, n / 3} {
 				fast := policy.NewGIPPR(cfg.Sets(), cfg.Ways, vec)
 				slow := policy.NewGIPPR(cfg.Sets(), cfg.Ways, vec)
 				stream := makeStream(n, cfg, 2.5, 0xF00D+uint64(vi))
-
-				var fastSink, slowSink telemetry.Sink
-				fastStats := runStep(t, stream, cfg, fast, warm, &fastSink)
-				slowStats := runScalar(stream, cfg, scalarOnly{slow}, warm, &slowSink)
-
-				if fastStats != slowStats {
-					t.Errorf("%s vec %d warm %d: step stats %+v != callbacks %+v",
-						cfg.Name, vi, warm, fastStats, slowStats)
-				}
-				if !reflect.DeepEqual(&fastSink, &slowSink) {
-					t.Errorf("%s vec %d warm %d: telemetry sinks diverge", cfg.Name, vi, warm)
-				}
-				sameTrees(t, fmt.Sprintf("%s vec %d warm %d", cfg.Name, vi, warm), treesOf(fast), treesOf(slow))
+				what := fmt.Sprintf("%s vec %d warm %d", cfg.Name, vi, warm)
+				matchReplays(t, what, stream, cfg, fast, slow, warm)
+				sameTrees(t, what, treesOf(fast), treesOf(slow))
 			}
+		}
+		for vi, vec := range giplrVectors(cfg.Ways, lrng) {
+			stream := makeStream(n, cfg, 2.5, 0x61B1+uint64(vi))
+			for _, warm := range []int{0, n / 3} {
+				fast := policy.NewGIPLR(cfg.Sets(), cfg.Ways, vec)
+				slow := policy.NewGIPLR(cfg.Sets(), cfg.Ways, vec)
+				what := fmt.Sprintf("%s GIPLR vec %d warm %d", cfg.Name, vi, warm)
+				matchReplays(t, what, stream, cfg, fast, slow, warm)
+				sameLanes(t, what, lanesOf(fast), lanesOf(slow))
+			}
+			fast := policy.NewGIPLR(cfg.Sets(), cfg.Ways, vec)
+			slow := policy.NewGIPLR(cfg.Sets(), cfg.Ways, vec)
+			what := fmt.Sprintf("%s GIPLR vec %d", cfg.Name, vi)
+			matchInclusive(t, what, stream, cfg, fast, slow)
+			sameLanes(t, what+" inclusive", lanesOf(fast), lanesOf(slow))
 		}
 	}
 }
 
 // TestDispatchedReplayStreamMatchesScalar checks the public entry point:
 // cache.ReplayStreamTel with a packable policy (the step) against the same
-// call with the policy wrapped scalarOnly, for PLRU and GIPPR.
+// call with the policy wrapped scalarOnly, for PLRU, GIPPR and LRU.
 func TestDispatchedReplayStreamMatchesScalar(t *testing.T) {
 	cfg := cache.Config{Name: "d", SizeBytes: 32 * 16 * 64, Ways: 16, BlockBytes: 64, HitLatency: 30}
 	stream := makeStream(30_000, cfg, 3, 0xD15)
@@ -227,6 +336,7 @@ func TestDispatchedReplayStreamMatchesScalar(t *testing.T) {
 	makers := map[string]func() cache.Policy{
 		"plru":  func() cache.Policy { return policy.NewPLRU(cfg.Sets(), cfg.Ways) },
 		"gippr": func() cache.Policy { return policy.NewGIPPR(cfg.Sets(), cfg.Ways, ipv.MidClimb(cfg.Ways)) },
+		"lru":   func() cache.Policy { return policy.NewTrueLRU(cfg.Sets(), cfg.Ways) },
 	}
 	for name, mk := range makers {
 		var fastSink, slowSink telemetry.Sink
@@ -265,11 +375,12 @@ func TestKernelSeedsFromPolicyState(t *testing.T) {
 	sameTrees(t, "seeded replay", ft, st)
 }
 
-// TestDispatchFallsBackForNonPackable pins who takes which path: PLRU and
-// one-vector GIPPR must take the IPV step, while duelling DGIPPR, true LRU
+// TestDispatchFallsBackForNonPackable pins who takes which path: PLRU,
+// one-vector GIPPR and the one-vector GIPLRs (LRU, LIP, multi-step LRU)
+// must take the IPV step, while duelling DGIPPR and DGIPLR, DIP, PIPP-dyn
 // and GIPPR+bypass (packable through its embedded GIPPR, but a Bypasser)
-// must run the callbacks, as must a packable policy whose trees do not
-// have the cache's sets and ways.
+// must run the callbacks, as must a packable policy whose trees or lanes do
+// not have the cache's sets and ways, and exact LRU past 64 ways.
 func TestDispatchFallsBackForNonPackable(t *testing.T) {
 	cfg := cache.Config{Name: "f", SizeBytes: 16 * 16 * 64, Ways: 16, BlockBytes: 64, HitLatency: 30}
 	sets, ways := cfg.Sets(), cfg.Ways
@@ -281,19 +392,36 @@ func TestDispatchFallsBackForNonPackable(t *testing.T) {
 	}{
 		{"plru", policy.NewPLRU(sets, ways), true},
 		{"gippr", policy.NewGIPPR(sets, ways, ipv.LIP(ways)), true},
-		{"lru", policy.NewTrueLRU(sets, ways), false},
+		{"lru", policy.NewTrueLRU(sets, ways), true},
+		{"lip", policy.NewLIP(sets, ways), true},
+		{"mslru", policy.NewMSLRU(sets, ways, 4), true},
+		{"giplr", policy.NewGIPLR(sets, ways, ipv.MidClimb(ways)), true},
 		{"dgippr2", policy.NewDGIPPR2(sets, ways, vecs), false},
+		{"dgiplr2", policy.NewDGIPLR2(sets, ways, vecs), false},
+		{"dip", policy.NewDIP(sets, ways), false},
+		{"pipp-dyn", policy.NewPIPPDyn(sets, ways, 4), false},
 		{"gippr+bypass", policy.NewBypassGIPPR(sets, ways, ipv.LIP(ways)), false},
 		{"fewer ways", policy.NewGIPPR(sets, 8, ipv.LRU(8)), false},
 		{"more sets", policy.NewPLRU(2*sets, ways), false},
+		{"lru fewer ways", policy.NewTrueLRU(sets, 8), false},
+		{"lru more sets", policy.NewTrueLRU(2*sets, ways), false},
 	} {
 		if got := stepRuns(cfg, tc.pol); got != tc.want {
 			t.Errorf("%s: step ran = %v, want %v", tc.name, got, tc.want)
 		}
 	}
+	// Past 64 ways a set's valid and dirty bits span two words, which the
+	// step does not model.
+	wide := cache.Config{Name: "w", SizeBytes: 4 * 65 * 64, Ways: 65, BlockBytes: 64, HitLatency: 30}
+	if stepRuns(wide, policy.NewTrueLRU(wide.Sets(), wide.Ways)) {
+		t.Error("65-way LRU took the IPV step")
+	}
 	// The wrapper the references use must defeat the step.
 	if stepRuns(cfg, scalarOnly{policy.NewPLRU(sets, ways)}) {
 		t.Error("scalarOnly PLRU took the IPV step")
+	}
+	if stepRuns(cfg, scalarOnly{policy.NewTrueLRU(sets, ways)}) {
+		t.Error("scalarOnly LRU took the IPV step")
 	}
 }
 

@@ -33,18 +33,19 @@ func WindowReplay(stream []trace.Record, cfg cache.Config, pol cache.Policy,
 }
 
 // MultiWindowReplay replays one captured LLC stream through several
-// independent cache models in a single cache.Replay walk: model i gets its
-// own cache (policy pols[i]), its own window model models[i], and — when
-// sinks is non-nil — its own telemetry sink sinks[i] (individual entries
-// may be nil). Each window model is reset before the walk and stepped once
-// per measured block from its cache's hit bits; warm-up never steps it, so
-// this is the same as resetting it at the warm boundary. Every per-model
-// result is bit-identical to a WindowReplay of the same (stream, policy)
-// pair, with the sink describing exactly the timed window; the saving is
-// that the stream's records are walked (and stay cache-hot) once instead of
-// once per policy. pols, models and (if present) sinks must have equal
-// length; a zero-length pols returns an empty slice without touching the
-// stream.
+// independent cache models, one cache.Replay walk each: model i gets its
+// own cache (policy pols[i]), built just before its walk, its own window
+// model models[i], and — when sinks is non-nil — its own telemetry sink
+// sinks[i] (individual entries may be nil). Each window model is reset
+// before its walk and stepped once per measured block from its cache's hit
+// bits; warm-up never steps it, so this is the same as resetting it at the
+// warm boundary. Every per-model result is bit-identical to a WindowReplay
+// of the same (stream, policy) pair, with the sink describing exactly the
+// timed window. Walking the stream once per cache, not once per block
+// across all caches, keeps each cache's tags and policy state hot in the
+// host's caches for its whole walk (DESIGN.md §9). pols, models and (if
+// present) sinks must have equal length; a zero-length pols returns an
+// empty slice without touching the stream.
 func MultiWindowReplay(stream []trace.Record, cfg cache.Config, pols []cache.Policy,
 	warm int, models []*WindowModel, sinks []*telemetry.Sink) []ReplayResult {
 	if len(models) != len(pols) {
@@ -56,22 +57,19 @@ func MultiWindowReplay(stream []trace.Record, cfg cache.Config, pols []cache.Pol
 	if len(pols) == 0 {
 		return nil
 	}
-	caches := make([]*cache.Cache, len(pols))
-	for i, pol := range pols {
-		caches[i] = cache.New(cfg, pol)
-		if sinks != nil && sinks[i] != nil {
-			caches[i].SetTelemetry(sinks[i])
-		}
-		models[i].Reset()
-	}
 	hitLat, missLat := cfg.HitLatency, cfg.HitLatency+cache.DRAMLatency
-	cache.Replay(stream, warm, caches, func(i int, blk []trace.Record, hits *cache.HitBits) {
-		models[i].stepBlock(blk, hits, hitLat, missLat)
-	})
 	results := make([]ReplayResult, len(pols))
-	for i, c := range caches {
-		st := c.Stats
+	for i, pol := range pols {
+		c := cache.New(cfg, pol)
+		if sinks != nil && sinks[i] != nil {
+			c.SetTelemetry(sinks[i])
+		}
 		m := models[i]
+		m.Reset()
+		cache.Replay(stream, warm, c, func(blk []trace.Record, hits *cache.HitBits) {
+			m.stepBlock(blk, hits, hitLat, missLat)
+		})
+		st := c.Stats
 		res := ReplayResult{
 			Instructions: m.Instructions(),
 			Cycles:       m.Cycles(),

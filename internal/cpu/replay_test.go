@@ -8,6 +8,7 @@ import (
 	"gippr/internal/ipv"
 	"gippr/internal/plrutree"
 	"gippr/internal/policy"
+	"gippr/internal/recency"
 	"gippr/internal/telemetry"
 	"gippr/internal/trace"
 )
@@ -164,8 +165,8 @@ func TestMultiWindowReplayEdgeCases(t *testing.T) {
 	}
 }
 
-// scalarEngine hides a policy's PackedIPV method so a cache over it runs
-// the Policy callbacks — the reference side of the step-versus-callbacks
+// scalarEngine hides a policy's PackedIPV and PackedLanes methods so a
+// cache over it runs the Policy callbacks — the reference side of the step-versus-callbacks
 // comparison — and counts the OnFill calls its cache makes in fills.
 // SetTelemetry is re-exposed so instrumented runs still reach the wrapped
 // policy.
@@ -185,10 +186,10 @@ func (s scalarEngine) SetTelemetry(t *telemetry.Sink) {
 	}
 }
 
-// packedEngine is scalarEngine with the wrapped policy's PackedIPV answer,
-// so a cache over it takes the IPV step exactly when it would over the
-// bare policy. The step calls no callback: no fills after a replay with
-// misses means the step ran.
+// packedEngine is scalarEngine with the wrapped policy's PackedIPV and
+// PackedLanes answers, so a cache over it takes the IPV step exactly when
+// it would over the bare policy. The step calls no callback: no fills
+// after a replay with misses means the step ran.
 type packedEngine struct{ scalarEngine }
 
 func (p packedEngine) PackedIPV() ([]int, plrutree.Trees, bool) {
@@ -198,10 +199,18 @@ func (p packedEngine) PackedIPV() ([]int, plrutree.Trees, bool) {
 	return nil, plrutree.Trees{}, false
 }
 
+func (p packedEngine) PackedLanes() ([]int, recency.Lanes, bool) {
+	if pk, ok := p.Policy.(cache.PackableLanes); ok {
+		return pk.PackedLanes()
+	}
+	return nil, recency.Lanes{}, false
+}
+
 // TestMultiWindowReplayPackedMatchesScalar mixes models on the IPV step and
-// models on the callbacks in one MultiWindowReplay call: each Packable
-// policy (PLRU, GIPPR) runs once on the step and once wrapped in
-// scalarEngine, plus one policy with no packed form at all. Every step
+// models on the callbacks in one MultiWindowReplay call: each policy with
+// a packed form (PLRU and GIPPR over trees, LRU over lanes) runs once on
+// the step and once wrapped in scalarEngine, plus one policy with no
+// packed form at all. Every step
 // model must agree with its callbacks twin — timing results and full
 // telemetry sinks — and with a standalone one-policy replay of the same
 // pair.
@@ -227,6 +236,7 @@ func TestMultiWindowReplayPackedMatchesScalar(t *testing.T) {
 	makers := []func() cache.Policy{
 		func() cache.Policy { return policy.NewPLRU(cfg.Sets(), cfg.Ways) },
 		func() cache.Policy { return policy.NewGIPPR(cfg.Sets(), cfg.Ways, vec) },
+		func() cache.Policy { return policy.NewTrueLRU(cfg.Sets(), cfg.Ways) },
 		func() cache.Policy { return &replayLRU{ways: cfg.Ways, stamps: make([]uint64, cfg.Sets()*cfg.Ways)} },
 	}
 
@@ -242,10 +252,10 @@ func TestMultiWindowReplayPackedMatchesScalar(t *testing.T) {
 	}
 	multi := MultiWindowReplay(stream, cfg, pols, warm, models, sinks)
 
-	// Check the routing itself: the first two makers must take the step,
+	// Check the routing itself: the first three makers must take the step,
 	// and the scalarEngine wrapper must defeat it.
 	for i := range makers {
-		if step, want := fills[i][0] == 0, i < 2; step != want {
+		if step, want := fills[i][0] == 0, i < 3; step != want {
 			t.Fatalf("maker %d: IPV step ran = %v, want %v", i, step, want)
 		}
 		if fills[i][1] == 0 {
@@ -294,12 +304,12 @@ func TestLinearModelSampledCPI(t *testing.T) {
 }
 
 // FuzzMultiRunConsistency drives random short synthetic streams through the
-// single-pass multi-model kernel and through sequential per-policy replays,
-// and requires exact agreement. Any cross-model state leak in the shared
-// block walk (one model's cache or window state bleeding into another's)
-// shows up as a mismatch. The models mix both cache paths: the test
-// policies on the callbacks, plus PLRU and GIPPR on the IPV step next to
-// scalarEngine twins, and each step model must also equal its twin. The fuzz input
+// multi-model replay and through sequential per-policy replays, and
+// requires exact agreement. Any cross-model state leak (one model's cache
+// or window state bleeding into another's) shows up as a mismatch. The
+// models mix both cache paths: the test policies on the callbacks, plus
+// PLRU, GIPPR and LRU on the IPV step next to scalarEngine twins, and each
+// step model must also equal its twin. The fuzz input
 // encodes the stream — each record is (addr byte, gap byte) — plus the warm
 // length and an optional sample shift, so the corpus explores full-fidelity
 // and sampled geometries alike.
@@ -331,6 +341,7 @@ func FuzzMultiRunConsistency(f *testing.F) {
 		for _, mk := range []func() cache.Policy{
 			func() cache.Policy { return policy.NewPLRU(cfg.Sets(), cfg.Ways) },
 			func() cache.Policy { return policy.NewGIPPR(cfg.Sets(), cfg.Ways, ipv.LIP(cfg.Ways)) },
+			func() cache.Policy { return policy.NewTrueLRU(cfg.Sets(), cfg.Ways) },
 		} {
 			makers = append(makers,
 				func() cache.Policy { return packedEngine{scalarEngine{mk(), &stepFills}} },

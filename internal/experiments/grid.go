@@ -53,12 +53,12 @@ func (l *Lab) cellOf(spec Spec, w workload.Workload) GridCell {
 	return cell
 }
 
-// Grid evaluates specs x workloads through the lab's memoized single-pass
+// Grid evaluates specs x workloads through the lab's memoized batched
 // engine and returns the cells in workload-major order (all specs of
 // workloads[0], then workloads[1], ...). Each workload is one parallel task
-// on l.Workers goroutines: its phases replay every cold spec together via
-// the multi-policy kernel, then the memoized per-phase results aggregate
-// into cells. Cell values are bit-identical at any worker count and across
+// on l.Workers goroutines: each of its phases replays every cold spec in
+// one batch (cpu.MultiWindowReplay, one walk of the stream per spec), then
+// the memoized per-phase results aggregate into cells. Cell values are bit-identical at any worker count and across
 // repeat calls (later calls are pure memo reads).
 //
 // onCell, when non-nil, is invoked once per cell as soon as that cell's

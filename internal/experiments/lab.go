@@ -260,8 +260,8 @@ func (l *Lab) phaseRun(spec Spec, w workload.Workload, phase int) phaseResult {
 }
 
 // multiPhaseRun settles the results of every given spec on one (workload,
-// phase) with a single walk of the stream, skipping specs that are settled
-// or being replayed elsewhere.
+// phase) in one batch, a walk of the stream per spec, skipping specs that
+// are settled or being replayed elsewhere.
 func (l *Lab) multiPhaseRun(specs []Spec, w workload.Workload, phase int) {
 	batch(&l.results, specs, func(s Spec) string { return phaseKey(s, w, phase) },
 		func(todo []Spec) []phaseResult { return l.replay(todo, w, phase) })

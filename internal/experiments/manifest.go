@@ -14,7 +14,7 @@ import (
 // histograms, dueling votes) over the measurement windows of all phases.
 // Entries come from the memoized instrumented captures Diff also reads,
 // kept apart from the terminal-number memo, so each entry still describes
-// one coherent run; the specs not captured yet share one walk per phase.
+// one coherent run; the specs not captured yet share one batch per phase.
 // Callers such as gippr-sim's -telemetry path pick their own workloads.
 func (l *Lab) TelemetryEntries(specs []Spec, w workload.Workload) []telemetry.Entry {
 	l.captureTel(specs, w)
@@ -45,10 +45,9 @@ func (l *Lab) Geometry() telemetry.CacheGeometry {
 
 // Manifest builds a run manifest over specs x the lab's workload suite,
 // replaying each (policy, workload) pair with telemetry attached. Each
-// workload is one parallel task that captures all specs in a single pass
-// over its streams (TelemetryEntries), so the manifest costs one stream
-// walk per workload phase rather than one per (spec, phase); entry values
-// are bit-identical to per-spec replays. The entry order is
+// workload is one parallel task that captures all specs in one batch per
+// phase (TelemetryEntries); entry values are bit-identical to per-spec
+// replays. The entry order is
 // deterministic (spec-major, suite order) regardless of scheduling. On
 // cancellation the partial manifest built so far is returned with ctx's
 // error; a workload's entries are either all present or all absent, never

@@ -1,7 +1,8 @@
 package experiments
 
-// Tests for the single-pass multi-policy engine (multiPhaseRun, behind
-// Lab.Grid) and the set-sampling estimator: the engine must be
+// Tests for the multi-policy engine (multiPhaseRun, behind Lab.Grid: one
+// batch per phase, whose cpu.MultiWindowReplay walks the phase's stream
+// once per policy) and the set-sampling estimator: the engine must be
 // bit-identical to direct per-spec replays for every registered policy, and
 // the estimator must stay within pinned relative-error tolerances of the
 // full simulation (DESIGN.md §9).
@@ -50,12 +51,12 @@ func requireSettled(t *testing.T, l *Lab, specs []Spec) {
 	}
 }
 
-// TestGoldenMPKIMultiRun pins the single-pass engine to the same checked-in
-// fingerprints as TestGoldenMPKI: a walk shared by every spec must
-// reproduce the one-spec walks' MPKIs bit-identically, not merely
-// approximately — at one worker and at eight, so neither scheduling nor the
-// cache's inline IPV step (which carries the Packable roster policies, see
-// cache.Packable) can perturb a fingerprint.
+// TestGoldenMPKIMultiRun pins the batched engine to the same checked-in
+// fingerprints as TestGoldenMPKI: a batch over every spec must reproduce
+// the one-spec walks' MPKIs bit-identically, not merely approximately — at
+// one worker and at eight, so neither scheduling nor the cache's inline
+// IPV step (which carries the packable roster policies, see cache.Packable
+// and cache.PackableLanes) can perturb a fingerprint.
 func TestGoldenMPKIMultiRun(t *testing.T) {
 	want := loadGolden(t)
 	specs := goldenSpecs()
@@ -83,8 +84,9 @@ func TestGoldenMPKIMultiRun(t *testing.T) {
 }
 
 // TestMultiRunEquivalence holds the tentpole invariant: for every registered
-// policy, on every workload, the single-pass engine (one walk of the stream
-// driving all policy models) produces bit-identical MPKI and CPI to an
+// policy, on every workload, the batched engine (one batch per phase,
+// walking its stream once per policy model) produces bit-identical MPKI
+// and CPI to an
 // independent reference — one direct cpu.WindowReplay per (spec, workload,
 // phase), aggregated in phase order — at one worker and at eight, so
 // scheduling cannot perturb results either. The reference replays the

@@ -52,6 +52,11 @@ func NewBypassGIPPR(sets, ways int, v ipv.Vector) *BypassGIPPR {
 // OnMiss implements cache.Policy.
 func (p *BypassGIPPR) OnMiss(set uint32, _ trace.Record) { p.duel.OnMiss(set) }
 
+// Winner returns the mode follower sets currently use: 0 never bypasses, 1
+// bypasses dead signatures. It is the bypass duel's winner; the embedded
+// GIPPR has one vector and no duel of its own.
+func (p *BypassGIPPR) Winner() int { return p.duel.Winner() }
+
 // OnHit implements cache.Policy: IPV promotion plus predictor training.
 func (p *BypassGIPPR) OnHit(set uint32, way int, r trace.Record) {
 	p.GIPPR.OnHit(set, way, r)

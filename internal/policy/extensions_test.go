@@ -94,6 +94,35 @@ func TestBypassGIPPRTracksGIPPROnFriendlyWorkload(t *testing.T) {
 	}
 }
 
+// TestBypassGIPPRWinnerIsTheBypassDuel checks Winner after every access of
+// a hot loop under streaming interference, on which the bypass duel comes
+// to choose bypass: it must read the bypass duel, not the embedded GIPPR's
+// duel-less vector.
+func TestBypassGIPPRWinnerIsTheBypassDuel(t *testing.T) {
+	cfg := cache.Config{Name: "b", SizeBytes: 256 * 16 * 64, Ways: 16, BlockBytes: 64, HitLatency: 1}
+	p := NewBypassGIPPR(cfg.Sets(), cfg.Ways, ipv.LRU(16))
+	c := cache.New(cfg, p)
+	hot, next := uint64(0), uint64(1<<30)
+	bypassed := false
+	for i := 0; i < 200_000; i++ {
+		r := trace.Record{Gap: 1, PC: 0x2000, Addr: next * 64}
+		if i%2 == 0 {
+			r = trace.Record{Gap: 1, PC: 0x1000, Addr: hot % (10 * 256) * 64}
+			hot++
+		} else {
+			next++
+		}
+		c.Access(r)
+		if got, want := p.Winner(), p.duel.Winner(); got != want {
+			t.Fatalf("access %d: Winner() = %d, the bypass duel's winner is %d", i, got, want)
+		}
+		bypassed = bypassed || p.duel.Winner() == 1
+	}
+	if !bypassed {
+		t.Fatal("the bypass duel never chose bypass; the stream does not exercise Winner")
+	}
+}
+
 func TestBypassNeverFillsBypassedBlock(t *testing.T) {
 	// Force the bypass arm on a leader set and verify the block is absent
 	// after its (bypassed) miss.

@@ -110,6 +110,18 @@ func (p *GIPLR) OnFill(set uint32, way int, _ trace.Record) {
 	p.rec.MoveTo(set, way, pos)
 }
 
+// PackedLanes implements cache.PackableLanes: one-vector GIPLR (LRU, LIP,
+// multi-step LRU) is by definition IPV over exact LRU with no further
+// state, so a cache over it runs the inline IPV step, which moves the
+// policy's own lanes in place. A duel's per-miss counter updates are
+// outside the step's model, so DGIPLR returns false.
+func (p *GIPLR) PackedLanes() ([]int, recency.Lanes, bool) {
+	if p.duel != nil {
+		return nil, recency.Lanes{}, false
+	}
+	return append([]int(nil), p.one...), p.rec, true
+}
+
 // Position returns way's recency position in set (0 = MRU).
 func (p *GIPLR) Position(set uint32, way int) int { return p.rec.Position(set, way) }
 
@@ -120,6 +132,9 @@ func (p *GIPLR) OverheadBits() (float64, int) {
 	return stackBits(p.rec.Ways()), p.globalBits()
 }
 
-var _ cache.Policy = (*GIPLR)(nil)
-var _ Overheader = (*GIPLR)(nil)
-var _ cache.Instrumented = (*GIPLR)(nil)
+var (
+	_ cache.Policy        = (*GIPLR)(nil)
+	_ cache.Instrumented  = (*GIPLR)(nil)
+	_ cache.PackableLanes = (*GIPLR)(nil)
+	_ Overheader          = (*GIPLR)(nil)
+)

@@ -109,9 +109,12 @@ func (p *PIPP) OnFill(set uint32, way int, r trace.Record) {
 }
 
 // OverheadBits implements Overheader: the LRU stack, the allocation
-// registers, and the sampled ATDs (tag+position per monitored line).
+// registers, and the sampled ATDs (tag+position per monitored line). Each
+// core's monitor samples the sets with set&umonSampleMask == 0, which is
+// ceil(sets/64) of them.
 func (p *PIPP) OverheadBits() (float64, int) {
-	atdBits := len(p.monitors) * (4096 / (umonSampleMask + 1)) * p.ways * 40
+	monitored := (p.rec.Sets() + umonSampleMask) / (umonSampleMask + 1)
+	atdBits := len(p.monitors) * monitored * p.ways * 40
 	return stackBits(p.ways),
 		len(p.alloc)*log2ceil(p.ways+1) + atdBits
 }

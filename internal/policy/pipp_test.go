@@ -147,3 +147,18 @@ func TestPIPPDynOverheadCountsATD(t *testing.T) {
 		t.Fatal("name")
 	}
 }
+
+// TestPIPPDynOverheadFollowsGeometry charges the sets the monitors sample,
+// ceil(sets/64) per core: 4 cores x 16 ways x 40 bits per monitored line,
+// plus 4 five-bit allocation registers.
+func TestPIPPDynOverheadFollowsGeometry(t *testing.T) {
+	for _, tc := range []struct{ sets, global int }{
+		{32, 2_580},
+		{256, 10_260},
+		{4096, 163_860},
+	} {
+		if _, global := NewPIPPDyn(tc.sets, 16, 4).OverheadBits(); global != tc.global {
+			t.Errorf("%d sets: %d global bits, want %d", tc.sets, global, tc.global)
+		}
+	}
+}

@@ -18,8 +18,11 @@
 // rotation is branch-free SWAR arithmetic: a per-lane compare builds the
 // mask of positions between source and target and one add or subtract
 // shifts them all at once. That is the packed-word discipline of
-// plrutree.Trees and the cache's IPV step (DESIGN.md §14), applied to
-// exact recency.
+// plrutree.Trees, applied to exact recency. The cache's IPV step (DESIGN.md
+// §14) runs on these lanes for one-vector GIPLR (LRU, LIP, multi-step LRU)
+// at up to 64 ways, as it runs on the trees for GIPPR: Position, MoveTo and
+// Victim there stand in for the tree's find_index, set_index and find_plru,
+// so the step and GIPLR's callbacks leave the same lanes.
 package recency
 
 import (
@@ -75,6 +78,9 @@ func New(sets, ways int) Lanes {
 	}
 	return l
 }
+
+// Sets returns the number of sets.
+func (l *Lanes) Sets() int { return len(l.lanes) / l.words }
 
 // Ways returns the associativity.
 func (l *Lanes) Ways() int { return l.ways }

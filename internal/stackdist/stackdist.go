@@ -20,11 +20,11 @@
 // Tree-PLRU has no inclusion property (a taller tree is not a superset of a
 // shorter one), so PLRU points cannot come out of a stack histogram.
 // Instead each configured geometry is a real cache.New model under
-// policy.NewPLRU, and all of them run through one cache.Replay walk beside
-// the forest loop — grouped simulation in the style of
-// cpu.MultiWindowReplay — so PLRU results are exact by construction. Every
-// geometry Validate admits (power-of-two ways in 2..64) is a tree-PLRU
-// shape, so the PLRU points run on the cache's inline IPV step.
+// policy.NewPLRU, replayed through its own cache.Replay walk before the
+// forest loop, as cpu.MultiWindowReplay walks one cache at a time, so PLRU
+// results are exact by construction. Every geometry Validate admits
+// (power-of-two ways in 2..64) is a tree-PLRU shape, so the PLRU points run
+// on the cache's inline IPV step.
 package stackdist
 
 import (
@@ -284,9 +284,10 @@ func (f *forest) access(block uint64, maxW int, measured bool) {
 }
 
 // Run returns exact results for every lattice point and PLRU geometry from
-// one walk of the stream through the forests and one cache.Replay walk of
-// the PLRU engines. The first opts.Warm accesses only warm the stacks and
-// caches (mirroring cache.ReplayStream's warm-up contract);
+// one walk of the stream through the forests and one cache.Replay walk per
+// PLRU geometry, each cache built just before its walk. The first
+// opts.Warm accesses only warm the stacks and caches (mirroring
+// cache.ReplayStream's warm-up contract);
 // counts describe the remainder. Instructions is the sum of record gaps
 // over the measured window, the same denominator every per-geometry replay
 // feeds stats.MPKI, so MPKI values are bit-identical to per-point replays.
@@ -314,7 +315,7 @@ func Run(stream []trace.Record, opts Options) (*Sweep, error) {
 		}
 	}
 
-	plru := make([]*cache.Cache, len(opts.PLRU))
+	plru := make([]cache.Stats, len(opts.PLRU))
 	for i, g := range opts.PLRU {
 		cfg := cache.Config{
 			Name:       fmt.Sprintf("plru-%dx%d", g.Sets, g.Ways),
@@ -322,9 +323,10 @@ func Run(stream []trace.Record, opts Options) (*Sweep, error) {
 			Ways:       g.Ways,
 			BlockBytes: opts.BlockBytes,
 		}
-		plru[i] = cache.New(cfg, policy.NewPLRU(g.Sets, g.Ways))
+		c := cache.New(cfg, policy.NewPLRU(g.Sets, g.Ways))
+		cache.Replay(stream, warm, c, nil)
+		plru[i] = c.Stats
 	}
-	cache.Replay(stream, warm, plru, nil)
 
 	for _, r := range stream[:warm] {
 		block := r.Addr >> blockShift
@@ -357,7 +359,7 @@ func Run(stream []trace.Record, opts Options) (*Sweep, error) {
 		}
 	}
 	for i, g := range opts.PLRU {
-		st := plru[i].Stats
+		st := plru[i]
 		sw.Results = append(sw.Results, GeometryResult{
 			Policy: PolicyPLRU, Sets: g.Sets, Ways: g.Ways,
 			Accesses: st.Accesses, Hits: st.Hits, Misses: st.Misses,
