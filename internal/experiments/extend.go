@@ -256,13 +256,7 @@ func (r RRIPVResult) Format() string {
 // to LRU.
 func Bypass(l *Lab) *Table {
 	t := &Table{Title: "GIPPR + bypass predictor extension: MPKI normalized to LRU"}
-	specs := []Spec{
-		SpecWIGIPPR,
-		{Key: "wi-gippr-bypass", Label: "GIPPR+bypass", New: func(_ string, s, w int) cache.Policy {
-			return policy.NewBypassGIPPR(s, w, WIVector1())
-		}},
-		SpecWI4DGIPPR,
-	}
+	specs := []Spec{SpecWIGIPPR, SpecGIPPRBypass, SpecWI4DGIPPR}
 	for _, s := range specs {
 		t.Columns = append(t.Columns, s.Label)
 	}

@@ -9,6 +9,8 @@ import (
 	"strconv"
 	"testing"
 
+	"gippr/internal/cache"
+	"gippr/internal/policy"
 	"gippr/internal/stackdist"
 )
 
@@ -17,9 +19,10 @@ import (
 //
 //	go test ./internal/experiments -run TestGolden -update
 //
-// Each golden test owns one section of the file ("grid" for the policy
+// Each golden test owns its sections of the file ("grid" for the policy
 // roster's MPKI, "lattice" for the one-pass sweep, "cpi" for the roster's
-// window-model CPI) and rewrites only its own, so a partial -update run
+// window-model CPI, "grid_small" and "cpi_small" for every policy at a
+// small LLC) and rewrites only its own, so a partial -update run
 // never discards the other sections' fingerprints.
 // Review the diff before committing — any change means the simulation is no
 // longer bit-compatible with the checked-in fingerprints.
@@ -30,11 +33,15 @@ const goldenPath = "testdata/golden_mpki.json"
 // goldenFile is the fingerprint document: grid is workload -> policy key ->
 // MPKI for the roster policies at the paper LLC; lattice is workload ->
 // lattice point label -> MPKI for the one-pass geometry sweep; cpi is
-// workload -> policy key -> window-model CPI for the same roster.
+// workload -> policy key -> window-model CPI for the same roster. grid_small
+// and cpi_small are the same two maps for goldenSmallSpecs at
+// goldenSmallConfig.
 type goldenFile struct {
-	Grid    map[string]map[string]string `json:"grid"`
-	Lattice map[string]map[string]string `json:"lattice"`
-	CPI     map[string]map[string]string `json:"cpi"`
+	Grid      map[string]map[string]string `json:"grid"`
+	Lattice   map[string]map[string]string `json:"lattice"`
+	CPI       map[string]map[string]string `json:"cpi"`
+	GridSmall map[string]map[string]string `json:"grid_small"`
+	CPISmall  map[string]map[string]string `json:"cpi_small"`
 }
 
 // loadGoldenFile reads the checked-in fingerprint document; missing files
@@ -180,6 +187,66 @@ func TestGoldenCPI(t *testing.T) {
 	}
 
 	compareGoldenSection(t, "cpi", got, loadGoldenFile(t).CPI)
+}
+
+// goldenSmallConfig is a 256-set x 16-way (256 KB) LLC. Smoke streams
+// hardly fill the paper's 4 MB LLC, so at that size most policies agree on
+// most workloads; at this one the replacement decisions show in the MPKI of
+// most of the suite.
+var goldenSmallConfig = cache.Config{Name: "L3-256x16", SizeBytes: 256 * 16 * 64, Ways: 16, BlockBytes: 64, HitLatency: 30}
+
+// goldenSmallSpecs is every registry policy, plus GIPPR+bypass and the
+// workload-inclusive and workload-neutral DGIPPR specs.
+func goldenSmallSpecs(t *testing.T) []Spec {
+	t.Helper()
+	var specs []Spec
+	for _, name := range policy.Names() {
+		s, err := SpecFromRegistry(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		specs = append(specs, s)
+	}
+	return append(specs, SpecGIPPRBypass, SpecWI2DGIPPR, SpecWI4DGIPPR, SpecWN2DGIPPR, SpecWN4DGIPPR)
+}
+
+// TestGoldenSmallLLC pins the MPKI and window-model CPI of goldenSmallSpecs
+// on every workload's smoke streams at goldenSmallConfig, exactly, through
+// Lab.Grid, the path served grid jobs take. Unlike the grid and cpi
+// sections, these see a filling LLC, so a change to a policy's decisions
+// moves most rows. It shares the -update flow but rewrites only the
+// grid_small and cpi_small sections.
+func TestGoldenSmallLLC(t *testing.T) {
+	lab := NewLab(Smoke).SetWorkers(2)
+	lab.Cfg = goldenSmallConfig
+	specs := goldenSmallSpecs(t)
+
+	cells, err := lab.Grid(context.Background(), specs, lab.Suite(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mpki := map[string]map[string]string{}
+	cpi := map[string]map[string]string{}
+	for i, c := range cells {
+		w, spec := lab.Suite()[i/len(specs)], specs[i%len(specs)]
+		if mpki[w.Name] == nil {
+			mpki[w.Name], cpi[w.Name] = map[string]string{}, map[string]string{}
+		}
+		mpki[w.Name][spec.Key] = goldenKey(c.MPKI)
+		cpi[w.Name][spec.Key] = goldenKey(lab.CPI(spec, w)) // a memo read after Grid
+	}
+
+	if *updateGolden {
+		g := loadGoldenFile(t)
+		g.GridSmall, g.CPISmall = mpki, cpi
+		saveGoldenFile(t, g)
+		t.Logf("rewrote %s grid_small and cpi_small sections: %d workloads x %d policies", goldenPath, len(mpki), len(specs))
+		return
+	}
+
+	g := loadGoldenFile(t)
+	compareGoldenSection(t, "grid_small", mpki, g.GridSmall)
+	compareGoldenSection(t, "cpi_small", cpi, g.CPISmall)
 }
 
 // goldenLatticeSpec is the fingerprinted one-pass lattice: the paper LLC's

@@ -82,6 +82,12 @@ var (
 	}}
 )
 
+// SpecGIPPRBypass is WI-GIPPR with the signature-predicted bypass of the
+// future-work extension (policy.BypassGIPPR).
+var SpecGIPPRBypass = Spec{Key: "wi-gippr-bypass", Label: "GIPPR+bypass", New: func(_ string, s, w int) cache.Policy {
+	return policy.NewBypassGIPPR(s, w, WIVector1())
+}}
+
 // Workload-neutral GIPPR variants: the vectors used for each workload were
 // evolved with that workload's fold held out (paper Section 4.4).
 var (
