@@ -25,6 +25,19 @@
 // drives one cache over a stream in BlockSize blocks, and a caller that
 // replays several policies walks the stream once per cache.
 //
+// A cache built only for one walk goes through ReplayFresh, which builds
+// it, walks it and returns its Stats. New takes a cache's tag store (tags,
+// valid and dirty words, signatures) from a pool in this package, one per
+// array shape, and ReplayFresh hands the store back after the walk, so a
+// grid, an explain diff or the GA's fitness loop allocates the 640 KiB
+// store of a 4096x16 LLC once per shape instead of once per replay. A
+// recycled store is cleared to the zeroes of new arrays before New parks
+// its tail valid bits, so a cache starts in the same state, word for word,
+// whichever replay used its arrays before; a stale valid bit alone would
+// make empty ways look full. Caches handed to callers (hierarchies, the
+// capture's L1 and L2) take from the pool but never give back
+// (DESIGN.md §9).
+//
 // One Cache type models every level. For a policy that is one IPV over a
 // packed recency state, New resolves the policy's vector and that state
 // once, and each access then runs the paper's step inline (Sections 2 and
@@ -43,6 +56,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"sync"
 
 	"gippr/internal/plrutree"
 	"gippr/internal/recency"
@@ -352,8 +366,15 @@ type Cache struct {
 	OnEviction func(addr uint64)
 }
 
-// New returns a cache with the given geometry and replacement policy.
-func New(cfg Config, pol Policy) *Cache {
+// New returns a cache with the given geometry and replacement policy. Its
+// tag store (tags, valid and dirty words, and the step's signature bytes)
+// comes from the package's pool when a replay has handed back one of the
+// same shape, cleared to the zeroes of newly allocated arrays, so the cache
+// starts in the same state either way (see ReplayFresh).
+func New(cfg Config, pol Policy) *Cache { return newCache(cfg, pol, storeShape.take) }
+
+// newCache is New with the tag store from get.
+func newCache(cfg Config, pol Policy, get func(storeShape) *tagStore) *Cache {
 	sets := cfg.Sets()
 	words := (cfg.Ways + 63) / 64
 	c := &Cache{
@@ -363,9 +384,6 @@ func New(cfg Config, pol Policy) *Cache {
 		words:      words,
 		setMask:    uint64(sets - 1),
 		blockShift: uint(bits.TrailingZeros(uint(cfg.BlockBytes))),
-		tags:       make([]uint64, sets*cfg.Ways),
-		valid:      make([]uint64, sets*words),
-		dirty:      make([]uint64, sets*words),
 		pol:        pol,
 	}
 	c.bypass, _ = pol.(Bypasser)
@@ -382,12 +400,15 @@ func New(cfg Config, pol Policy) *Cache {
 			}
 		}
 	}
+	shape := storeShape{lines: sets * cfg.Ways, words: sets * words}
 	if vec != nil {
 		c.vec, c.insPos = vec[:cfg.Ways], vec[cfg.Ways]
 		c.sigWords = (cfg.Ways + 7) / 8
 		c.sigShift = uint(bits.Len(uint(sets - 1)))
-		c.sig = make([]uint64, sets*c.sigWords)
+		shape.sigs = sets * c.sigWords
 	}
+	st := get(shape)
+	c.tags, c.valid, c.dirty, c.sig = st.tags, st.valid, st.dirty, st.sig
 	if tail := cfg.Ways % 64; tail != 0 {
 		for set := 0; set < sets; set++ {
 			c.valid[set*words+words-1] = ^uint64(0) << tail
@@ -400,6 +421,72 @@ func New(cfg Config, pol Policy) *Cache {
 		}
 	}
 	return c
+}
+
+// tagStore is a cache's tag store, the part of a Cache that replays
+// recycle: its tags, valid and dirty words, and signature words.
+type tagStore struct{ tags, valid, dirty, sig []uint64 }
+
+// storeShape is the length of each of a tag store's arrays: a store fits
+// any cache of the same shape, whatever its geometry's name or policy.
+type storeShape struct{ lines, words, sigs int }
+
+// pools holds one sync.Pool of handed-back tag stores per shape. A pool
+// keeps its stores only until the next garbage collections, so stores that
+// no replay takes again are freed; the map itself grows by one small entry
+// per shape a process replays.
+var (
+	poolsMu sync.Mutex
+	pools   = map[storeShape]*sync.Pool{}
+)
+
+// pool returns the pool of tag stores of shape s.
+func (s storeShape) pool() *sync.Pool {
+	poolsMu.Lock()
+	defer poolsMu.Unlock()
+	p := pools[s]
+	if p == nil {
+		p = new(sync.Pool)
+		pools[s] = p
+	}
+	return p
+}
+
+// take returns a tag store of shape s: a handed-back one, cleared to zero
+// as newly allocated arrays are, or else a new one. A stale valid bit
+// would make an empty way look full, a stale tag or signature byte would
+// be matched by nothing once its valid bit is clear, and a stale dirty bit
+// is rewritten at every fill; all four are cleared, so a recycled store is
+// the state of a new one word for word, not only in what the walk reads.
+func (s storeShape) take() *tagStore {
+	if st, _ := s.pool().Get().(*tagStore); st != nil {
+		clear(st.tags)
+		clear(st.valid)
+		clear(st.dirty)
+		clear(st.sig)
+		return st
+	}
+	return s.alloc()
+}
+
+// alloc returns a newly allocated tag store of shape s.
+func (s storeShape) alloc() *tagStore {
+	return &tagStore{
+		tags:  make([]uint64, s.lines),
+		valid: make([]uint64, s.words),
+		dirty: make([]uint64, s.words),
+		sig:   make([]uint64, s.sigs),
+	}
+}
+
+// release hands c's tag store to the pool of its shape and detaches it from
+// c, so a later access through c panics instead of touching arrays another
+// cache may own. Only the code that built c may call it, after c's last
+// access; c's Stats stay readable.
+func (c *Cache) release() {
+	st := &tagStore{c.tags, c.valid, c.dirty, c.sig}
+	storeShape{len(st.tags), len(st.valid), len(st.sig)}.pool().Put(st)
+	c.tags, c.valid, c.dirty, c.sig = nil, nil, nil, nil
 }
 
 // Config returns the cache's geometry.

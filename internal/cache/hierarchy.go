@@ -219,17 +219,14 @@ func ReplayStream(stream []trace.Record, cfg Config, pol Policy, warm int) Repla
 // identical to ReplayStream. For a Packable or PackableLanes policy (PLRU,
 // one-vector GIPPR, LRU and the other one-vector GIPLRs) the LLC runs the
 // inline IPV step, with the same stats, telemetry events and final policy
-// state as the callbacks, so the choice needs no call-site opt-in.
+// state as the callbacks, so the choice needs no call-site opt-in. The LLC
+// is ReplayFresh's, so its tag store is recycled across replays.
 func ReplayStreamTel(stream []trace.Record, cfg Config, pol Policy, warm int, tel *telemetry.Sink) ReplayStats {
-	c := New(cfg, pol)
-	if tel != nil {
-		c.SetTelemetry(tel)
-	}
 	var instrs uint64
-	Replay(stream, warm, c, func(blk []trace.Record, _ *HitBits) {
+	st := ReplayFresh(stream, warm, cfg, pol, tel, func(blk []trace.Record, _ *HitBits) {
 		for i := range blk {
 			instrs += uint64(blk[i].Gap)
 		}
 	})
-	return ReplayStats{Accesses: c.Stats.Accesses, Hits: c.Stats.Hits, Misses: c.Stats.Misses, Instructions: instrs}
+	return ReplayStats{Accesses: st.Accesses, Hits: st.Hits, Misses: st.Misses, Instructions: instrs}
 }

@@ -1,6 +1,9 @@
 package cache
 
-import "gippr/internal/trace"
+import (
+	"gippr/internal/telemetry"
+	"gippr/internal/trace"
+)
 
 // BlockSize is the number of records Replay hands each cache at a time.
 // 256 records keep a block and its hit bitmap (4 words) comfortably inside
@@ -48,7 +51,8 @@ func (c *Cache) AccessBlock(recs []trace.Record, hits *HitBits) {
 // own access. Callers that replay one stream under several policies walk
 // it once per cache: the models share nothing but the stream, and one
 // cache's tags and policy state stay in the host's caches for the whole
-// walk (DESIGN.md §9).
+// walk (DESIGN.md §9). A caller that builds a cache only for one walk calls
+// ReplayFresh instead.
 func Replay(stream []trace.Record, warm int, c *Cache, measure func(blk []trace.Record, hits *HitBits)) {
 	warm = min(max(warm, 0), len(stream))
 	var hits HitBits
@@ -63,4 +67,26 @@ func Replay(stream []trace.Record, warm int, c *Cache, measure func(blk []trace.
 			measure(blk, &hits)
 		}
 	}
+}
+
+// ReplayFresh replays stream into a new cache of geometry cfg over pol, as
+// Replay does, with tel attached for the walk when it is non-nil, and
+// returns the cache's Stats. It owns the cache from build to end: New takes
+// the cache's tag store from the package's pool, and ReplayFresh hands it
+// back once the walk is done, so no caller ever holds a cache whose arrays
+// another replay may reuse. A sequence of replays of one geometry, such as
+// a grid or the GA's fitness loop, then allocates its ~640 KiB tag store
+// (at the paper's 4096x16 LLC) once instead of once per replay, while every
+// result stays that of a cache on newly allocated arrays, because New
+// clears a recycled store to their state (DESIGN.md §9). pol's own state is
+// the caller's, and pol and tel hold what the walk left in them.
+func ReplayFresh(stream []trace.Record, warm int, cfg Config, pol Policy, tel *telemetry.Sink,
+	measure func(blk []trace.Record, hits *HitBits)) Stats {
+	c := New(cfg, pol)
+	if tel != nil {
+		c.SetTelemetry(tel)
+	}
+	Replay(stream, warm, c, measure)
+	c.release()
+	return c.Stats
 }

@@ -2,6 +2,7 @@ package cpu
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"gippr/internal/cache"
@@ -369,4 +370,34 @@ func FuzzMultiRunConsistency(f *testing.F) {
 			t.Fatalf("the IPV step did not run: %d policy fills", stepFills)
 		}
 	})
+}
+
+// TestMultiWindowReplayReusesTagStore is the tag-store pool's allocation
+// gate. A replay of one-vector GIPPR into the paper's 4096x16 LLC built its
+// ~640 KiB of tags, valid and dirty words and signatures afresh each time;
+// after one warm-up call, which leaves a store in cache's pool, the same
+// replay must allocate under 64 KiB beyond the policy and window model it
+// is given. sync.Pool may drop a handed-back store (at random under the
+// race detector, or when a GC runs twice in between), so the gate takes the
+// least of ten replays.
+func TestMultiWindowReplayReusesTagStore(t *testing.T) {
+	cfg := cache.L3Config
+	stream := makeStream(4*cache.BlockSize, 3)
+	replay := func() uint64 {
+		pols := []cache.Policy{policy.NewGIPPR(cfg.Sets(), cfg.Ways, ipv.PaperWIGIPPR)}
+		models := []*WindowModel{DefaultWindowModel()}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		MultiWindowReplay(stream, cfg, pols, cache.BlockSize, models, nil)
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	replay()
+	least := replay()
+	for range 9 {
+		least = min(least, replay())
+	}
+	if least >= 64<<10 {
+		t.Errorf("MultiWindowReplay allocates %d bytes beyond its policy, want under %d", least, 64<<10)
+	}
 }

@@ -19,10 +19,10 @@
 //
 // Tree-PLRU has no inclusion property (a taller tree is not a superset of a
 // shorter one), so PLRU points cannot come out of a stack histogram.
-// Instead each configured geometry is a real cache.New model under
-// policy.NewPLRU, replayed through its own cache.Replay walk before the
-// forest loop, as cpu.MultiWindowReplay walks one cache at a time, so PLRU
-// results are exact by construction. Every geometry Validate admits
+// Instead each configured geometry is a real cache model under
+// policy.NewPLRU, replayed through its own cache.ReplayFresh walk before
+// the forest loop, as cpu.MultiWindowReplay walks one cache at a time, so
+// PLRU results are exact by construction. Every geometry Validate admits
 // (power-of-two ways in 2..64) is a tree-PLRU shape, so the PLRU points run
 // on the cache's inline IPV step.
 package stackdist
@@ -284,8 +284,8 @@ func (f *forest) access(block uint64, maxW int, measured bool) {
 }
 
 // Run returns exact results for every lattice point and PLRU geometry from
-// one walk of the stream through the forests and one cache.Replay walk per
-// PLRU geometry, each cache built just before its walk. The first
+// one walk of the stream through the forests and one cache.ReplayFresh
+// walk per PLRU geometry, each on a tag store from cache's pool. The first
 // opts.Warm accesses only warm the stacks and caches (mirroring
 // cache.ReplayStream's warm-up contract);
 // counts describe the remainder. Instructions is the sum of record gaps
@@ -323,9 +323,7 @@ func Run(stream []trace.Record, opts Options) (*Sweep, error) {
 			Ways:       g.Ways,
 			BlockBytes: opts.BlockBytes,
 		}
-		c := cache.New(cfg, policy.NewPLRU(g.Sets, g.Ways))
-		cache.Replay(stream, warm, c, nil)
-		plru[i] = c.Stats
+		plru[i] = cache.ReplayFresh(stream, warm, cfg, policy.NewPLRU(g.Sets, g.Ways), nil, nil)
 	}
 
 	for _, r := range stream[:warm] {
