@@ -209,50 +209,3 @@ func (m *WindowModel) IPC() float64 {
 	}
 	return float64(m.instrs) / m.Cycles()
 }
-
-// RunResult summarizes a timed hierarchy simulation.
-type RunResult struct {
-	Instructions uint64
-	Cycles       float64
-	IPC          float64
-	CPI          float64
-	L3           cache.Stats
-	LevelHits    [5]uint64 // indexed by cache.Level
-}
-
-// Run drives src through hierarchy h and the window model: the first warm
-// records only warm the caches (untimed); the remainder is timed. It
-// returns the measurement-window result.
-func Run(h *cache.Hierarchy, src trace.Source, warm int, m *WindowModel) RunResult {
-	for i := 0; i < warm; i++ {
-		r, ok := src.Next()
-		if !ok {
-			break
-		}
-		h.Access(r)
-	}
-	h.ResetStats()
-	m.Reset()
-	var res RunResult
-	for {
-		r, ok := src.Next()
-		if !ok {
-			break
-		}
-		lvl := h.Access(r)
-		res.LevelHits[lvl]++
-		if lvl == cache.LevelMemory {
-			m.StepMiss(r.Gap, h.Latency(lvl))
-		} else {
-			m.Step(r.Gap, h.Latency(lvl))
-		}
-	}
-	res.Instructions = m.Instructions()
-	res.Cycles = m.Cycles()
-	res.IPC = m.IPC()
-	if res.Instructions > 0 && res.Cycles > 0 {
-		res.CPI = res.Cycles / float64(res.Instructions)
-	}
-	res.L3 = h.L3.Stats
-	return res
-}

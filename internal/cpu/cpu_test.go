@@ -219,23 +219,4 @@ func TestWindowReplayFewerMissesFasterCPI(t *testing.T) {
 	}
 }
 
-func TestRunThroughHierarchy(t *testing.T) {
-	mkCache := func(cfg cache.Config) *cache.Cache {
-		return cache.New(cfg, &replayLRU{ways: cfg.Ways, stamps: make([]uint64, cfg.Sets()*cfg.Ways)})
-	}
-	h := cache.NewHierarchy(mkCache(cache.L1Config), mkCache(cache.L2Config), mkCache(cache.L3Config))
-	recs := makeStream(5000, 4)
-	res := Run(h, trace.NewSliceSource(recs), 500, DefaultWindowModel())
-	if res.Instructions == 0 || res.Cycles <= 0 || res.IPC <= 0 {
-		t.Fatalf("bad run result %+v", res)
-	}
-	var total uint64
-	for _, c := range res.LevelHits {
-		total += c
-	}
-	if total != 4500 {
-		t.Fatalf("level hits sum to %d", total)
-	}
-}
-
 var _ cache.Policy = (*replayLRU)(nil)
