@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -255,5 +256,68 @@ func TestStoreKeysPinned(t *testing.T) {
 				t.Errorf("store key changed:\n got  %s\n want %s", got, tc.want)
 			}
 		})
+	}
+}
+
+// TestJobTableBounded runs a store_hits-shaped loop past maxFinishedJobs:
+// one computed job, then resubmissions of its request, each served from
+// the store. The table must end at the bound, the evicted first job's id
+// must answer 404 with the body an unknown id gets, and resubmitting its
+// request must still be a store hit.
+func TestJobTableBounded(t *testing.T) {
+	st, err := resultstore.Open(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newTestServer(t, Config{Workers: 1, QueueDepth: 4, Store: st})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	req := JobRequest{Workloads: []string{"mcf_like"}, Policies: []string{"lru"}}
+	first, _ := postJob(t, ts, req)
+	waitState(t, ts, first.ID, StateDone)
+	for range maxFinishedJobs + 8 {
+		job, err := s.Submit(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for {
+			_, updated, state := job.snapshotFrom(math.MaxInt)
+			if state.Terminal() {
+				break
+			}
+			<-updated
+		}
+	}
+	if n := len(s.Jobs()); n != maxFinishedJobs {
+		t.Fatalf("job table holds %d jobs after %d finished, want %d", n, maxFinishedJobs+9, maxFinishedJobs)
+	}
+	if got := st.Stats(); got.Hits != maxFinishedJobs+8 {
+		t.Fatalf("store hits = %d, want %d: the loop is not store_hits-shaped", got.Hits, maxFinishedJobs+8)
+	}
+
+	body := func(id string) (int, string) {
+		resp, err := http.Get(ts.URL + "/v1/jobs/" + id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var e map[string]string
+		if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, strings.ReplaceAll(e["error"], id, "ID")
+	}
+	evCode, evBody := body(first.ID)
+	unCode, unBody := body("0123456789abcdef")
+	if evCode != http.StatusNotFound || evCode != unCode || evBody != unBody {
+		t.Fatalf("evicted id: %d %q; unknown id: %d %q; want the same 404", evCode, evBody, unCode, unBody)
+	}
+
+	hits := st.Stats().Hits
+	again, _ := postJob(t, ts, req)
+	waitState(t, ts, again.ID, StateDone)
+	if got := st.Stats().Hits; got != hits+1 {
+		t.Fatalf("resubmitting an evicted job's request: store hits %d, want %d", got, hits+1)
 	}
 }
