@@ -258,6 +258,54 @@ func BenchmarkColdGrid(b *testing.B) {
 	}
 }
 
+// BenchmarkWarmIPV times the IPV-search loop as a warm served job runs it,
+// the in-process twin of the benchmark's warm_ipv workload: one Lab at
+// GIPPR_SCALE, its suite streams built before the timer, and per iteration
+// one Lab.Grid of a GIPPR under a vector no earlier iteration used, over
+// the whole suite, so every phase is one LLC replay and window model and
+// nothing is a memo read. Metrics: ms/op and MB/op allocated, as in
+// BenchmarkColdGrid.
+func BenchmarkWarmIPV(b *testing.B) {
+	ways := cache.L3Config.Ways
+	rng := xrand.New(0x1f5)
+	seen := map[string]bool{}
+	next := func() ipv.Vector {
+		for {
+			v := ipv.New(ways)
+			for j := range v {
+				v[j] = rng.Intn(ways)
+			}
+			if !seen[v.String()] {
+				seen[v.String()] = true
+				return v
+			}
+		}
+	}
+	var l *experiments.Lab
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			if l == nil {
+				l = experiments.NewLab(experiments.ScaleFromEnv())
+				l.PrefetchStreams(nil)
+			}
+			l.SetWorkers(workers)
+			var before, after runtime.MemStats
+			b.ResetTimer()
+			runtime.ReadMemStats(&before)
+			for i := 0; i < b.N; i++ {
+				spec := experiments.SpecForIPV("GIPPR*", next())
+				if _, err := l.Grid(context.Background(), []experiments.Spec{spec}, l.Suite(), nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			b.ReportMetric(float64(b.Elapsed().Microseconds())/1e3/float64(b.N), "ms/op")
+			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/1e6/float64(b.N), "MB/op")
+		})
+	}
+}
+
 // BenchmarkGridMultiPass measures what the single-pass engine buys on a
 // simulation-tool grid (gippr-sim's default policy suite over three
 // workloads): the per-cell baseline regenerates and re-filters the phase
