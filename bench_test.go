@@ -208,7 +208,9 @@ func BenchmarkLabGrid(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				l := experiments.NewLab(experiments.Smoke).SetWorkers(workers)
-				l.PrefetchWorkloads(specs, l.Suite()[:8], false)
+				if err := l.PrefetchWorkloadsCtx(context.Background(), specs, l.Suite()[:8], false); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}
@@ -218,10 +220,10 @@ func BenchmarkLabGrid(b *testing.B) {
 // builds a fresh Lab at GIPPR_SCALE and runs Lab.Grid over gippr-serve's
 // six default policies plus one GIPPR under an explicit IPV, on the
 // benchmark's four probe workloads. That is stream generation, L1/L2
-// capture and Grid's per-phase batches, each batch replaying every policy
-// through cpu.MultiWindowReplay, as gippr-serve and gippr-sim run them
-// (BenchmarkLabGrid instead times Prefetch's one task per cell). Metrics:
-// ms/op and MB/op allocated.
+// capture and one task per (policy, workload, phase) cell, each a
+// one-policy cpu.MultiWindowReplay, as gippr-serve and gippr-sim run them
+// (BenchmarkLabGrid times the same schedule through Prefetch, at smoke
+// scale). Metrics: ms/op and MB/op allocated.
 func BenchmarkColdGrid(b *testing.B) {
 	var specs []experiments.Spec
 	for _, name := range []string{"lru", "plru", "drrip", "pdp", "gippr", "4-dgippr"} {

@@ -135,9 +135,10 @@ func main() {
 
 	// One lab per run: the grid engine builds each workload's LLC streams
 	// once (capture happens before the L3 lookup, so the stream is
-	// policy-independent) and replays every cold policy from it, one batch
-	// per phase. This is the same engine gippr-serve jobs run on, so CLI
-	// rows and served cells are bit-identical by construction. Per-policy results are bit-identical at any -workers.
+	// policy-independent), then replays every (policy, workload, phase)
+	// cell from them, one task each. This is the same engine gippr-serve
+	// jobs run on, so CLI rows and served cells are bit-identical by
+	// construction, and at any -workers.
 	lab := experiments.NewLab(scale).SetWorkers(*workers)
 	shift, err := lab.Cfg.CheckSampleShift(*sample)
 	if err != nil {

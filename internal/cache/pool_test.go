@@ -108,9 +108,7 @@ func TestRecycledStoreMatchesFresh(t *testing.T) {
 	for i, pc := range poolCases() {
 		t.Run(pc.name(), func(t *testing.T) {
 			mk := func() cache.Policy { return pc.pol(pc.cfg.Sets(), pc.cfg.Ways) }
-			full := pc.cfg
-			full.SampleShift = 0 // stepRuns probes set 0, which a sample may skip
-			if stepRuns(full, mk()) != pc.step {
+			if stepRuns(pc.cfg, mk()) != pc.step {
 				t.Fatalf("the IPV step runs: %v, want %v", !pc.step, pc.step)
 			}
 			stream := makeStream(8*pc.cfg.Sets()*pc.cfg.Ways, pc.cfg, 1.5, uint64(i)+1)

@@ -74,9 +74,11 @@ func count(pol cache.Policy, fills *int) cache.Policy {
 }
 
 // stepRuns reports whether a cache of cfg over pol takes the IPV step. It
-// models one access to set 0 of a full-fidelity cache: a cold miss, which
-// calls OnFill unless the step runs.
+// models one access to set 0 of cfg without sampling: a cold miss, which
+// calls OnFill unless the step runs. cache.New chooses the step whatever
+// cfg samples, while a sample may leave set 0 out and skip the access.
 func stepRuns(cfg cache.Config, pol cache.Policy) bool {
+	cfg.SampleShift = 0
 	var fills int
 	cache.New(cfg, count(pol, &fills)).Access(trace.Record{Gap: 1})
 	return fills == 0
@@ -415,6 +417,13 @@ func TestDispatchFallsBackForNonPackable(t *testing.T) {
 	wide := cache.Config{Name: "w", SizeBytes: 4 * 65 * 64, Ways: 65, BlockBytes: 64, HitLatency: 30}
 	if stepRuns(wide, policy.NewTrueLRU(wide.Sets(), wide.Ways)) {
 		t.Error("65-way LRU took the IPV step")
+	}
+	// Sampling does not choose the path: a sampled DRRIP runs the callbacks
+	// although its sample leaves out set 0.
+	sampled := cfg
+	sampled.SampleShift = 1
+	if stepRuns(sampled, policy.NewDRRIP(sets, ways)) {
+		t.Error("sampled DRRIP took the IPV step")
 	}
 	// The wrapper the references use must defeat the step.
 	if stepRuns(cfg, scalarOnly{policy.NewPLRU(sets, ways)}) {

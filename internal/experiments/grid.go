@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 
-	"gippr/internal/parallel"
 	"gippr/internal/stats"
 	"gippr/internal/workload"
 )
@@ -53,31 +52,28 @@ func (l *Lab) cellOf(spec Spec, w workload.Workload) GridCell {
 	return cell
 }
 
-// Grid evaluates specs x workloads through the lab's memoized batched
-// engine and returns the cells in workload-major order (all specs of
-// workloads[0], then workloads[1], ...). Each workload is one parallel task
-// on l.Workers goroutines: each of its phases replays every cold spec in
-// one batch (cpu.MultiWindowReplay, one walk of the stream per spec), then
-// the memoized per-phase results aggregate into cells. Cell values are bit-identical at any worker count and across
-// repeat calls (later calls are pure memo reads).
+// Grid evaluates specs x workloads and returns the cells in workload-major
+// order (all specs of workloads[0], then workloads[1], ...). It runs on
+// Prefetch's schedule: the workloads' stream builds first, then one task
+// per (spec, workload, phase) cell on l.Workers goroutines, each a
+// memoized one-policy replay. When a workload's last cell settles, its
+// per-phase results aggregate into its cells, so a cold grid's first cell
+// follows all of its stream builds. Cell values are bit-identical at any
+// worker count and across repeat calls (later calls are pure memo reads).
 //
-// onCell, when non-nil, is invoked once per cell as soon as that cell's
-// value settles — the job daemon streams cells to clients from it. It is
-// called concurrently from worker goroutines and must be safe for that.
+// onCell, when non-nil, is invoked once per cell as soon as its workload's
+// last cell settles — the job daemon streams cells to clients from it. It
+// is called concurrently from worker goroutines and must be safe for that.
 //
-// On cancellation no new workload starts, in-flight workloads drain (their
-// cells are complete and were delivered to onCell), and Grid returns the
-// partial cell slice alongside ctx's error; cells of workloads that never
-// ran are zero-valued.
+// On cancellation no new cell starts, in-flight cells drain, and Grid
+// returns the partial cell slice alongside ctx's error. A workload's cells
+// are delivered and returned all or none: those of workloads whose cells
+// did not all settle are zero-valued and never reach onCell.
 func (l *Lab) Grid(ctx context.Context, specs []Spec, wls []workload.Workload, onCell func(GridCell)) ([]GridCell, error) {
 	cells := make([]GridCell, len(wls)*len(specs))
-	err := parallel.ForCtx(ctx, l.Workers, len(wls), func(wi int) {
-		w := wls[wi]
-		for pi := range w.Phases {
-			l.multiPhaseRun(specs, w, pi)
-		}
+	err := l.settle(ctx, specs, wls, false, func(wi int) {
 		for si, spec := range specs {
-			cell := l.cellOf(spec, w)
+			cell := l.cellOf(spec, wls[wi])
 			cells[wi*len(specs)+si] = cell
 			if onCell != nil {
 				onCell(cell)

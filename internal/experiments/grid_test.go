@@ -131,3 +131,58 @@ func TestGridCancellation(t *testing.T) {
 		t.Fatalf("Grid on cancelled ctx: err = %v, want context.Canceled", err)
 	}
 }
+
+// TestGridCancelledMidRun: a context cancelled inside the first onCell, at
+// two workers, stops the grid with context.Canceled. Each workload's cells
+// are delivered all or none, every delivered cell equals a complete grid's,
+// and the returned slice holds the delivered workloads' cells and zero
+// values for the rest.
+func TestGridCancelledMidRun(t *testing.T) {
+	specs := gridSpecs(t)
+	wls := gridWorkloads(t, "mcf_like", "lbm_like", "libquantum_like", "sphinx3_like")
+	want, err := NewLab(gridScale).Grid(context.Background(), specs, wls, nil)
+	if err != nil {
+		t.Fatalf("complete Grid: %v", err)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var mu sync.Mutex
+	delivered := make(map[string]GridCell)
+	cells, err := NewLab(gridScale).SetWorkers(2).Grid(ctx, specs, wls, func(c GridCell) {
+		cancel()
+		mu.Lock()
+		defer mu.Unlock()
+		delivered[c.Workload+"|"+c.Policy] = c
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("Grid cancelled in onCell: err = %v, want context.Canceled", err)
+	}
+	var complete int
+	for wi, w := range wls {
+		var n int
+		for si, sp := range specs {
+			i := wi*len(specs) + si
+			c, ok := delivered[w.Name+"|"+sp.Label]
+			if !ok {
+				if cells[i] != (GridCell{}) {
+					t.Errorf("undelivered cell (%s,%s) returned as %+v, want zero", w.Name, sp.Label, cells[i])
+				}
+				continue
+			}
+			n++
+			if c != want[i] || cells[i] != want[i] {
+				t.Errorf("cell (%s,%s) delivered %+v, returned %+v, want %+v", w.Name, sp.Label, c, cells[i], want[i])
+			}
+		}
+		if n != 0 && n != len(specs) {
+			t.Errorf("%s: %d of %d cells delivered", w.Name, n, len(specs))
+		}
+		if n == len(specs) {
+			complete++
+		}
+	}
+	if complete == 0 || complete == len(wls) {
+		t.Fatalf("%d of %d workloads delivered: the cancellation did not cut the grid", complete, len(wls))
+	}
+}

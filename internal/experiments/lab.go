@@ -13,6 +13,7 @@ import (
 	"gippr/internal/policy"
 	"gippr/internal/stackdist"
 	"gippr/internal/stats"
+	"gippr/internal/telemetry"
 	"gippr/internal/trace"
 	"gippr/internal/workload"
 	"gippr/internal/xrand"
@@ -41,11 +42,12 @@ type phaseResult struct {
 // Lab owns the streams and memoized results for one scale. It is safe for
 // concurrent use: all six memos follow the memo type's rules, so stream
 // builds and replays for distinct keys proceed in parallel, concurrent
-// requests for the same key wait for its one computation, a batch replay
-// settles only the keys nobody else is computing, and a computation that
-// panics leaves its keys to be recomputed. Memos wait on each other in one
-// direction only — diffs on tels on streams, and results, optimal and
-// sweeps on streams — so no wait cycle can form.
+// requests for the same key wait for its one computation, and a
+// computation that panics leaves its key to be recomputed. Every memoized
+// replay settles one key: one phase of one spec (phaseRun), or one spec's
+// instrumented walk of a workload's phases (telOf). Memos wait on each
+// other in one direction only — diffs on tels on streams, and results,
+// optimal and sweeps on streams — so no wait cycle can form.
 type Lab struct {
 	Scale Scale
 	Cfg   cache.Config // the LLC under study
@@ -223,48 +225,23 @@ func phaseKey(spec Spec, w workload.Workload, phase int) string {
 	return fmt.Sprintf("%s|%s|%d", spec.Key, w.Name, phase)
 }
 
-// replay walks one phase's stream once under every given spec, each with a
-// fresh policy and window model (cpu.MultiWindowReplay), and returns their
-// results in spec order. Each result is bit-identical to a standalone
-// replay of its spec (the kernel's per-model equivalence guarantee), so a
-// value does not depend on which batch computed it.
-func (l *Lab) replay(specs []Spec, w workload.Workload, phase int) []phaseResult {
-	st := l.Streams(w)[phase]
-	pols, models := l.instances(specs, w)
-	res := cpu.MultiWindowReplay(st.Records, l.Cfg, pols, l.warm(len(st.Records)), models, nil)
-	out := make([]phaseResult, len(res))
-	for i, r := range res {
-		out[i] = l.resultOf(r)
-	}
-	return out
+// walk replays one phase of w under a fresh instance of spec and a fresh
+// window model (cpu.MultiWindowReplay of one policy); a non-nil sink also
+// records the timed window's events. Every memoized replay, terminal or
+// instrumented, is made of walks, so a value does not depend on which
+// schedule computed it.
+func (l *Lab) walk(spec Spec, w workload.Workload, phase int, sink *telemetry.Sink) cpu.ReplayResult {
+	recs := l.Streams(w)[phase].Records
+	pol := spec.New(w.Name, l.Cfg.Sets(), l.Cfg.Ways)
+	return cpu.MultiWindowReplay(recs, l.Cfg, []cache.Policy{pol}, l.warm(len(recs)),
+		[]*cpu.WindowModel{cpu.DefaultWindowModel()}, []*telemetry.Sink{sink})[0]
 }
 
-// instances builds one fresh policy and window model per spec for a replay
-// on w.
-func (l *Lab) instances(specs []Spec, w workload.Workload) ([]cache.Policy, []*cpu.WindowModel) {
-	pols := make([]cache.Policy, len(specs))
-	models := make([]*cpu.WindowModel, len(specs))
-	for i, s := range specs {
-		pols[i] = s.New(w.Name, l.Cfg.Sets(), l.Cfg.Ways)
-		models[i] = cpu.DefaultWindowModel()
-	}
-	return pols, models
-}
-
-// phaseRun returns one (spec, workload, phase) result, replaying it alone
-// if no batch settled it first.
+// phaseRun returns one (spec, workload, phase) result, replaying it once.
 func (l *Lab) phaseRun(spec Spec, w workload.Workload, phase int) phaseResult {
 	return l.results.get(phaseKey(spec, w, phase), func() phaseResult {
-		return l.replay([]Spec{spec}, w, phase)[0]
+		return l.resultOf(l.walk(spec, w, phase, nil))
 	})
-}
-
-// multiPhaseRun settles the results of every given spec on one (workload,
-// phase) in one batch, a walk of the stream per spec, skipping specs that
-// are settled or being replayed elsewhere.
-func (l *Lab) multiPhaseRun(specs []Spec, w workload.Workload, phase int) {
-	batch(&l.results, specs, func(s Spec) string { return phaseKey(s, w, phase) },
-		func(todo []Spec) []phaseResult { return l.replay(todo, w, phase) })
 }
 
 // optimalRun computes Belady MIN for one phase, memoized like phaseRun.

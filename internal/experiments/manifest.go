@@ -12,12 +12,11 @@ import (
 // workload, in spec order: weighted MPKI plus the LLC's event-level report
 // (insertion positions, promotion distances, reuse and dead-time
 // histograms, dueling votes) over the measurement windows of all phases.
-// Entries come from the memoized instrumented captures Diff also reads,
+// Each entry is the memoized instrumented capture Diff also reads (telOf),
 // kept apart from the terminal-number memo, so each entry still describes
-// one coherent run; the specs not captured yet share one batch per phase.
-// Callers such as gippr-sim's -telemetry path pick their own workloads.
+// one coherent run. Callers such as gippr-sim's -telemetry path pick their
+// own workloads.
 func (l *Lab) TelemetryEntries(specs []Spec, w workload.Workload) []telemetry.Entry {
-	l.captureTel(specs, w)
 	entries := make([]telemetry.Entry, len(specs))
 	for i, s := range specs {
 		c := l.telOf(s, w)
@@ -45,13 +44,12 @@ func (l *Lab) Geometry() telemetry.CacheGeometry {
 
 // Manifest builds a run manifest over specs x the lab's workload suite,
 // replaying each (policy, workload) pair with telemetry attached. Each
-// workload is one parallel task that captures all specs in one batch per
-// phase (TelemetryEntries); entry values are bit-identical to per-spec
-// replays. The entry order is
-// deterministic (spec-major, suite order) regardless of scheduling. On
-// cancellation the partial manifest built so far is returned with ctx's
-// error; a workload's entries are either all present or all absent, never
-// truncated mid-workload.
+// workload is one parallel task that reads its specs' captures in turn
+// (TelemetryEntries), so entry values do not depend on the worker count.
+// The entry order is deterministic (spec-major, suite order) regardless of
+// scheduling. On cancellation the partial manifest built so far is
+// returned with ctx's error; a workload's entries are either all present
+// or all absent, never truncated mid-workload.
 func (l *Lab) Manifest(ctx context.Context, tool, fingerprint string, specs []Spec) (*telemetry.Manifest, error) {
 	m := &telemetry.Manifest{
 		Tool:        tool,

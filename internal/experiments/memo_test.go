@@ -54,45 +54,65 @@ func TestMemoPanicLeavesKeyUnsettled(t *testing.T) {
 	}
 }
 
-// TestConcurrentGridsReplayOnce: two overlapping Grid batches must replay
-// each shared key once. The first build of the counted spec waits for a
-// second build (or 300 ms), so both grids are inside their batches at the
-// same time; a batch that skipped only already-settled keys would replay
-// the same phase twice.
-func TestConcurrentGridsReplayOnce(t *testing.T) {
-	lab := NewLab(Smoke).SetWorkers(1)
-	w := lab.Suite()[0]
-	lab.Streams(w) // warm: only replays race below
-	var built atomic.Int32
-	second := make(chan struct{})
-	spec := Spec{Key: "counted", Label: "counted", New: func(name string, sets, ways int) cache.Policy {
-		if built.Add(1) == 2 {
-			close(second)
-		}
-		select {
-		case <-second:
-		case <-time.After(300 * time.Millisecond):
-		}
-		return SpecLRU.New(name, sets, ways)
-	}}
-	var wg sync.WaitGroup
-	cells := make([][]GridCell, 2)
-	for i := range cells {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			var err error
-			cells[i], err = lab.Grid(context.Background(), []Spec{spec}, []workload.Workload{w}, nil)
+// TestConcurrentReadersReplayOnce: two concurrent readers of one memoized
+// replay must build it once per phase — two Grids of the counted spec,
+// which share its results, and two Diffs with the counted spec as side A,
+// which share its instrumented capture. The first build of the counted
+// spec waits for a second build (or 300 ms), so both readers reach the
+// computation while it is under way; a memo that let the second reader
+// replay the key itself would build a phase twice.
+func TestConcurrentReadersReplayOnce(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		read func(lab *Lab, counted Spec, w workload.Workload, i int) (any, error)
+	}{
+		{"grid", func(lab *Lab, counted Spec, w workload.Workload, _ int) (any, error) {
+			cells, err := lab.Grid(context.Background(), []Spec{counted}, []workload.Workload{w}, nil)
+			return cells[0], err
+		}},
+		{"diff", func(lab *Lab, counted Spec, w workload.Workload, i int) (any, error) {
+			e, err := lab.Diff(counted, []Spec{SpecLRU, SpecPLRU}[i], w)
 			if err != nil {
-				t.Error(err)
+				return nil, err
 			}
-		}(i)
-	}
-	wg.Wait()
-	if cells[0][0] != cells[1][0] {
-		t.Fatalf("concurrent grids disagree: %+v vs %+v", cells[0][0], cells[1][0])
-	}
-	if got, want := built.Load(), int32(len(w.Phases)); got != want {
-		t.Fatalf("policy built %d times for %d phases: overlapping batches replayed a key twice", got, want)
+			return e.MPKIA, nil
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			lab := NewLab(Smoke).SetWorkers(1)
+			w := lab.Suite()[0]
+			lab.Streams(w) // warm: only replays race below
+			var built atomic.Int32
+			second := make(chan struct{})
+			counted := Spec{Key: "counted", Label: "counted", New: func(name string, sets, ways int) cache.Policy {
+				if built.Add(1) == 2 {
+					close(second)
+				}
+				select {
+				case <-second:
+				case <-time.After(300 * time.Millisecond):
+				}
+				return SpecLRU.New(name, sets, ways)
+			}}
+			var wg sync.WaitGroup
+			got := make([]any, 2)
+			for i := range got {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					var err error
+					if got[i], err = tc.read(lab, counted, w, i); err != nil {
+						t.Error(err)
+					}
+				}(i)
+			}
+			wg.Wait()
+			if got[0] != got[1] {
+				t.Fatalf("concurrent readers disagree: %+v vs %+v", got[0], got[1])
+			}
+			if got, want := built.Load(), int32(len(w.Phases)); got != want {
+				t.Fatalf("policy built %d times for %d phases: a key was replayed twice", got, want)
+			}
+		})
 	}
 }

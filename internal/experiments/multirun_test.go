@@ -1,11 +1,11 @@
 package experiments
 
-// Tests for the multi-policy engine (multiPhaseRun, behind Lab.Grid: one
-// batch per phase, whose cpu.MultiWindowReplay walks the phase's stream
-// once per policy) and the set-sampling estimator: the engine must be
-// bit-identical to direct per-spec replays for every registered policy, and
-// the estimator must stay within pinned relative-error tolerances of the
-// full simulation (DESIGN.md §9).
+// Tests for the grid engine (Lab.Grid: one task per (policy, workload,
+// phase) cell, each a one-policy cpu.MultiWindowReplay of the phase's
+// stream) and the set-sampling estimator: the engine must be bit-identical
+// to direct per-spec replays for every registered policy, and the
+// estimator must stay within pinned relative-error tolerances of the full
+// simulation (DESIGN.md §9).
 
 import (
 	"context"
@@ -51,8 +51,8 @@ func requireSettled(t *testing.T, l *Lab, specs []Spec) {
 	}
 }
 
-// TestGoldenMPKIMultiRun pins the batched engine to the same checked-in
-// fingerprints as TestGoldenMPKI: a batch over every spec must reproduce
+// TestGoldenMPKIMultiRun pins the grid engine to the same checked-in
+// fingerprints as TestGoldenMPKI: a grid over every spec must reproduce
 // the one-spec walks' MPKIs bit-identically, not merely approximately — at
 // one worker and at eight, so neither scheduling nor the cache's inline
 // IPV step (which carries the packable roster policies, see cache.Packable
@@ -84,12 +84,12 @@ func TestGoldenMPKIMultiRun(t *testing.T) {
 }
 
 // TestMultiRunEquivalence holds the tentpole invariant: for every registered
-// policy, on every workload, the batched engine (one batch per phase,
-// walking its stream once per policy model) produces bit-identical MPKI
-// and CPI to an
-// independent reference — one direct cpu.WindowReplay per (spec, workload,
-// phase), aggregated in phase order — at one worker and at eight, so
-// scheduling cannot perturb results either. The reference replays the
+// policy, on every workload, the grid engine (one task per cell, each
+// walking its phase's stream under one policy model) produces
+// bit-identical MPKI and CPI to an independent reference — one direct
+// cpu.WindowReplay per (spec, workload, phase), aggregated in phase order
+// — at one worker and at eight, so scheduling cannot perturb results
+// either. The reference replays the
 // lab's own captured streams, so any disagreement is in the replay engine
 // or the memo, never in stream capture.
 func TestMultiRunEquivalence(t *testing.T) {

@@ -21,7 +21,9 @@ func TestParallelGridBitIdenticalToSerial(t *testing.T) {
 	serial := NewLab(Smoke).SetWorkers(1)
 	par := NewLab(Smoke).SetWorkers(8)
 	ws := par.Suite()[:4]
-	par.PrefetchWorkloads(specs, ws, true)
+	if err := par.PrefetchWorkloadsCtx(context.Background(), specs, ws, true); err != nil {
+		t.Fatal(err)
+	}
 
 	for _, w := range ws {
 		for _, s := range specs {
@@ -124,7 +126,9 @@ func TestPrefetchCtxCancellationIsCorrectnessNeutral(t *testing.T) {
 	specs := []Spec{SpecLRU, SpecPLRU}
 	ref := NewLab(Smoke).SetWorkers(2)
 	ws := ref.Suite()[:2]
-	ref.PrefetchWorkloads(specs, ws, false)
+	if err := ref.PrefetchWorkloadsCtx(context.Background(), specs, ws, false); err != nil {
+		t.Fatal(err)
+	}
 
 	cancelled := NewLab(Smoke).SetWorkers(2)
 	ctx, cancel := context.WithCancel(context.Background())

@@ -105,10 +105,10 @@ func (s *Server) sweepQuery(sp experiments.LatticeSpec) (query, error) {
 }
 
 // explainQuery resolves a policy-diff job: one explanation per workload of
-// PolicyB's miss delta against PolicyA. Both policies settle from one
-// instrumented walk per workload phase, so the pair shares the captures
-// the decomposition identity rests on; workloads fan out over the Lab's
-// workers.
+// PolicyB's miss delta against PolicyA. Each policy settles from its own
+// memoized instrumented capture of the workload (one walk per phase), the
+// captures the decomposition identity rests on; workloads fan out over the
+// Lab's workers.
 func explainQuery(req ExplainRequest) (query, error) {
 	a, err := experiments.SpecFromRegistry(strings.TrimSpace(req.PolicyA))
 	if err != nil {
