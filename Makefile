@@ -1,10 +1,11 @@
 # Tier-1 checks plus the race/bench gates the parallel evaluation engine
 # relies on. `make check` runs every gate CI runs on every PR — race, cover,
-# bench, fuzz, staticcheck and serve-smoke — so a local pass predicts CI's.
+# bench, fuzz, staticcheck, serve-smoke and report-smoke — so a local pass
+# predicts CI's.
 
 GO ?= go
 
-.PHONY: all build vet test race bench cover fuzz serve-smoke staticcheck check loc
+.PHONY: all build vet test race bench cover fuzz serve-smoke report-smoke staticcheck check loc
 
 all: check
 
@@ -72,6 +73,12 @@ cover: vet
 serve-smoke: build
 	bash scripts/serve_smoke.sh
 
+# Report deadline smoke: build gippr-report and run three smoke sections
+# with no deadline, then at -deadline 100ms..1000ms; every run must exit 0
+# or 3 and print whole sections, a prefix of the undeadlined run's stdout.
+report-smoke: build
+	bash scripts/report_smoke.sh
+
 # Static analysis. Skipped with a notice when the binary is not installed
 # (CI installs it; we add no deps here).
 staticcheck:
@@ -104,7 +111,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzTrees -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/plrutree
 	$(GO) test -run=^$$ -fuzz=FuzzWindowModel -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/cpu
 
-check: race cover bench fuzz staticcheck serve-smoke
+check: race cover bench fuzz staticcheck serve-smoke report-smoke
 
 # Source size per package: non-blank lines that are not // comments, over
 # git-tracked non-test .go files outside the bench/ module, plus the total.

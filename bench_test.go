@@ -208,7 +208,7 @@ func BenchmarkLabGrid(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				l := experiments.NewLab(experiments.Smoke).SetWorkers(workers)
-				if err := l.PrefetchWorkloadsCtx(context.Background(), specs, l.Suite()[:8], false); err != nil {
+				if _, err := l.Grid(context.Background(), specs, l.Suite()[:8], nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -222,8 +222,8 @@ func BenchmarkLabGrid(b *testing.B) {
 // benchmark's four probe workloads. That is stream generation, L1/L2
 // capture and one task per (policy, workload, phase) cell, each a
 // one-policy cpu.MultiWindowReplay, as gippr-serve and gippr-sim run them
-// (BenchmarkLabGrid times the same schedule through Prefetch, at smoke
-// scale). Metrics: ms/op and MB/op allocated.
+// (BenchmarkLabGrid times the same schedule at smoke scale). Metrics: ms/op
+// and MB/op allocated.
 func BenchmarkColdGrid(b *testing.B) {
 	var specs []experiments.Spec
 	for _, name := range []string{"lru", "plru", "drrip", "pdp", "gippr", "4-dgippr"} {
@@ -288,7 +288,9 @@ func BenchmarkWarmIPV(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			if l == nil {
 				l = experiments.NewLab(experiments.ScaleFromEnv())
-				l.PrefetchStreams(nil)
+				if err := l.PrefetchStreamsCtx(context.Background(), nil); err != nil {
+					b.Fatal(err)
+				}
 			}
 			l.SetWorkers(workers)
 			var before, after runtime.MemStats

@@ -66,17 +66,9 @@ func main() {
 	debugAddr := flag.String("debug-addr", "", "serve expvar progress gauges and pprof on this address (e.g. localhost:6060)")
 	flag.Parse()
 
-	scale := experiments.ScaleFromEnv()
-	switch *scaleFlag {
-	case "":
-	case "smoke":
-		scale = experiments.Smoke
-	case "default":
-		scale = experiments.Default
-	case "full":
-		scale = experiments.Full
-	default:
-		fmt.Fprintf(os.Stderr, "gippr-evolve: unknown scale %q\n", *scaleFlag)
+	scale, err := experiments.ParseScale(*scaleFlag)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "gippr-evolve:", err)
 		os.Exit(runctx.ExitUsage)
 	}
 	if *pop == 0 {
@@ -96,7 +88,7 @@ func main() {
 	defer stopDebug()
 	runctx.StartProgressLog(ctx, os.Stderr, *progressEvery, prog)
 
-	lab := experiments.NewLab(scale).SetWorkers(*workers).SetContext(ctx)
+	lab := experiments.NewLab(scale).SetWorkers(*workers)
 	fmt.Fprintf(os.Stderr, "building LLC streams (%s scale, %d workers)...\n", scale.Name, lab.Workers)
 	prog.SetPhase("build streams")
 	start := time.Now()
@@ -209,7 +201,7 @@ func runSingle(ctx context.Context, env *ga.Env, scale experiments.Scale, pop, g
 		}
 		cfg.OnState = func(st ga.State) { saveCkpt(ckptPath, fp, st) }
 	}
-	best, fit, hist, err := ga.EvolveCtx(ctx, env, cfg)
+	best, fit, hist, err := ga.Evolve(ctx, env, cfg)
 	if err != nil {
 		exitCancelled(err, ckptPath)
 	}
@@ -218,7 +210,7 @@ func runSingle(ctx context.Context, env *ga.Env, scale experiments.Scale, pop, g
 	fmt.Fprintf(os.Stderr, "evolution complete after %d generations\n", len(hist))
 	if hillclimb > 0 {
 		fmt.Fprintf(os.Stderr, "hill climbing (%d rounds)...\n", hillclimb)
-		best, fit, err = ga.HillClimbCtx(ctx, env, best, hillclimb)
+		best, fit, err = ga.HillClimb(ctx, env, best, hillclimb)
 		if err != nil {
 			// Hill climbing is anytime: report the refinement achieved so
 			// far, then exit with the cancellation code. It is not part of
@@ -319,7 +311,7 @@ func (b *baker) stage(idx int, env *ga.Env, label string, seedBase uint64) (*sta
 			b.st.GA = &st
 			b.save()
 		}
-		best, fit, hist, err := ga.EvolveCtx(b.ctx, env, cfg)
+		best, fit, hist, err := ga.Evolve(b.ctx, env, cfg)
 		if err != nil {
 			return nil, err // last generation boundary already checkpointed
 		}
@@ -330,15 +322,15 @@ func (b *baker) stage(idx int, env *ga.Env, label string, seedBase uint64) (*sta
 		b.st.GA = nil
 		b.save()
 	}
-	s1, err := ga.SelectComplementaryCtx(b.ctx, env, pool, 1)
+	s1, err := ga.SelectComplementary(b.ctx, env, pool, 1)
 	if err != nil {
 		return nil, err
 	}
-	s2, err := ga.SelectComplementaryCtx(b.ctx, env, pool, 2)
+	s2, err := ga.SelectComplementary(b.ctx, env, pool, 2)
 	if err != nil {
 		return nil, err
 	}
-	s4, err := ga.SelectComplementaryCtx(b.ctx, env, pool, 4)
+	s4, err := ga.SelectComplementary(b.ctx, env, pool, 4)
 	if err != nil {
 		return nil, err
 	}

@@ -17,12 +17,14 @@
 // run manifest over the headline policy roster is written after the
 // sections; with -debug-addr, live progress gauges are served as expvar at
 // /debug/vars alongside the pprof suite. SIGINT/SIGTERM or -deadline stop
-// the report at the next section boundary: the section in flight finishes
-// and prints (sections are all-or-nothing), later sections are skipped,
-// and the exit code is 3.
+// the report at the next section boundary, the only place the tool checks
+// them: the section in flight runs to completion at full width and prints
+// (sections are all-or-nothing), later sections and the manifest are
+// skipped, and the exit code is 3.
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -45,18 +47,10 @@ func main() {
 	debugAddr := flag.String("debug-addr", "", "serve expvar progress gauges and pprof on this address (e.g. localhost:6060)")
 	flag.Parse()
 
-	scale := experiments.ScaleFromEnv()
-	switch *scaleFlag {
-	case "":
-	case "smoke":
-		scale = experiments.Smoke
-	case "default":
-		scale = experiments.Default
-	case "full":
-		scale = experiments.Full
-	default:
-		fmt.Fprintf(os.Stderr, "gippr-report: unknown scale %q\n", *scaleFlag)
-		os.Exit(2)
+	scale, err := experiments.ParseScale(*scaleFlag)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "gippr-report:", err)
+		os.Exit(runctx.ExitUsage)
 	}
 
 	want, err := report.Parse(*only)
@@ -92,14 +86,13 @@ func main() {
 	}
 	defer stopDebug()
 
-	// The lab context only truncates internal prefetch fan-outs — memoized
-	// getters still compute on demand, so a section that starts always
-	// prints complete, correct numbers. Cancellation is honoured at section
-	// boundaries below.
-	lab := experiments.NewLab(scale).SetWorkers(*workers).SetContext(ctx)
+	lab := experiments.NewLab(scale).SetWorkers(*workers)
 	fmt.Printf("gippr-report: scale=%s (%d records/phase, warm %.0f%%, %d workers)\n\n",
 		scale.Name, scale.PhaseRecords, 100*scale.WarmFrac, lab.Workers)
 
+	// ctx is checked only here, between sections: a section that starts
+	// runs to completion at full width and prints complete numbers, so every
+	// Lab call below that takes a context is given context.Background().
 	section := func(name report.Section, f func()) {
 		if !report.Selected(want, name) || ctx.Err() != nil {
 			return
@@ -159,7 +152,7 @@ func main() {
 		// The geometry-lattice section: every LRU (sets, ways) point around
 		// the LLC under study plus tree-PLRU at the LLC's own shape, all
 		// from one stream walk per workload phase.
-		s, err := lab.LatticeReport(ctx, experiments.DefaultLatticeSpec(lab.Cfg), lab.Suite())
+		s, err := lab.LatticeReport(context.Background(), experiments.DefaultLatticeSpec(lab.Cfg), lab.Suite())
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "gippr-report: %v\n", err)
 			os.Exit(1)
@@ -171,7 +164,7 @@ func main() {
 		// diffA, as compact JSON lines — the same versioned documents
 		// /v1/explain streams, prose included (see DESIGN.md section 15).
 		fmt.Printf("Diff: %s vs %s (why %s differs, per workload)\n", diffA.Label, diffB.Label, diffB.Label)
-		expls, err := lab.DiffAll(ctx, diffA, diffB, lab.Suite())
+		expls, err := lab.DiffAll(context.Background(), diffA, diffB, lab.Suite())
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "gippr-report: %v\n", err)
 			os.Exit(runctx.ExitFailure)
@@ -186,6 +179,8 @@ func main() {
 		}
 	})
 
+	// The manifest follows the sections' rule: it starts only if the
+	// report was not stopped, and then runs to completion.
 	if *telemetryPath != "" && ctx.Err() == nil {
 		prog.SetPhase("telemetry")
 		// The headline roster of the paper's comparison figures: baselines,
@@ -197,15 +192,13 @@ func main() {
 		}
 		fp := fmt.Sprintf("gippr-report|v1|scale=%s|records=%d|warm=%.6f",
 			scale.Name, scale.PhaseRecords, scale.WarmFrac)
-		m, err := lab.Manifest(ctx, "gippr-report", fp, specs)
-		if err == nil {
-			if err = m.WriteFile(*telemetryPath); err != nil {
-				fmt.Fprintln(os.Stderr, "gippr-report:", err)
-				os.Exit(runctx.ExitFailure)
-			}
-			fmt.Fprintf(os.Stderr, "gippr-report: wrote telemetry manifest to %s (%d entries)\n",
-				*telemetryPath, len(m.Entries))
+		m, _ := lab.Manifest(context.Background(), "gippr-report", fp, specs) // Background never cancels
+		if err := m.WriteFile(*telemetryPath); err != nil {
+			fmt.Fprintln(os.Stderr, "gippr-report:", err)
+			os.Exit(runctx.ExitFailure)
 		}
+		fmt.Fprintf(os.Stderr, "gippr-report: wrote telemetry manifest to %s (%d entries)\n",
+			*telemetryPath, len(m.Entries))
 	}
 
 	if err := ctx.Err(); err != nil {

@@ -73,17 +73,9 @@ func main() {
 	maxBody := flag.Int64("max-body", 1<<20, "job-submission body cap in bytes; larger bodies get 413")
 	flag.Parse()
 
-	scale := experiments.ScaleFromEnv()
-	switch *scaleFlag {
-	case "":
-	case "smoke":
-		scale = experiments.Smoke
-	case "default":
-		scale = experiments.Default
-	case "full":
-		scale = experiments.Full
-	default:
-		fmt.Fprintf(os.Stderr, "gippr-serve: unknown scale %q\n", *scaleFlag)
+	scale, err := experiments.ParseScale(*scaleFlag)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "gippr-serve:", err)
 		os.Exit(runctx.ExitUsage)
 	}
 	if *records != 0 || *warm != 0 {
@@ -106,7 +98,6 @@ func main() {
 
 	var store *resultstore.Store
 	if *storeDir != "" {
-		var err error
 		store, err = resultstore.Open(*storeDir, *storeMaxBytes)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "gippr-serve:", err)

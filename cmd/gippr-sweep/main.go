@@ -62,18 +62,10 @@ func main() {
 	workloadsFlag := flag.String("workloads", "all", "one-pass: comma-separated workload names, or \"all\"")
 	flag.Parse()
 
-	scale := experiments.ScaleFromEnv()
-	switch *scaleFlag {
-	case "":
-	case "smoke":
-		scale = experiments.Smoke
-	case "default":
-		scale = experiments.Default
-	case "full":
-		scale = experiments.Full
-	default:
-		fmt.Fprintf(os.Stderr, "gippr-sweep: unknown scale %q\n", *scaleFlag)
-		os.Exit(2)
+	scale, err := experiments.ParseScale(*scaleFlag)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "gippr-sweep:", err)
+		os.Exit(runctx.ExitUsage)
 	}
 	if *n == 0 {
 		*n = scale.RandomIPVs
@@ -126,7 +118,7 @@ func main() {
 
 	prog.SetPhase("sample")
 	start := time.Now()
-	scored, err := ga.RandomSearchProgressCtx(ctx, env, *n, *seed, func() { prog.Add(1) })
+	scored, err := ga.RandomSearch(ctx, env, *n, *seed, func() { prog.Add(1) })
 	if err != nil {
 		fmt.Fprintln(os.Stderr, runctx.Explain("gippr-sweep", err))
 		os.Exit(runctx.ExitCode(err))

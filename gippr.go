@@ -1,6 +1,8 @@
 package gippr
 
 import (
+	"context"
+
 	"gippr/internal/cache"
 	"gippr/internal/cpu"
 	"gippr/internal/ga"
@@ -183,9 +185,15 @@ func WorkloadByName(name string) (Workload, error) { return workload.ByName(name
 // Evolution (paper §4).
 
 // Evolve runs the genetic algorithm and returns the best vector, its
-// fitness, and the per-generation best-fitness history.
+// fitness, and the per-generation best-fitness history. It panics on an
+// invalid configuration.
 func Evolve(env *EvolveEnv, cfg EvolveConfig) (IPV, float64, []float64) {
-	return ga.Evolve(env, cfg)
+	best, fit, history, err := ga.Evolve(context.Background(), env, cfg)
+	if err != nil {
+		// Background never cancels, so err is a bad configuration.
+		panic(err)
+	}
+	return best, fit, history
 }
 
 // DefaultEvolveConfig returns a small but effective GA configuration.

@@ -158,6 +158,36 @@ func TestEvolveThroughFacade(t *testing.T) {
 	}
 }
 
+// TestEvolvePanicsOnBadConfig: the facade's Evolve has no error result, so
+// a configuration the GA rejects is a panic carrying the GA's error.
+func TestEvolvePanicsOnBadConfig(t *testing.T) {
+	sess, err := New(LLCConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := []Record{{Gap: 1, Addr: 0}, {Gap: 1, Addr: 64}}
+	env, err := sess.EvolveEnv(1.0/3, []EvolveStream{{Workload: "t", Weight: 1, Records: recs}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := []EvolveConfig{
+		{Population: 1, Generations: 1, TournamentSize: 1},
+		{Population: 4, Generations: 0, TournamentSize: 1},
+		{Population: 4, Generations: 1, Elite: 4, TournamentSize: 1},
+		{Population: 4, Generations: 1, TournamentSize: 0},
+	}
+	for i, cfg := range bad {
+		func() {
+			defer func() {
+				if _, ok := recover().(error); !ok {
+					t.Errorf("config %d: Evolve did not panic with an error", i)
+				}
+			}()
+			Evolve(env, cfg)
+		}()
+	}
+}
+
 // TestLabConcurrentMPKIMemoizedOnce is the regression test for the Lab
 // memoization race: two goroutines asking for the same (spec, workload) cell
 // must share one replay per phase, not duplicate it. The policy constructor

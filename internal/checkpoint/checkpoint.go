@@ -7,7 +7,9 @@
 // new complete snapshot on disk, never a torn file. The payload carries a
 // SHA-256 checksum (detects silent corruption) and a caller-supplied config
 // fingerprint (refuses to resume a run under a different configuration,
-// which would silently break the bit-identical-resume guarantee).
+// which would silently break the bit-identical-resume guarantee). The
+// atomic write itself is WriteFile, which other outputs that must never be
+// torn (the telemetry manifests) share.
 package checkpoint
 
 import (
@@ -17,9 +19,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io/fs"
+	"math/rand/v2"
 	"os"
 	"path/filepath"
 	"runtime"
+	"strconv"
 )
 
 // Version is the envelope format version. Bump it when the envelope schema
@@ -47,9 +52,9 @@ type envelope struct {
 }
 
 // Save atomically replaces the snapshot at path with payload, recording
-// fingerprint for the resume-compatibility check. The write protocol is
-// temp file (same directory) + fsync + rename + directory fsync: readers
-// concurrently calling Load see either the old or the new snapshot in full.
+// fingerprint for the resume-compatibility check. It writes through
+// WriteFile, so readers concurrently calling Load see either the old or the
+// new snapshot in full.
 func Save(path, fingerprint string, payload any) error {
 	raw, err := json.Marshal(payload)
 	if err != nil {
@@ -65,20 +70,31 @@ func Save(path, fingerprint string, payload any) error {
 	if err != nil {
 		return fmt.Errorf("checkpoint: marshal envelope: %w", err)
 	}
-	data = append(data, '\n')
+	if err := WriteFile(path, append(data, '\n')); err != nil {
+		return fmt.Errorf("checkpoint: %w", err)
+	}
+	return nil
+}
 
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-")
+// WriteFile atomically replaces the file at path with data: temp file in
+// path's directory, write, fsync, rename over path, best-effort directory
+// fsync. A crash at any instant leaves either the previous file or the new
+// one in full, never a torn file, and a failed write removes its temp
+// file. The file gets the mode os.WriteFile(path, data, 0o644) gives a new
+// file, umask applied. Temp names are path + ".tmp-" + a random suffix, so
+// a directory owner can sweep the ones a crash left behind.
+func WriteFile(path string, data []byte) error {
+	tmp, err := createTemp(path)
 	if err != nil {
-		return fmt.Errorf("checkpoint: create temp: %w", err)
+		return fmt.Errorf("create temp: %w", err)
 	}
 	tmpName := tmp.Name()
 	// On any failure below, remove the temp so aborted writes don't pile up;
-	// the previous snapshot at path is untouched either way.
+	// the previous file at path is untouched either way.
 	fail := func(step string, err error) error {
 		tmp.Close()
 		os.Remove(tmpName)
-		return fmt.Errorf("checkpoint: %s: %w", step, err)
+		return fmt.Errorf("%s: %w", step, err)
 	}
 	if _, err := tmp.Write(data); err != nil {
 		return fail("write temp", err)
@@ -89,15 +105,25 @@ func Save(path, fingerprint string, payload any) error {
 	if err := tmp.Close(); err != nil {
 		return fail("close temp", err)
 	}
-	if err := os.Chmod(tmpName, 0o644); err != nil {
-		return fail("chmod temp", err)
-	}
 	if err := os.Rename(tmpName, path); err != nil {
 		os.Remove(tmpName)
-		return fmt.Errorf("checkpoint: rename into place: %w", err)
+		return fmt.Errorf("rename into place: %w", err)
 	}
-	syncDir(dir)
+	syncDir(filepath.Dir(path))
 	return nil
+}
+
+// createTemp creates a new temp file beside path as os.CreateTemp does,
+// but with os.WriteFile's 0o644 rather than CreateTemp's 0o600.
+func createTemp(path string) (*os.File, error) {
+	for try := 0; ; try++ {
+		name := path + ".tmp-" + strconv.FormatUint(uint64(rand.Uint32()), 10)
+		f, err := os.OpenFile(name, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
+		if errors.Is(err, fs.ErrExist) && try < 10000 {
+			continue
+		}
+		return f, err
+	}
 }
 
 // syncDir makes the rename durable by fsyncing the containing directory.

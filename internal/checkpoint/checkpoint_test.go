@@ -146,6 +146,40 @@ func TestSaveOverwritesAtomically(t *testing.T) {
 	}
 }
 
+// TestWriteFileModeMatchesOSWriteFile: a file written atomically gets the
+// mode os.WriteFile(…, 0o644) gives a new file in the same directory,
+// whatever the umask, and replacing it keeps that mode and leaves no temp.
+func TestWriteFileModeMatchesOSWriteFile(t *testing.T) {
+	dir := t.TempDir()
+	ref := filepath.Join(dir, "ref")
+	if err := os.WriteFile(ref, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.Stat(ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "out")
+	for _, data := range []string{"first", "second"} {
+		if err := WriteFile(path, []byte(data)); err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Mode() != want.Mode() {
+			t.Errorf("mode %v after writing %q, os.WriteFile gives %v", got.Mode(), data, want.Mode())
+		}
+		if b, err := os.ReadFile(path); err != nil || string(b) != data {
+			t.Errorf("read back %q, %v; want %q", b, err, data)
+		}
+	}
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 2 {
+		t.Errorf("directory holds %d entries (%v), want ref and out", len(entries), err)
+	}
+}
+
 func TestVersionSkewRejected(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ga.ckpt")
 	if err := Save(path, "fp", payload{}); err != nil {

@@ -31,7 +31,7 @@ type Characterization struct {
 // measured set-associative LRU MPKI separates conflict effects from
 // capacity effects.
 func Characterize(l *Lab) []Characterization {
-	l.Prefetch([]Spec{SpecLRU}, false)
+	l.prefetch([]Spec{SpecLRU}, false)
 	llcBlocks := int64(l.Cfg.SizeBytes / l.Cfg.BlockBytes)
 	out := make([]Characterization, 0, len(l.Suite()))
 	for _, w := range l.Suite() {

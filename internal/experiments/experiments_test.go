@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -20,6 +21,43 @@ func TestScaleFromEnv(t *testing.T) {
 	t.Setenv("GIPPR_SCALE", "")
 	if ScaleFromEnv().Name != "default" {
 		t.Fatal("default not selected")
+	}
+}
+
+// TestParseScale pins the one -scale resolver every tool calls: each
+// preset by name, the empty value deferring to GIPPR_SCALE, and an unknown
+// name an error that lists the presets.
+func TestParseScale(t *testing.T) {
+	t.Setenv("GIPPR_SCALE", "full")
+	for _, tc := range []struct {
+		name string
+		want Scale
+		bad  bool
+	}{
+		{name: "", want: Full},
+		{name: "smoke", want: Smoke},
+		{name: "default", want: Default},
+		{name: "full", want: Full},
+		{name: "Smoke", bad: true},
+		{name: "custom", bad: true},
+		{name: "huge", bad: true},
+	} {
+		got, err := ParseScale(tc.name)
+		if tc.bad {
+			if err == nil {
+				t.Errorf("ParseScale(%q) = %s, want an error", tc.name, got.Name)
+				continue
+			}
+			for _, preset := range []string{"smoke", "default", "full"} {
+				if !strings.Contains(err.Error(), preset) {
+					t.Errorf("ParseScale(%q) error %q does not list %q", tc.name, err, preset)
+				}
+			}
+			continue
+		}
+		if err != nil || got != tc.want {
+			t.Errorf("ParseScale(%q) = (%+v, %v), want %s", tc.name, got, err, tc.want.Name)
+		}
 	}
 }
 
@@ -343,8 +381,12 @@ func TestVectorsLearnedSmoke(t *testing.T) {
 	}
 }
 
-func TestGAStreamsTruncated(t *testing.T) {
+func TestGAEnvStreamsTruncated(t *testing.T) {
 	lab := smokeLab()
+	env, err := lab.GAEnvCtx(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
 	full := 0
 	for _, w := range lab.Suite() {
 		for _, s := range lab.Streams(w) {
@@ -352,7 +394,7 @@ func TestGAStreamsTruncated(t *testing.T) {
 		}
 	}
 	ga := 0
-	for _, s := range lab.GAStreams() {
+	for _, s := range env.Streams() {
 		ga += len(s.Records)
 	}
 	if ga >= full {

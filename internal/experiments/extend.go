@@ -104,7 +104,7 @@ func AssocSweep(l *Lab) *Table {
 		}
 		sensWs[i] = w
 	}
-	l.PrefetchStreams(sensWs)
+	l.prefetchStreams(sensWs)
 	allWays := []int{8, 16, 32, 64}
 	// One cell per (geometry, policy column); each cell replays its six
 	// workloads serially and writes only its own table slot.
@@ -180,7 +180,7 @@ func RRIPVSearch(l *Lab) RRIPVResult {
 		}
 		sensWs[i] = w
 	}
-	l.PrefetchStreams(sensWs)
+	l.prefetchStreams(sensWs)
 	for _, w := range sensWs {
 		for _, s := range l.Streams(w) {
 			recs := s.Records

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -22,7 +23,9 @@ type Fig1Result struct {
 // paper's observation to reproduce: most random points lose to LRU, a
 // minority beat it by a small margin.
 func Fig1(l *Lab) Fig1Result {
-	scored := ga.RandomSearch(l.GAEnv(), l.Scale.RandomIPVs, 0xF161)
+	// Background never cancels, so neither call can fail.
+	env, _ := l.GAEnvCtx(context.Background())
+	scored, _ := ga.RandomSearch(context.Background(), env, l.Scale.RandomIPVs, 0xF161, nil)
 	sorted := make([]float64, len(scored))
 	for i, s := range scored {
 		sorted[i] = s.Fitness
@@ -54,7 +57,7 @@ func Fig3() *ipv.Graph { return ipv.TransitionGraph(ipv.PaperGIPLR) }
 // reproduce: PLRU ~ LRU, Random ~ LRU overall, GIPLR a few percent ahead.
 func Fig4(l *Lab) *Table {
 	specs := []Spec{SpecPLRU, SpecRandom, SpecGIPLR}
-	l.Prefetch(append([]Spec{SpecLRU}, specs...), false)
+	l.prefetch(append([]Spec{SpecLRU}, specs...), false)
 	t := &Table{Title: "Figure 4: speedup over LRU (window model)"}
 	for _, s := range specs {
 		t.Columns = append(t.Columns, s.Label)
@@ -75,7 +78,7 @@ func Fig4(l *Lab) *Table {
 // 4-vector column. Shapes: 4-DGIPPR <= GIPPR < 1, MIN far below all.
 func Fig10(l *Lab) *Table {
 	specs := []Spec{SpecWNGIPPR, SpecWN2DGIPPR, SpecWN4DGIPPR}
-	l.Prefetch(append([]Spec{SpecLRU}, specs...), true)
+	l.prefetch(append([]Spec{SpecLRU}, specs...), true)
 	t := &Table{Title: "Figure 10: MPKI normalized to LRU"}
 	for _, s := range specs {
 		t.Columns = append(t.Columns, s.Label)
@@ -98,7 +101,7 @@ func Fig10(l *Lab) *Table {
 // 90.2%, 91.0%), MIN near 67%.
 func Fig11(l *Lab) *Table {
 	specs := []Spec{SpecDRRIP, SpecPDP, SpecWN4DGIPPR}
-	l.Prefetch(append([]Spec{SpecLRU}, specs...), true)
+	l.prefetch(append([]Spec{SpecLRU}, specs...), true)
 	t := &Table{Title: "Figure 11: MPKI normalized to LRU"}
 	for _, s := range specs {
 		t.Columns = append(t.Columns, s.Label)
@@ -124,7 +127,7 @@ func Fig12(l *Lab) *Table {
 		SpecWNGIPPR, SpecWN2DGIPPR, SpecWN4DGIPPR,
 		SpecWIGIPPR, SpecWI2DGIPPR, SpecWI4DGIPPR,
 	}
-	l.Prefetch(append([]Spec{SpecLRU}, specs...), false)
+	l.prefetch(append([]Spec{SpecLRU}, specs...), false)
 	t := &Table{Title: "Figure 12: workload-neutral vs workload-inclusive speedup over LRU"}
 	for _, s := range specs {
 		t.Columns = append(t.Columns, s.Label)
@@ -157,7 +160,7 @@ type Fig13Result struct {
 // and on the subset (15.6%, 16.4%, 15.6%).
 func Fig13(l *Lab) Fig13Result {
 	specs := []Spec{SpecDRRIP, SpecPDP, SpecWN4DGIPPR}
-	l.Prefetch(append([]Spec{SpecLRU}, specs...), false)
+	l.prefetch(append([]Spec{SpecLRU}, specs...), false)
 	t := &Table{Title: "Figure 13: speedup over LRU (window model)"}
 	for _, s := range specs {
 		t.Columns = append(t.Columns, s.Label)
@@ -240,7 +243,11 @@ func VectorsLearned(l *Lab) VectorsLearnedResult {
 	cfg.Population = l.Scale.GAPopulation
 	cfg.Generations = l.Scale.GAGenerations
 	cfg.Seeds = []ipv.Vector{ipv.LRU(l.Cfg.Ways), ipv.LIP(l.Cfg.Ways), WIVector1()}
-	best, fit, _ := ga.Evolve(l.GAEnv(), cfg)
+	env, _ := l.GAEnvCtx(context.Background()) // Background never cancels
+	best, fit, _, err := ga.Evolve(context.Background(), env, cfg)
+	if err != nil {
+		panic(err) // Background never cancels: the scale's GA sizing is invalid
+	}
 	return VectorsLearnedResult{
 		WI1:   WIVector1(),
 		WI2:   WIVectors2(),
@@ -260,9 +267,6 @@ func (r VectorsLearnedResult) Format() string {
 	fmt.Fprintf(&sb, "freshly evolved at this scale: %v (fitness %.4f)\n", r.Fresh, r.FreshFit)
 	return sb.String()
 }
-
-// MemoryIntensiveNames returns Fig13's subset, for reuse by other reports.
-func MemoryIntensiveNames(l *Lab) []string { return Fig13(l).MemoryIntensive }
 
 // Interpret reproduces Section 5.3.2's reading of the learned vectors: each
 // shipped vector's insertion class, promotion aggressiveness and degeneracy
@@ -328,9 +332,9 @@ func Sampling(l *Lab, spec Spec, shifts ...uint) SamplingResult {
 		labs[i] = l.WithSampling(s)
 		r.SampledSets = append(r.SampledSets, labs[i].Cfg.SampledSets())
 	}
-	l.Prefetch([]Spec{spec}, false)
+	l.prefetch([]Spec{spec}, false)
 	for _, sl := range labs {
-		sl.Prefetch([]Spec{spec}, false)
+		sl.prefetch([]Spec{spec}, false)
 	}
 	t := &Table{
 		Title:      fmt.Sprintf("Set-sampled MPKI estimation (%s)", spec.Label),

@@ -12,6 +12,7 @@ import (
 	"gippr/internal/cache"
 	"gippr/internal/policy"
 	"gippr/internal/stackdist"
+	"gippr/internal/workload"
 )
 
 // updateGolden rewrites testdata/golden_mpki.json from the current
@@ -273,7 +274,7 @@ func TestGoldenLattice(t *testing.T) {
 
 	got := map[string]map[string]string{}
 	for _, w := range lab.Suite()[:6] {
-		cells, err := lab.OnePassSweep(spec, w)
+		cells, err := lab.SweepGrid(context.Background(), spec, []workload.Workload{w}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

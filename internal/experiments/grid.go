@@ -53,13 +53,14 @@ func (l *Lab) cellOf(spec Spec, w workload.Workload) GridCell {
 }
 
 // Grid evaluates specs x workloads and returns the cells in workload-major
-// order (all specs of workloads[0], then workloads[1], ...). It runs on
-// Prefetch's schedule: the workloads' stream builds first, then one task
-// per (spec, workload, phase) cell on l.Workers goroutines, each a
-// memoized one-policy replay. When a workload's last cell settles, its
-// per-phase results aggregate into its cells, so a cold grid's first cell
-// follows all of its stream builds. Cell values are bit-identical at any
-// worker count and across repeat calls (later calls are pure memo reads).
+// order (all specs of workloads[0], then workloads[1], ...). It runs on the
+// lab's one cell schedule, the one the figure runners use: the workloads'
+// stream builds first, then one task per (spec, workload, phase) cell on
+// l.Workers goroutines, each a memoized one-policy replay. When a
+// workload's last cell settles, its per-phase results aggregate into its
+// cells, so a cold grid's first cell follows all of its stream builds.
+// Cell values are bit-identical at any worker count and across repeat
+// calls (later calls are pure memo reads).
 //
 // onCell, when non-nil, is invoked once per cell as soon as its workload's
 // last cell settles — the job daemon streams cells to clients from it. It

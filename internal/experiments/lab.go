@@ -48,22 +48,21 @@ type phaseResult struct {
 // instrumented walk of a workload's phases (telOf). Memos wait on each
 // other in one direction only — diffs on tels on streams, and results,
 // optimal and sweeps on streams — so no wait cycle can form.
+//
+// A Lab stores no context. Each cancellable operation takes its context
+// as its first argument (Grid, SweepGrid, LatticeReport, DiffAll, Manifest,
+// PrefetchStreamsCtx, GAEnvCtx); the figure runners take none and run to
+// completion, so a caller that wants to stop between figures checks its
+// own context between them.
 type Lab struct {
 	Scale Scale
 	Cfg   cache.Config // the LLC under study
 
-	// Workers bounds the goroutines used by the lab's own fan-out entry
-	// points (Prefetch and friends). It does not limit how many goroutines
-	// may call into the lab concurrently. Values below 1 mean GOMAXPROCS.
+	// Workers bounds the goroutines used by the lab's own fan-outs (Grid,
+	// the figure runners and friends). It does not limit how many
+	// goroutines may call into the lab concurrently. Values below 1 mean
+	// GOMAXPROCS.
 	Workers int
-
-	// ctx is the lab's base run context, used by the non-Ctx fan-out entry
-	// points (Prefetch and friends) so cancellation reaches figure runners
-	// that predate the ctx-threaded API. Cancellation stops new cells from
-	// being handed out; memoized reads that miss still compute on demand,
-	// so already-running callers always see complete, correct values —
-	// cancellation truncates a run, it never corrupts one.
-	ctx context.Context
 
 	suite []workload.Workload
 	// streams maps a workload to its LLC stream per phase. WithSampling
@@ -87,14 +86,13 @@ func NewLab(s Scale) *Lab {
 		Scale:   s,
 		Cfg:     cache.L3Config,
 		Workers: parallel.DefaultWorkers(),
-		ctx:     context.Background(),
 		suite:   workload.Suite(),
 		streams: &memo[[]ga.Stream]{},
 	}
 }
 
 // WithSampling returns a lab view with the given set-sampling shift: same
-// scale, suite, workers and context, sharing this lab's built LLC streams
+// scale, suite and workers, sharing this lab's built LLC streams
 // (capture is sampling-independent, so rebuilding them would be pure waste)
 // but with fresh result memos, since sampled and full-fidelity replays must
 // never mix under one key. WithSampling(0) is a full-fidelity view with
@@ -105,7 +103,6 @@ func (l *Lab) WithSampling(shift uint) *Lab {
 		Scale:   l.Scale,
 		Cfg:     l.Cfg,
 		Workers: l.Workers,
-		ctx:     l.ctx,
 		suite:   l.suite,
 		streams: l.streams,
 	}
@@ -121,21 +118,10 @@ func (l *Lab) sampleFactor() float64 {
 	return l.factor
 }
 
-// SetWorkers sets the fan-out width used by Prefetch (values below 1 mean
-// GOMAXPROCS) and returns the lab for chaining.
+// SetWorkers sets the fan-out width of the lab's own fan-outs (values
+// below 1 mean GOMAXPROCS) and returns the lab for chaining.
 func (l *Lab) SetWorkers(n int) *Lab {
 	l.Workers = parallel.Clamp(n)
-	return l
-}
-
-// SetContext installs ctx as the lab's base run context (see the field
-// comment for semantics) and returns the lab for chaining. A nil ctx
-// restores context.Background.
-func (l *Lab) SetContext(ctx context.Context) *Lab {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	l.ctx = ctx
 	return l
 }
 
@@ -315,22 +301,17 @@ func (l *Lab) OptimalNormalizedMPKI(baseline Spec, w workload.Workload) float64 
 	return l.OptimalMPKI(w) / base
 }
 
-// GAStreams builds the reduced-size fitness streams for evolution at this
-// scale (the paper's fitness traces are likewise cheaper than its
-// evaluation runs). The streams are truncated copies of the lab streams.
-func (l *Lab) GAStreams() []ga.Stream {
-	out, _ := l.GAStreamsCtx(context.Background()) // Background never cancels
-	return out
-}
-
-// GAStreamsCtx is GAStreams with cooperative cancellation of the stream
-// builds; on cancellation it returns (nil, ctx.Err()) once in-flight builds
-// have drained.
-func (l *Lab) GAStreamsCtx(ctx context.Context) ([]ga.Stream, error) {
+// GAEnvCtx builds a fitness environment searching the GIPPR family
+// (tree-PLRU IPVs) over reduced-size fitness streams, truncated copies of
+// the lab streams (the paper's fitness traces are likewise cheaper than its
+// evaluation runs). Building the lab streams is the expensive part; on
+// cancellation it returns (nil, ctx.Err()) once in-flight builds have
+// drained.
+func (l *Lab) GAEnvCtx(ctx context.Context) (*ga.Env, error) {
 	if err := l.PrefetchStreamsCtx(ctx, nil); err != nil {
 		return nil, err
 	}
-	var out []ga.Stream
+	var streams []ga.Stream
 	for _, w := range l.suite {
 		for _, st := range l.Streams(w) {
 			recs := st.Records
@@ -339,25 +320,8 @@ func (l *Lab) GAStreamsCtx(ctx context.Context) ([]ga.Stream, error) {
 			if maxLen < len(recs) {
 				recs = recs[:maxLen]
 			}
-			out = append(out, ga.Stream{Workload: st.Workload, Weight: st.Weight, Records: recs})
+			streams = append(streams, ga.Stream{Workload: st.Workload, Weight: st.Weight, Records: recs})
 		}
-	}
-	return out, nil
-}
-
-// GAEnv builds a fitness environment over the GA streams, searching the
-// GIPPR family (tree-PLRU IPVs).
-func (l *Lab) GAEnv() *ga.Env {
-	env, _ := l.GAEnvCtx(context.Background()) // Background never cancels
-	return env
-}
-
-// GAEnvCtx is GAEnv with cooperative cancellation of the stream-building
-// phase, the expensive part of environment construction.
-func (l *Lab) GAEnvCtx(ctx context.Context) (*ga.Env, error) {
-	streams, err := l.GAStreamsCtx(ctx)
-	if err != nil {
-		return nil, err
 	}
 	return ga.NewEnv(l.Cfg, cpu.DefaultLinearModel(), l.Scale.WarmFrac, streams,
 		func(sets, ways int) cache.Policy { return policy.NewTrueLRU(sets, ways) },
@@ -375,7 +339,7 @@ type LLCStreamStats struct {
 
 // StreamStats returns per-workload stream summaries.
 func (l *Lab) StreamStats() []LLCStreamStats {
-	l.PrefetchStreams(nil)
+	l.prefetchStreams(nil)
 	out := make([]LLCStreamStats, 0, len(l.suite))
 	for _, w := range l.suite {
 		s := LLCStreamStats{Workload: w.Name, Phases: len(w.Phases)}

@@ -100,7 +100,9 @@ func TestMultiRunEquivalence(t *testing.T) {
 		specs = []Spec{SpecLRU, SpecPLRU, SpecDRRIP, SpecSHiP, SpecWN4DGIPPR}
 	}
 	lab := NewLab(Smoke).SetWorkers(8)
-	lab.PrefetchStreams(nil)
+	if err := lab.PrefetchStreamsCtx(context.Background(), nil); err != nil {
+		t.Fatal(err)
+	}
 	cfg := lab.Cfg
 	type ref struct{ mpki, cpi string }
 	refs := map[string]ref{} // spec|workload -> reference aggregates
@@ -197,8 +199,8 @@ func TestSamplingReproducible(t *testing.T) {
 	const shift = 2
 	a := NewLab(Smoke).SetWorkers(1).WithSampling(shift)
 	b := NewLab(Smoke).SetWorkers(8).WithSampling(shift)
-	a.Prefetch([]Spec{SpecLRU}, false)
-	b.Prefetch([]Spec{SpecLRU}, false)
+	a.prefetch([]Spec{SpecLRU}, false)
+	b.prefetch([]Spec{SpecLRU}, false)
 	for _, w := range a.Suite() {
 		av, bv := goldenKey(a.MPKI(SpecLRU, w)), goldenKey(b.MPKI(SpecLRU, w))
 		if av != bv {

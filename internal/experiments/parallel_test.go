@@ -12,7 +12,7 @@ import (
 )
 
 // TestParallelGridBitIdenticalToSerial is the determinism contract of the
-// parallel evaluation engine: a grid prefetched with 8 workers must produce
+// parallel evaluation engine: a grid settled with 8 workers must produce
 // bit-identical MPKI and CPI to a lab evaluated serially, including the
 // Belady MIN cells. Run with -race to also prove the fan-out is data-race
 // free (the Makefile's race target does).
@@ -21,7 +21,7 @@ func TestParallelGridBitIdenticalToSerial(t *testing.T) {
 	serial := NewLab(Smoke).SetWorkers(1)
 	par := NewLab(Smoke).SetWorkers(8)
 	ws := par.Suite()[:4]
-	if err := par.PrefetchWorkloadsCtx(context.Background(), specs, ws, true); err != nil {
+	if err := par.settle(context.Background(), specs, ws, true, nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -118,28 +118,28 @@ func TestStreamsCompactedToFootprint(t *testing.T) {
 	}
 }
 
-// TestPrefetchCtxCancellationIsCorrectnessNeutral: cancelling a prefetch
-// stops precomputation but must never change what the memoized getters
-// return — a cell missed by the truncated prefetch is computed on demand
-// with identical results.
+// TestPrefetchCtxCancellationIsCorrectnessNeutral: cancelling the cell
+// schedule (settle) stops precomputation but must never change what the
+// memoized getters return — a cell missed by the truncated schedule is
+// computed on demand with identical results.
 func TestPrefetchCtxCancellationIsCorrectnessNeutral(t *testing.T) {
 	specs := []Spec{SpecLRU, SpecPLRU}
 	ref := NewLab(Smoke).SetWorkers(2)
 	ws := ref.Suite()[:2]
-	if err := ref.PrefetchWorkloadsCtx(context.Background(), specs, ws, false); err != nil {
+	if err := ref.settle(context.Background(), specs, ws, false, nil); err != nil {
 		t.Fatal(err)
 	}
 
 	cancelled := NewLab(Smoke).SetWorkers(2)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if err := cancelled.PrefetchWorkloadsCtx(ctx, specs, ws, false); !errors.Is(err, context.Canceled) {
-		t.Fatalf("pre-cancelled prefetch err = %v", err)
+	if err := cancelled.settle(ctx, specs, ws, false, nil); !errors.Is(err, context.Canceled) {
+		t.Fatalf("pre-cancelled settle err = %v", err)
 	}
 	for _, w := range ws {
 		for _, s := range specs {
 			if a, b := ref.MPKI(s, w), cancelled.MPKI(s, w); a != b {
-				t.Fatalf("%s/%s MPKI after cancelled prefetch: %v != %v", s.Key, w.Name, a, b)
+				t.Fatalf("%s/%s MPKI after cancelled settle: %v != %v", s.Key, w.Name, a, b)
 			}
 		}
 	}

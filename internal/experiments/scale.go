@@ -84,6 +84,23 @@ func (s Scale) Validate() error {
 	return nil
 }
 
+// ParseScale maps a -scale flag value to its preset ("smoke", "default" or
+// "full"); the empty string defers to ScaleFromEnv. Any other name is an
+// error that lists the three presets.
+func ParseScale(name string) (Scale, error) {
+	switch name {
+	case "":
+		return ScaleFromEnv(), nil
+	case "smoke":
+		return Smoke, nil
+	case "default":
+		return Default, nil
+	case "full":
+		return Full, nil
+	}
+	return Scale{}, fmt.Errorf("unknown scale %q: want smoke, default or full", name)
+}
+
 // ScaleFromEnv returns the preset selected by the GIPPR_SCALE environment
 // variable ("smoke", "default" or "full"), defaulting to Default.
 func ScaleFromEnv() Scale {

@@ -95,21 +95,13 @@ func (l *Lab) sweepPhase(spec LatticeSpec, w workload.Workload, phase int) *stac
 	})
 }
 
-// OnePassSweep evaluates the full lattice on one workload and returns one
-// GridCell per lattice point, labeled "lru@SETSxWAYS" / "plru@SETSxWAYS",
-// in LatticeSpec.Labels order. Aggregation over phases uses exactly the
-// grid path's expressions (stats.MPKI per phase, then the weighted mean in
-// the same order), so the lattice point matching a Spec's geometry and
-// policy is bit-identical to that Spec's grid cell. Lattice cells carry no
-// timing model: IPC is 0.
-func (l *Lab) OnePassSweep(spec LatticeSpec, w workload.Workload) ([]GridCell, error) {
-	if err := spec.Validate(l.Cfg.BlockBytes); err != nil {
-		return nil, err
-	}
-	return l.onePassCells(spec, w), nil
-}
-
-// onePassCells is OnePassSweep past validation.
+// onePassCells evaluates the full lattice of a validated spec on one
+// workload and returns one GridCell per lattice point, labeled
+// "lru@SETSxWAYS" / "plru@SETSxWAYS", in LatticeSpec.Labels order.
+// Aggregation over phases uses exactly the grid path's expressions
+// (stats.MPKI per phase, then the weighted mean in the same order), so the
+// lattice point matching a Spec's geometry and policy is bit-identical to
+// that Spec's grid cell. Lattice cells carry no timing model: IPC is 0.
 func (l *Lab) onePassCells(spec LatticeSpec, w workload.Workload) []GridCell {
 	sweeps := make([]*stackdist.Sweep, len(w.Phases))
 	for pi := range w.Phases {

@@ -148,7 +148,7 @@ func TestSweepGridMatchesGridCell(t *testing.T) {
 	lab := NewLab(Smoke)
 	w := lab.Suite()[0]
 	spec := testLatticeSpec()
-	cells, err := lab.OnePassSweep(spec, w)
+	cells, err := lab.SweepGrid(context.Background(), spec, []workload.Workload{w}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestSweepInclusionMonotonicity(t *testing.T) {
 	spec := testLatticeSpec()
 	pts := spec.Options(1, 0).Lattice()
 	for _, w := range lab.Suite()[:3] {
-		cells, err := lab.OnePassSweep(spec, w)
+		cells, err := lab.SweepGrid(context.Background(), spec, []workload.Workload{w}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -234,7 +234,7 @@ func TestSweepBeladyDominance(t *testing.T) {
 		t.Fatalf("lattice has no point %q", label)
 	}
 	for _, w := range lab.Suite()[:3] {
-		cells, err := lab.OnePassSweep(spec, w)
+		cells, err := lab.SweepGrid(context.Background(), spec, []workload.Workload{w}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -251,8 +251,8 @@ func TestSweepBeladyDominance(t *testing.T) {
 
 // TestLatticeSpecValidate pins the up-front rejection of impossible sweep
 // ranges: every failure must wrap cache.ErrBadGeometry (the usage exit code
-// on the CLI, HTTP 400 through serve), and both lattice entry points must
-// refuse before touching any stream.
+// on the CLI, HTTP 400 through serve), and SweepGrid must refuse before
+// touching any stream.
 func TestLatticeSpecValidate(t *testing.T) {
 	cases := []struct {
 		name string
@@ -285,11 +285,8 @@ func TestLatticeSpecValidate(t *testing.T) {
 			if !errors.Is(err, cache.ErrBadGeometry) {
 				t.Fatalf("Validate: error %v, want cache.ErrBadGeometry", err)
 			}
-			// Both entry points must refuse identically, before any stream
-			// build or replay.
-			if _, err := lab.OnePassSweep(tc.spec, lab.Suite()[0]); !errors.Is(err, cache.ErrBadGeometry) {
-				t.Errorf("OnePassSweep: error %v, want cache.ErrBadGeometry", err)
-			}
+			// SweepGrid must refuse identically, before any stream build or
+			// replay.
 			if _, err := lab.SweepGrid(context.Background(), tc.spec, lab.Suite()[:1], nil); !errors.Is(err, cache.ErrBadGeometry) {
 				t.Errorf("SweepGrid: error %v, want cache.ErrBadGeometry", err)
 			}

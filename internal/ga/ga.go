@@ -5,6 +5,13 @@
 // sets for 2- and 4-vector DGIPPR. Fitness is the paper's Section 4.3
 // function: mean estimated speedup over LRU on LLC-filtered access streams
 // under a linear CPI model.
+//
+// Each cancellable search has one entry point, and it takes a context
+// first (RandomSearch, Evolve, HillClimb, SelectComplementary; Anneal, run
+// only through the facade, takes none). Cancellation stops new fitness
+// evaluations from starting, lets in-flight ones drain, and returns
+// ctx.Err(); a caller that cannot be cancelled passes context.Background(),
+// under which the only errors are a bad configuration or resume state.
 package ga
 
 import (
@@ -201,24 +208,13 @@ type Scored struct {
 // are drawn serially from the seeded generator first, then scored in
 // parallel — fitness evaluation consumes no randomness, so the outcome is
 // bit-identical to the serial engine at any worker count.
-func RandomSearch(e *Env, n int, seed uint64) []Scored {
-	out, _ := RandomSearchCtx(context.Background(), e, n, seed) // Background never cancels
-	return out
-}
-
-// RandomSearchCtx is RandomSearch with cooperative cancellation: on
-// cancellation, in-flight evaluations drain and it returns (nil, ctx.Err())
-// — a partially scored sample has no meaningful sorted curve.
-func RandomSearchCtx(ctx context.Context, e *Env, n int, seed uint64) ([]Scored, error) {
-	return RandomSearchProgressCtx(ctx, e, n, seed, nil)
-}
-
-// RandomSearchProgressCtx is RandomSearchCtx with a per-sample progress
-// callback, invoked from worker goroutines as each evaluation completes.
-// onSample must be safe for concurrent use (an atomic gauge is; most
-// callers pass runctx.Progress.Add via a closure). A nil callback makes it
-// identical to RandomSearchCtx.
-func RandomSearchProgressCtx(ctx context.Context, e *Env, n int, seed uint64, onSample func()) ([]Scored, error) {
+//
+// onSample, when non-nil, is invoked from worker goroutines as each
+// evaluation completes, and must be safe for concurrent use (an atomic
+// gauge is). On cancellation, in-flight evaluations drain and RandomSearch
+// returns (nil, ctx.Err()) — a partially scored sample has no meaningful
+// sorted curve.
+func RandomSearch(ctx context.Context, e *Env, n int, seed uint64, onSample func()) ([]Scored, error) {
 	rng := xrand.New(seed)
 	k := e.Config.Ways
 	out := make([]Scored, n)
@@ -364,32 +360,20 @@ func (c Config) validate() error {
 }
 
 // Evolve runs the genetic algorithm and returns the best vector found, its
-// fitness, and the best-fitness history per generation. It panics on an
-// invalid configuration or resume state; for cooperative cancellation use
-// EvolveCtx.
-func Evolve(e *Env, cfg Config) (ipv.Vector, float64, []float64) {
-	best, fit, history, err := EvolveCtx(context.Background(), e, cfg)
-	if err != nil {
-		// Background is never cancelled, so the only possible errors are
-		// configuration or resume-state problems — programming errors under
-		// this legacy signature.
-		panic(err)
-	}
-	return best, fit, history
-}
-
-// EvolveCtx is Evolve with cooperative cancellation and checkpoint/resume.
+// fitness, and the best-fitness history per generation, with checkpoint
+// and resume through cfg.OnState and cfg.Resume. An invalid configuration
+// or resume state is an error.
 //
 // Cancellation is cell-granular: when ctx is cancelled, in-flight fitness
 // evaluations drain, the partially evaluated generation is discarded —
 // truncating the run, never reordering a completed generation — and
-// EvolveCtx returns the best individual of the last completed generation
+// Evolve returns the best individual of the last completed generation
 // along with ctx.Err(). The snapshot handed to cfg.OnState at that
 // generation's boundary resumes the run (via cfg.Resume) so that it
 // produces results bit-identical to an uninterrupted run at any worker
 // count: selection, crossover and mutation randomness is drawn serially and
 // its generator state is part of the snapshot.
-func EvolveCtx(ctx context.Context, e *Env, cfg Config) (ipv.Vector, float64, []float64, error) {
+func Evolve(ctx context.Context, e *Env, cfg Config) (ipv.Vector, float64, []float64, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, 0, nil, err
 	}
@@ -529,16 +513,12 @@ func sortDesc(pop []Scored) {
 // and its fitness. The accept chain is greedy and order-dependent, so the
 // candidate loop stays serial; parallelism comes from each Fitness call
 // fanning its streams out over e.Workers.
-func HillClimb(e *Env, v ipv.Vector, maxRounds int) (ipv.Vector, float64) {
-	best, fit, _ := HillClimbCtx(context.Background(), e, v, maxRounds) // Background never cancels
-	return best, fit
-}
-
-// HillClimbCtx is HillClimb with cooperative cancellation, checked before
-// each candidate evaluation. On cancellation it returns the best vector
-// accepted so far with ctx.Err(): hill climbing is an anytime algorithm, so
-// a truncated climb is still a valid (just less refined) result.
-func HillClimbCtx(ctx context.Context, e *Env, v ipv.Vector, maxRounds int) (ipv.Vector, float64, error) {
+//
+// Cancellation is checked before each candidate evaluation. On
+// cancellation HillClimb returns the best vector accepted so far with
+// ctx.Err(): hill climbing is an anytime algorithm, so a truncated climb is
+// still a valid (just less refined) result.
+func HillClimb(ctx context.Context, e *Env, v ipv.Vector, maxRounds int) (ipv.Vector, float64, error) {
 	best := v.Clone()
 	bestFit := e.Fitness(best)
 	k := e.Config.Ways
@@ -578,17 +558,10 @@ func HillClimbCtx(ctx context.Context, e *Env, v ipv.Vector, maxRounds int) (ipv
 // oracle-best-per-stream mean speedup of the chosen set is maximized: the
 // offline idealization of what set-dueling can exploit at run time. This is
 // how the 2- and 4-vector DGIPPR sets are assembled from independently
-// evolved vectors.
-func SelectComplementary(e *Env, pool []ipv.Vector, setSize int) []ipv.Vector {
-	out, _ := SelectComplementaryCtx(context.Background(), e, pool, setSize) // Background never cancels
-	return out
-}
-
-// SelectComplementaryCtx is SelectComplementary with cooperative
-// cancellation of the per-vector evaluation fan-out; the greedy selection
-// itself reads precomputed scores and is negligible. On cancellation it
-// returns (nil, ctx.Err()).
-func SelectComplementaryCtx(ctx context.Context, e *Env, pool []ipv.Vector, setSize int) ([]ipv.Vector, error) {
+// evolved vectors. Cancellation reaches the per-vector evaluation fan-out;
+// the greedy selection itself reads precomputed scores and is negligible.
+// On cancellation it returns (nil, ctx.Err()).
+func SelectComplementary(ctx context.Context, e *Env, pool []ipv.Vector, setSize int) ([]ipv.Vector, error) {
 	if setSize <= 0 || len(pool) == 0 {
 		panic("ga: SelectComplementary needs a pool and positive set size")
 	}

@@ -1,6 +1,8 @@
 package ga
 
 import (
+	"context"
+	"errors"
 	"testing"
 
 	"gippr/internal/cache"
@@ -119,7 +121,10 @@ func TestSubsetPanicsOnEmpty(t *testing.T) {
 
 func TestRandomSearchSortedAndSized(t *testing.T) {
 	e := testEnv(t)
-	res := RandomSearch(e, 20, 7)
+	res, err := RandomSearch(context.Background(), e, 20, 7, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(res) != 20 {
 		t.Fatalf("got %d results", len(res))
 	}
@@ -137,8 +142,11 @@ func TestRandomSearchSortedAndSized(t *testing.T) {
 
 func TestRandomSearchDeterministic(t *testing.T) {
 	e := testEnv(t)
-	a := RandomSearch(e, 5, 42)
-	b := RandomSearch(e, 5, 42)
+	a, errA := RandomSearch(context.Background(), e, 5, 42, nil)
+	b, errB := RandomSearch(context.Background(), e, 5, 42, nil)
+	if err := errors.Join(errA, errB); err != nil {
+		t.Fatal(err)
+	}
 	for i := range a {
 		if !a[i].Vector.Equal(b[i].Vector) || a[i].Fitness != b[i].Fitness {
 			t.Fatal("random search not reproducible")
@@ -153,7 +161,10 @@ func TestEvolveImprovesOverSeeds(t *testing.T) {
 		MutationProb: 0.05, Seed: 11,
 		Seeds: []ipv.Vector{ipv.LRU(16)},
 	}
-	best, fit, hist := Evolve(e, cfg)
+	best, fit, hist, err := Evolve(context.Background(), e, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := best.Validate(); err != nil {
 		t.Fatalf("evolved vector invalid: %v", err)
 	}
@@ -178,29 +189,33 @@ func TestEvolveCallsOnGeneration(t *testing.T) {
 	cfg.Generations = 2
 	calls := 0
 	cfg.OnGeneration = func(gen int, best Scored) { calls++ }
-	Evolve(e, cfg)
+	if _, _, _, err := Evolve(context.Background(), e, cfg); err != nil {
+		t.Fatal(err)
+	}
 	if calls != 2 {
 		t.Fatalf("OnGeneration called %d times", calls)
 	}
 }
 
+// TestEvolveValidatesConfig: a bad configuration is an error, returned
+// before any fitness evaluation.
 func TestEvolveValidatesConfig(t *testing.T) {
 	e := testEnv(t)
 	bad := []Config{
 		{Population: 1, Generations: 1, TournamentSize: 1},
 		{Population: 4, Generations: 0, TournamentSize: 1},
 		{Population: 4, Generations: 1, Elite: 4, TournamentSize: 1},
+		{Population: 4, Generations: 1, Elite: -1, TournamentSize: 1},
 		{Population: 4, Generations: 1, TournamentSize: 0},
 	}
 	for i, c := range bad {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("config %d accepted", i)
-				}
-			}()
-			Evolve(e, c)
-		}()
+		best, _, hist, err := Evolve(context.Background(), e, c)
+		if err == nil {
+			t.Errorf("config %d (%+v) accepted", i, c)
+		}
+		if best != nil || hist != nil {
+			t.Errorf("config %d: rejected run returned best %v, history %v", i, best, hist)
+		}
 	}
 }
 
@@ -225,7 +240,10 @@ func TestHillClimbNeverWorsens(t *testing.T) {
 	e := testEnv(t)
 	start := ipv.LRU(16)
 	startFit := e.Fitness(start)
-	refined, fit := HillClimb(e, start, 1)
+	refined, fit, err := HillClimb(context.Background(), e, start, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if fit < startFit {
 		t.Fatalf("hill climb worsened: %v -> %v", startFit, fit)
 	}
@@ -243,7 +261,10 @@ func TestSelectComplementaryPrefersCoverage(t *testing.T) {
 	// Pool: LRU-like (wins friendly), LIP (wins thrash), and a mild
 	// variant. A 2-set must include both specialists.
 	pool := []ipv.Vector{ipv.LRU(16), ipv.LIP(16), ipv.MidClimb(16)}
-	set := SelectComplementary(e, pool, 2)
+	set, err := SelectComplementary(context.Background(), e, pool, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(set) != 2 {
 		t.Fatalf("selected %d", len(set))
 	}
@@ -264,7 +285,10 @@ func TestSelectComplementaryPrefersCoverage(t *testing.T) {
 
 func TestSelectComplementaryClampsToPool(t *testing.T) {
 	e := testEnv(t)
-	set := SelectComplementary(e, []ipv.Vector{ipv.LRU(16)}, 4)
+	set, err := SelectComplementary(context.Background(), e, []ipv.Vector{ipv.LRU(16)}, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(set) != 1 {
 		t.Fatalf("selected %d from pool of 1", len(set))
 	}

@@ -1,6 +1,8 @@
 package ga
 
 import (
+	"context"
+	"errors"
 	"testing"
 
 	"gippr/internal/ipv"
@@ -31,8 +33,11 @@ func TestPerStreamBitIdenticalAcrossWorkers(t *testing.T) {
 }
 
 func TestRandomSearchBitIdenticalAcrossWorkers(t *testing.T) {
-	serial := RandomSearch(testEnv(t).SetWorkers(1), 24, 0xabc)
-	par := RandomSearch(testEnv(t).SetWorkers(8), 24, 0xabc)
+	serial, errS := RandomSearch(context.Background(), testEnv(t).SetWorkers(1), 24, 0xabc, nil)
+	par, errP := RandomSearch(context.Background(), testEnv(t).SetWorkers(8), 24, 0xabc, nil)
+	if err := errors.Join(errS, errP); err != nil {
+		t.Fatal(err)
+	}
 	for i := range serial {
 		if serial[i].Fitness != par[i].Fitness || !serial[i].Vector.Equal(par[i].Vector) {
 			t.Fatalf("sample %d: serial (%v, %v) != parallel (%v, %v)",
@@ -47,8 +52,11 @@ func TestEvolveBitIdenticalAcrossWorkers(t *testing.T) {
 	cfg.Generations = 3
 	cfg.Seeds = []ipv.Vector{ipv.LRU(16), ipv.LIP(16)}
 
-	bestS, fitS, histS := Evolve(testEnv(t).SetWorkers(1), cfg)
-	bestP, fitP, histP := Evolve(testEnv(t).SetWorkers(8), cfg)
+	bestS, fitS, histS, errS := Evolve(context.Background(), testEnv(t).SetWorkers(1), cfg)
+	bestP, fitP, histP, errP := Evolve(context.Background(), testEnv(t).SetWorkers(8), cfg)
+	if err := errors.Join(errS, errP); err != nil {
+		t.Fatal(err)
+	}
 	if !bestS.Equal(bestP) || fitS != fitP {
 		t.Fatalf("serial (%v, %v) != parallel (%v, %v)", bestS, fitS, bestP, fitP)
 	}
@@ -61,8 +69,11 @@ func TestEvolveBitIdenticalAcrossWorkers(t *testing.T) {
 
 func TestSelectComplementaryBitIdenticalAcrossWorkers(t *testing.T) {
 	pool := []ipv.Vector{ipv.LRU(16), ipv.LIP(16), ipv.PaperWIGIPPR, ipv.PaperWI4DGIPPR[0]}
-	a := SelectComplementary(testEnv(t).SetWorkers(1), pool, 2)
-	b := SelectComplementary(testEnv(t).SetWorkers(8), pool, 2)
+	a, errA := SelectComplementary(context.Background(), testEnv(t).SetWorkers(1), pool, 2)
+	b, errB := SelectComplementary(context.Background(), testEnv(t).SetWorkers(8), pool, 2)
+	if err := errors.Join(errA, errB); err != nil {
+		t.Fatal(err)
+	}
 	for i := range a {
 		if !a[i].Equal(b[i]) {
 			t.Fatalf("choice %d: %v != %v", i, a[i], b[i])

@@ -30,7 +30,10 @@ func TestEvolveKillAndResumeBitIdentical(t *testing.T) {
 	for _, workers := range []int{1, 8} {
 		env := testEnv(t).SetWorkers(workers)
 
-		wantBest, wantFit, wantHist := Evolve(env, resumeCfg(workers))
+		wantBest, wantFit, wantHist, err := Evolve(context.Background(), env, resumeCfg(workers))
+		if err != nil {
+			t.Fatal(err)
+		}
 
 		// Interrupted run: cancel as soon as generation 2's snapshot lands,
 		// so generations 3 and 4 never run before the "crash".
@@ -43,7 +46,7 @@ func TestEvolveKillAndResumeBitIdentical(t *testing.T) {
 				cancel()
 			}
 		}
-		_, _, _, err := EvolveCtx(ctx, env, cfg)
+		_, _, _, err = Evolve(ctx, env, cfg)
 		cancel()
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("workers=%d: interrupted run err = %v", workers, err)
@@ -56,7 +59,7 @@ func TestEvolveKillAndResumeBitIdentical(t *testing.T) {
 		// a new process).
 		cfg2 := resumeCfg(workers)
 		cfg2.Resume = &last
-		gotBest, gotFit, gotHist, err := EvolveCtx(context.Background(), testEnv(t).SetWorkers(workers), cfg2)
+		gotBest, gotFit, gotHist, err := Evolve(context.Background(), testEnv(t).SetWorkers(workers), cfg2)
 		if err != nil {
 			t.Fatalf("workers=%d: resume err = %v", workers, err)
 		}
@@ -83,7 +86,10 @@ func TestEvolveKillAndResumeBitIdentical(t *testing.T) {
 func TestEvolveResumeThroughCheckpointFile(t *testing.T) {
 	env := testEnv(t).SetWorkers(4)
 	cfg := resumeCfg(4)
-	wantBest, wantFit, _ := Evolve(env, cfg)
+	wantBest, wantFit, _, err := Evolve(context.Background(), env, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	path := filepath.Join(t.TempDir(), "evolve.ckpt")
 	const fp = "test|pop=8|gens=5"
@@ -97,7 +103,7 @@ func TestEvolveResumeThroughCheckpointFile(t *testing.T) {
 			cancel()
 		}
 	}
-	_, _, _, err := EvolveCtx(ctx, env, run)
+	_, _, _, err = Evolve(ctx, env, run)
 	cancel()
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("interrupted run err = %v", err)
@@ -109,7 +115,7 @@ func TestEvolveResumeThroughCheckpointFile(t *testing.T) {
 	}
 	resume := resumeCfg(4)
 	resume.Resume = &loaded
-	gotBest, gotFit, _, err := EvolveCtx(context.Background(), testEnv(t).SetWorkers(4), resume)
+	gotBest, gotFit, _, err := Evolve(context.Background(), testEnv(t).SetWorkers(4), resume)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,12 +131,14 @@ func TestEvolveResumeRejectsMismatchedState(t *testing.T) {
 	cfg := resumeCfg(2)
 	cfg.Generations = 1
 	cfg.OnState = func(s State) { st = s }
-	Evolve(env, cfg)
+	if _, _, _, err := Evolve(context.Background(), env, cfg); err != nil {
+		t.Fatal(err)
+	}
 
 	bad := resumeCfg(2)
 	bad.Population = 12 // differs from the snapshot's 8
 	bad.Resume = &st
-	if _, _, _, err := EvolveCtx(context.Background(), env, bad); err == nil {
+	if _, _, _, err := Evolve(context.Background(), env, bad); err == nil {
 		t.Fatal("resume with mismatched population accepted")
 	}
 
@@ -139,15 +147,15 @@ func TestEvolveResumeRejectsMismatchedState(t *testing.T) {
 	corrupt.Population[0] = Scored{Vector: ipv.Vector{0, 99, 0}, Fitness: 1}
 	withBad := resumeCfg(2)
 	withBad.Resume = &corrupt
-	if _, _, _, err := EvolveCtx(context.Background(), env, withBad); err == nil {
+	if _, _, _, err := Evolve(context.Background(), env, withBad); err == nil {
 		t.Fatal("resume with invalid vector accepted")
 	}
 }
 
-func TestEvolveCtxPreCancelled(t *testing.T) {
+func TestEvolvePreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, _, _, err := EvolveCtx(ctx, testEnv(t), resumeCfg(1))
+	_, _, _, err := Evolve(ctx, testEnv(t), resumeCfg(1))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v", err)
 	}

@@ -104,7 +104,7 @@ func Open(dir string, maxBytes int64) (*Store, error) {
 		}
 		name := de.Name()
 		if strings.Contains(name, ".tmp-") {
-			// A crash between CreateTemp and the rename left this behind; the
+			// A crash between a temp file's creation and its rename left this; the
 			// committed entry (if any) is intact, so the temp is pure garbage.
 			os.Remove(filepath.Join(dir, name))
 			continue

@@ -21,10 +21,10 @@ func benchStream(b *testing.B) []trace.Record {
 	return stream
 }
 
-// BenchmarkOnePassSweep scores the whole 16-point lattice in one stream
+// BenchmarkOnePassLattice scores the whole 16-point lattice in one stream
 // walk. Compare with BenchmarkPerPointSweep: the acceptance bar is >= 5x
 // fewer ns/op here.
-func BenchmarkOnePassSweep(b *testing.B) {
+func BenchmarkOnePassLattice(b *testing.B) {
 	stream := benchStream(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -1,11 +1,13 @@
 package telemetry
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
+
+	"gippr/internal/checkpoint"
 )
 
 // ManifestVersion identifies the manifest schema; bump it on incompatible
@@ -197,24 +199,16 @@ func (m *Manifest) Encode(w io.Writer) error {
 	return enc.Encode(m)
 }
 
-// WriteFile writes the manifest atomically (temp file + rename in the
-// destination directory), so a crashed or interrupted run never leaves a
-// torn manifest for tooling to choke on.
+// WriteFile writes the manifest through checkpoint.WriteFile, so a crashed
+// or interrupted run never leaves a torn manifest for tooling to choke on,
+// and the manifest gets the mode any new output file gets (0o644 before the
+// umask).
 func (m *Manifest) WriteFile(path string) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".manifest-*.json")
-	if err != nil {
-		return fmt.Errorf("telemetry: %w", err)
-	}
-	defer os.Remove(tmp.Name())
-	if err := m.Encode(tmp); err != nil {
-		tmp.Close()
+	var buf bytes.Buffer
+	if err := m.Encode(&buf); err != nil {
 		return fmt.Errorf("telemetry: encode %s: %w", path, err)
 	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("telemetry: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
+	if err := checkpoint.WriteFile(path, buf.Bytes()); err != nil {
 		return fmt.Errorf("telemetry: %w", err)
 	}
 	return nil

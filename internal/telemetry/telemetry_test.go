@@ -228,6 +228,43 @@ func TestManifestRoundTrip(t *testing.T) {
 	}
 }
 
+// TestManifestWriteFileMode: a manifest lands with the mode a plain
+// os.WriteFile(…, 0o644) gives a new file in the same directory, whatever
+// the umask, and its atomic write leaves no temp file behind.
+func TestManifestWriteFileMode(t *testing.T) {
+	dir := t.TempDir()
+	ref := filepath.Join(dir, "ref.json")
+	if err := os.WriteFile(ref, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "manifest.json")
+	if err := (&Manifest{Tool: "test"}).WriteFile(path); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.Stat(ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Mode() != want.Mode() {
+		t.Errorf("manifest mode %v, os.WriteFile gives %v", got.Mode(), want.Mode())
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 2 {
+		var names []string
+		for _, e := range entries {
+			names = append(names, e.Name())
+		}
+		t.Errorf("directory holds %v, want only ref.json and manifest.json", names)
+	}
+}
+
 func TestManifestVersionCheck(t *testing.T) {
 	var buf bytes.Buffer
 	m := &Manifest{Tool: "t"}
