@@ -69,7 +69,9 @@ cover: vet
 	done
 
 # End-to-end daemon smoke: build gippr-serve, drive the v1 job API with
-# curl against an ephemeral port, and require SIGTERM to drain with exit 0.
+# curl against an ephemeral port, and require SIGTERM to drain with exit 0;
+# then restart it over one -store directory: a result-store hit, and the
+# stream cache's marker, write and load lifetimes.
 serve-smoke: build
 	bash scripts/serve_smoke.sh
 
@@ -89,11 +91,12 @@ staticcheck:
 	fi
 
 # Fuzz smoke: a few seconds per target over the external-input boundaries
-# (binary trace reader, IPV parser, job submissions), the multi-model
-# replay against one-policy replays, the cache's IPV step against GIPPR's
-# and GIPLR's callbacks, the one-pass sweep, the explain decomposition, the packed recency stacks
-# against a naive list model, the tree-PLRU words against a pointer-based
-# tree, and the integer-tick window model against its float64 reference.
+# (binary trace reader, stream-cache files, IPV parser, job submissions),
+# the multi-model replay against one-policy replays, the cache's IPV step
+# against GIPPR's and GIPLR's callbacks, the one-pass sweep, the explain
+# decomposition, the packed recency stacks against a naive list model, the
+# tree-PLRU words against a pointer-based tree, and the integer-tick window
+# model against its float64 reference.
 # Each newly interesting input is minimized for at most 1s: at the default
 # of 60s a worker could spend most of a 10s window minimizing one input and
 # execute almost nothing else.
@@ -101,6 +104,7 @@ staticcheck:
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzReader -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/trace
+	$(GO) test -run=^$$ -fuzz=FuzzStreamFile -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/trace
 	$(GO) test -run=^$$ -fuzz=FuzzParseVector -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/ipv
 	$(GO) test -run=^$$ -fuzz=FuzzMultiRunConsistency -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/cpu
 	$(GO) test -run=^$$ -fuzz=FuzzBatchedReplayConsistency -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/cache

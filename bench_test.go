@@ -222,8 +222,12 @@ func BenchmarkLabGrid(b *testing.B) {
 // benchmark's four probe workloads. That is stream generation, L1/L2
 // capture and one task per (policy, workload, phase) cell, each a
 // one-policy cpu.MultiWindowReplay, as gippr-serve and gippr-sim run them
-// (BenchmarkLabGrid times the same schedule at smoke scale). Metrics: ms/op
-// and MB/op allocated.
+// (BenchmarkLabGrid times the same schedule at smoke scale). The restart
+// row is the same grid at one worker on a fresh Lab whose stream cache
+// (Lab.SetStreamDir) already holds the probe streams, as on a restarted
+// gippr-serve -store: it loads the streams instead of generating and
+// capturing them, and reads against the workers=1 row. Metrics: ms/op and
+// MB/op allocated.
 func BenchmarkColdGrid(b *testing.B) {
 	var specs []experiments.Spec
 	for _, name := range []string{"lru", "plru", "drrip", "pdp", "gippr", "4-dgippr"} {
@@ -242,14 +246,33 @@ func BenchmarkColdGrid(b *testing.B) {
 		}
 		wls = append(wls, w)
 	}
-	for _, workers := range []int{1, 2} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+	for _, row := range []struct {
+		name    string
+		workers int
+		restart bool
+	}{{"workers=1", 1, false}, {"workers=2", 2, false}, {"restart", 1, true}} {
+		b.Run(row.name, func(b *testing.B) {
+			dir := ""
+			if row.restart {
+				// A phase is written on its second capture in a directory.
+				dir = b.TempDir()
+				for range 2 {
+					l := experiments.NewLab(experiments.ScaleFromEnv()).SetStreamDir(dir)
+					if err := l.PrefetchStreamsCtx(context.Background(), wls); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ResetTimer()
+			}
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			for i := 0; i < b.N; i++ {
-				l := experiments.NewLab(experiments.ScaleFromEnv()).SetWorkers(workers)
+				l := experiments.NewLab(experiments.ScaleFromEnv()).SetWorkers(row.workers).SetStreamDir(dir)
 				if _, err := l.Grid(context.Background(), specs, wls, nil); err != nil {
 					b.Fatal(err)
+				}
+				if row.restart && l.StreamCounts().Captures != 0 {
+					b.Fatalf("restart captured streams: %+v", l.StreamCounts())
 				}
 			}
 			b.StopTimer()

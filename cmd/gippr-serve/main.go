@@ -16,7 +16,13 @@
 // served from disk (queued -> running -> done with zero grid recompute),
 // and /metrics reports store_hits / store_misses / store_corrupt /
 // store_entries / store_bytes. -store-max-bytes bounds the store's size by
-// evicting oldest entries first (0 = unbounded).
+// evicting oldest entries first (0 = unbounded). The captured LLC streams
+// live under <store>/streams, one checksummed file per (workload, phase,
+// records), written on a phase's second capture in that directory, so a
+// later restart loads them instead of generating and capturing them again;
+// /metrics counts stream_captures / stream_loads / stream_writes /
+// stream_corrupt. -store-max-bytes does not count stream files, and they
+// are safe to delete.
 //
 // API (see DESIGN.md section 10 and the README "serving" section):
 //
@@ -103,9 +109,6 @@ func main() {
 			fmt.Fprintln(os.Stderr, "gippr-serve:", err)
 			os.Exit(runctx.ExitFailure)
 		}
-		st := store.Stats()
-		fmt.Fprintf(os.Stderr, "gippr-serve: result store %s (%d entries, %d bytes)\n",
-			*storeDir, st.Entries, st.Bytes)
 	}
 
 	srv := serve.New(serve.Config{
@@ -119,6 +122,11 @@ func main() {
 		Store:          store,
 		MaxBodyBytes:   *maxBody,
 	})
+	if store != nil {
+		st := store.Stats()
+		fmt.Fprintf(os.Stderr, "gippr-serve: result store %s (%d entries, %d bytes), streams in %s\n",
+			*storeDir, st.Entries, st.Bytes, srv.Lab().StreamDir())
+	}
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {

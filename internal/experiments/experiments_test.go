@@ -25,38 +25,45 @@ func TestScaleFromEnv(t *testing.T) {
 }
 
 // TestParseScale pins the one -scale resolver every tool calls: each
-// preset by name, the empty value deferring to GIPPR_SCALE, and an unknown
-// name an error that lists the presets.
+// preset by name, the empty value deferring to GIPPR_SCALE (unset or
+// empty meaning Default), and an unknown name, in the flag or in the
+// variable, an error that names its source and lists the presets.
 func TestParseScale(t *testing.T) {
-	t.Setenv("GIPPR_SCALE", "full")
 	for _, tc := range []struct {
+		env  string
 		name string
 		want Scale
-		bad  bool
+		bad  string // the error's source when the value is refused
 	}{
-		{name: "", want: Full},
-		{name: "smoke", want: Smoke},
-		{name: "default", want: Default},
-		{name: "full", want: Full},
-		{name: "Smoke", bad: true},
-		{name: "custom", bad: true},
-		{name: "huge", bad: true},
+		{env: "full", name: "", want: Full},
+		{env: "smoke", name: "", want: Smoke},
+		{env: "default", name: "", want: Default},
+		{env: "", name: "", want: Default},
+		{env: "full", name: "smoke", want: Smoke},
+		{env: "smok", name: "default", want: Default},
+		{env: "full", name: "full", want: Full},
+		{env: "full", name: "Smoke", bad: "-scale"},
+		{env: "full", name: "custom", bad: "-scale"},
+		{env: "full", name: "huge", bad: "-scale"},
+		{env: "smok", name: "", bad: "GIPPR_SCALE"},
+		{env: "Default", name: "", bad: "GIPPR_SCALE"},
 	} {
+		t.Setenv("GIPPR_SCALE", tc.env)
 		got, err := ParseScale(tc.name)
-		if tc.bad {
+		if tc.bad != "" {
 			if err == nil {
-				t.Errorf("ParseScale(%q) = %s, want an error", tc.name, got.Name)
+				t.Errorf("GIPPR_SCALE=%q ParseScale(%q) = %s, want an error", tc.env, tc.name, got.Name)
 				continue
 			}
-			for _, preset := range []string{"smoke", "default", "full"} {
-				if !strings.Contains(err.Error(), preset) {
-					t.Errorf("ParseScale(%q) error %q does not list %q", tc.name, err, preset)
+			for _, want := range []string{tc.bad, "smoke", "default", "full"} {
+				if !strings.Contains(err.Error(), want) {
+					t.Errorf("GIPPR_SCALE=%q ParseScale(%q) error %q does not name %q", tc.env, tc.name, err, want)
 				}
 			}
 			continue
 		}
 		if err != nil || got != tc.want {
-			t.Errorf("ParseScale(%q) = (%+v, %v), want %s", tc.name, got, err, tc.want.Name)
+			t.Errorf("GIPPR_SCALE=%q ParseScale(%q) = (%+v, %v), want %s", tc.env, tc.name, got, err, tc.want.Name)
 		}
 	}
 }

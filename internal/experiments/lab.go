@@ -65,10 +65,11 @@ type Lab struct {
 	Workers int
 
 	suite []workload.Workload
-	// streams maps a workload to its LLC stream per phase. WithSampling
-	// views share it by pointer: the capture models only L1 and L2, so it
-	// depends on neither the LLC's replacement policy nor its set sampling.
-	streams *memo[[]ga.Stream]
+	// streams maps a workload to its LLC stream per phase, and holds the
+	// on-disk stream cache. WithSampling views share it by pointer: the
+	// capture models only L1 and L2, so it depends on neither the LLC's
+	// replacement policy nor its set sampling.
+	streams *streamSet
 	results memo[phaseResult]      // key: policyKey|workload|phase
 	optimal memo[phaseResult]      // key: workload|phase
 	sweeps  memo[*stackdist.Sweep] // key: latticeKey|workload|phase
@@ -87,7 +88,7 @@ func NewLab(s Scale) *Lab {
 		Cfg:     cache.L3Config,
 		Workers: parallel.DefaultWorkers(),
 		suite:   workload.Suite(),
-		streams: &memo[[]ga.Stream]{},
+		streams: &streamSet{},
 	}
 }
 
@@ -139,39 +140,23 @@ func phaseSeed(name string, phase int) uint64 {
 
 // Streams builds (once) and returns the LLC-filtered streams of a workload,
 // one per phase, by pushing PhaseRecords references through a fresh
-// LRU-managed L1/L2. Builds for different workloads run concurrently; a
+// LRU-managed L1/L2, or by loading them from the stream cache
+// (SetStreamDir). Builds for different workloads run concurrently; a
 // second caller asking for a workload mid-build waits for that build only,
 // and memoized lookups never block behind any build.
 func (l *Lab) Streams(w workload.Workload) []ga.Stream {
-	return l.streams.get(w.Name, func() []ga.Stream { return l.buildStreams(w) })
+	return l.streams.memo.get(w.Name, func() []ga.Stream { return l.buildStreams(w) })
 }
 
-// buildStreams is the expensive L1/L2 capture behind Streams, run exactly
-// once per workload.
+// buildStreams is the expensive build behind Streams, run exactly once per
+// workload.
 func (l *Lab) buildStreams(w workload.Workload) []ga.Stream {
-	// The capture has no L3: the stream is what misses L1 and L2, so the
-	// LLC under study (its policy and its sampling) cannot change it.
-	lru := func(cfg cache.Config) *cache.Cache {
-		return cache.New(cfg, policy.NewTrueLRU(cfg.Sets(), cfg.Ways))
-	}
 	out := make([]ga.Stream, 0, len(w.Phases))
 	for pi, ph := range w.Phases {
-		src := &workload.Limit{Src: ph.Source(phaseSeed(w.Name, pi)), N: uint64(l.Scale.PhaseRecords)}
-		// The LLC stream is bounded by the source's record budget; reserving
-		// it up front removes every regrowth copy from the capture loop.
-		recs := cache.CaptureLLC(src, lru(cache.L1Config), lru(cache.L2Config), l.Scale.PhaseRecords)
-		// The budget is an upper bound. L1/L2 filter out only some
-		// references (at default scale 72% of the suite's reach the LLC,
-		// 95% on the benchmark's probe workloads), so the copy below runs
-		// only for streams well under it: the stream lives for the lab's
-		// lifetime, and a large unused tail is not worth pinning.
-		if cap(recs) > len(recs)+len(recs)/4 {
-			recs = append(make([]trace.Record, 0, len(recs)), recs...)
-		}
 		out = append(out, ga.Stream{
 			Workload: w.Name,
 			Weight:   ph.Weight,
-			Records:  recs,
+			Records:  l.phaseStream(w, pi),
 		})
 	}
 	return out

@@ -9,7 +9,8 @@
 // independent of the LLC policy) and the captured LLC stream is replayed
 // into an LLC-only model per policy — the paper's own trace methodology
 // (Section 4.3). Streams and per-(workload, policy) results are memoized
-// within a Lab.
+// within a Lab, and a Lab with a stream directory (SetStreamDir) keeps its
+// captured streams on disk for the Labs after it.
 package experiments
 
 import (
@@ -85,31 +86,45 @@ func (s Scale) Validate() error {
 }
 
 // ParseScale maps a -scale flag value to its preset ("smoke", "default" or
-// "full"); the empty string defers to ScaleFromEnv. Any other name is an
-// error that lists the three presets.
+// "full"). The empty string defers to the GIPPR_SCALE environment
+// variable, and an unset or empty variable means Default. Any other name,
+// in the flag or in the variable, is an error that names its source and
+// lists the three presets: a mistyped "smoke" must not run at ten times
+// the smoke cost.
 func ParseScale(name string) (Scale, error) {
-	switch name {
-	case "":
-		return ScaleFromEnv(), nil
-	case "smoke":
-		return Smoke, nil
-	case "default":
-		return Default, nil
-	case "full":
-		return Full, nil
+	src := "-scale"
+	if name == "" {
+		name, src = os.Getenv("GIPPR_SCALE"), "GIPPR_SCALE"
+		if name == "" {
+			return Default, nil
+		}
 	}
-	return Scale{}, fmt.Errorf("unknown scale %q: want smoke, default or full", name)
+	if s, ok := preset(name); ok {
+		return s, nil
+	}
+	return Scale{}, fmt.Errorf("%s: unknown scale %q: want smoke, default or full", src, name)
 }
 
 // ScaleFromEnv returns the preset selected by the GIPPR_SCALE environment
-// variable ("smoke", "default" or "full"), defaulting to Default.
+// variable ("smoke", "default" or "full"), defaulting to Default for any
+// other value. Tests and benchmarks use it; the tools call ParseScale,
+// which refuses an unknown value.
 func ScaleFromEnv() Scale {
-	switch os.Getenv("GIPPR_SCALE") {
-	case "smoke":
-		return Smoke
-	case "full":
-		return Full
-	default:
-		return Default
+	if s, ok := preset(os.Getenv("GIPPR_SCALE")); ok {
+		return s
 	}
+	return Default
+}
+
+// preset returns the named preset.
+func preset(name string) (Scale, bool) {
+	switch name {
+	case "smoke":
+		return Smoke, true
+	case "default":
+		return Default, true
+	case "full":
+		return Full, true
+	}
+	return Scale{}, false
 }

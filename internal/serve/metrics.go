@@ -92,6 +92,15 @@ type MetricsSnapshot struct {
 	StoreCorrupt uint64 `json:"store_corrupt"`
 	StoreEntries int    `json:"store_entries"`
 	StoreBytes   int64  `json:"store_bytes"`
+	// Stream* count the Lab's phase streams by origin, from
+	// experiments.Lab.StreamCounts: captured through the L1/L2, loaded
+	// from the stream cache under the store, written to it, and cache
+	// files deleted for failing to load. Without -store every stream is
+	// a capture.
+	StreamCaptures uint64 `json:"stream_captures"`
+	StreamLoads    uint64 `json:"stream_loads"`
+	StreamWrites   uint64 `json:"stream_writes"`
+	StreamCorrupt  uint64 `json:"stream_corrupt"`
 	// RecordsPerSec is replayed LLC accesses per second of daemon uptime —
 	// the serving-throughput gauge the ROADMAP's "fast as the hardware
 	// allows" goal is tracked by.
@@ -106,6 +115,7 @@ type MetricsSnapshot struct {
 func (s *Server) Snapshot() MetricsSnapshot {
 	m := s.metrics
 	up := time.Since(m.start).Seconds()
+	sc := s.base.StreamCounts()
 	snap := MetricsSnapshot{
 		UptimeSec:       up,
 		QueueDepth:      s.QueueDepth(),
@@ -120,6 +130,10 @@ func (s *Server) Snapshot() MetricsSnapshot {
 		RejectedDrain:   m.rejectedDrain.Load(),
 		CellsDone:       m.cells.Load(),
 		LLCAccesses:     m.accesses.Load(),
+		StreamCaptures:  sc.Captures,
+		StreamLoads:     sc.Loads,
+		StreamWrites:    sc.Writes,
+		StreamCorrupt:   sc.Corrupt,
 		PolicyLatencyUS: make(map[string]telemetry.HistogramSnapshot),
 	}
 	if up > 0 {

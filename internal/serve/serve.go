@@ -27,6 +27,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"path/filepath"
 	"runtime/debug"
 	"slices"
 	"sort"
@@ -78,6 +79,11 @@ const maxNameList = 1024
 // stays in the store, so resubmitting its request is still a store hit.
 const maxFinishedJobs = 1024
 
+// streamSubdir is the result store's subdirectory that holds the Lab's
+// stream cache. The store indexes only its top-level files, so stream
+// files never count against its size cap.
+const streamSubdir = "streams"
+
 // Config sizes the daemon.
 type Config struct {
 	// Scale fixes the per-phase record budget and warm-up fraction every
@@ -103,7 +109,10 @@ type Config struct {
 	// the server reads through: a job whose fingerprint is already stored
 	// is served from disk (queued -> running -> done with the stored cells,
 	// zero grid recompute), and every freshly computed result is persisted
-	// on completion. Nil keeps today's in-memory-only behavior.
+	// on completion. Its streams subdirectory is the Lab's stream cache
+	// (experiments.Lab.SetStreamDir), so a restarted daemon loads the LLC
+	// streams an earlier one captured twice. Nil keeps today's
+	// in-memory-only behavior.
 	Store *resultstore.Store
 	// MaxBodyBytes caps a job-submission request body; oversized bodies
 	// get HTTP 413. Values <= 0 mean the 1 MiB default.
@@ -161,11 +170,15 @@ func New(cfg Config) *Server {
 	if cfg.MaxBodyBytes <= 0 {
 		cfg.MaxBodyBytes = 1 << 20
 	}
+	base := experiments.NewLab(cfg.Scale).SetWorkers(cfg.LabWorkers)
+	if cfg.Store != nil {
+		base.SetStreamDir(filepath.Join(cfg.Store.Dir(), streamSubdir))
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
 		cfg:        cfg,
 		store:      cfg.Store,
-		base:       experiments.NewLab(cfg.Scale).SetWorkers(cfg.LabWorkers),
+		base:       base,
 		views:      make(map[uint]*experiments.Lab),
 		jobs:       make(map[string]*Job),
 		queue:      make(chan *Job, cfg.QueueDepth),

@@ -321,3 +321,61 @@ func TestJobTableBounded(t *testing.T) {
 		t.Fatalf("resubmitting an evicted job's request: store hits %d, want %d", got, hits+1)
 	}
 }
+
+// TestStreamCacheAcrossRestarts runs three daemon lifetimes over one
+// -store directory, each posting the same grid plus a fresh IPV so the
+// result store misses. The first captures every phase and leaves markers,
+// the second captures again and writes the streams under <store>/streams,
+// and the third loads every phase, captures none, and serves the same
+// LRU and PLRU cells. The stream files never count as store entries.
+func TestStreamCacheAcrossRestarts(t *testing.T) {
+	dir := t.TempDir()
+	const phases = 3 // mcf_like's two and libquantum_like's one
+	vecs := []string{"0,0,1,0,3,0,1,2,1,0,5,1,0,0,1,11,13", "0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0", "15,14,13,12,11,10,9,8,7,6,5,4,3,2,1,0,0"}
+	want := []experiments.StreamCounts{
+		{Captures: phases},
+		{Captures: phases, Writes: phases},
+		{Loads: phases},
+	}
+	var first []experiments.GridCell
+	for i, vec := range vecs {
+		st, err := resultstore.Open(dir, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := st.Stats().Entries; got != i {
+			t.Errorf("lifetime %d opens a store of %d entries, want %d", i+1, got, i)
+		}
+		s := New(Config{Scale: testScale, Workers: 1, QueueDepth: 1, Store: st})
+		if got := s.Lab().StreamDir(); got != filepath.Join(dir, "streams") {
+			t.Errorf("stream dir %q, want the store's streams subdirectory", got)
+		}
+		ts := httptest.NewServer(s.Handler())
+		job, _ := postJob(t, ts, JobRequest{Workloads: []string{"mcf_like", "libquantum_like"}, Policies: []string{"lru", "plru"}, IPV: vec})
+		waitState(t, ts, job.ID, StateDone)
+		res := getResult(t, ts, job.ID)
+		ts.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		if err := s.Drain(ctx); err != nil {
+			t.Fatal(err)
+		}
+		cancel()
+		snap := s.Snapshot()
+		got := experiments.StreamCounts{Captures: snap.StreamCaptures, Loads: snap.StreamLoads,
+			Writes: snap.StreamWrites, Corrupt: snap.StreamCorrupt}
+		if got != want[i] {
+			t.Errorf("lifetime %d: /metrics stream counts %+v, want %+v", i+1, got, want[i])
+		}
+		var cells []experiments.GridCell
+		for _, c := range res.Cells {
+			if c.Policy != "GIPPR*" {
+				cells = append(cells, c)
+			}
+		}
+		if i == 0 {
+			first = cells
+		} else if !reflect.DeepEqual(cells, first) {
+			t.Errorf("lifetime %d: LRU and PLRU cells differ from the first lifetime's", i+1)
+		}
+	}
+}

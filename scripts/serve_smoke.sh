@@ -16,6 +16,11 @@
 # with the same -store directory, resubmit the identical job, and require
 # a store hit in /metrics plus a byte-identical manifest (modulo the
 # per-request job id) with zero recompute.
+# A third phase proves the stream cache under <store>/streams: two more
+# daemons on the same store each post the phase-2 grid plus a fresh IPV,
+# so the result store misses. The first writes the streams the cold run
+# only marked; the second must load every phase, capture none, and serve
+# LRU and PLRU cells byte-identical to the cold manifest's.
 #
 # Usage: scripts/serve_smoke.sh   (run from the repo root; `make serve-smoke`)
 set -euo pipefail
@@ -245,5 +250,50 @@ rc=0
 wait "$serve_pid" || rc=$?
 serve_pid=
 [[ "$rc" -eq 0 ]] || { echo "store daemon exited $rc after final SIGTERM, want 0" >&2; exit 1; }
+
+# ---------------------------------------------------------------------------
+# Phase 3: the stream cache. mcf_like has two phases and libquantum_like
+# one, so each daemon below builds three phase streams.
+# ---------------------------------------------------------------------------
+
+default_cells() { # the LRU and PLRU cells of a manifest, one compact object a line
+    tr -d '\n ' | grep -oE '\{"workload":"[^"]*","policy":"(LRU|PLRU)"[^}]*\}'
+}
+stop_store_daemon() { # $1 = log suffix
+    kill -TERM "$serve_pid"
+    rc=0
+    wait "$serve_pid" || rc=$?
+    serve_pid=
+    [[ "$rc" -eq 0 ]] || { echo "store daemon exited $rc after SIGTERM, want 0" >&2; cat "$workdir/serve$1.log" >&2; exit 1; }
+}
+
+echo "== streams: a second capture writes the stream files"
+start_store_daemon "4" "4"
+grep -q "streams in $store/streams" "$workdir/serve4.log" || { echo "start-up line does not name the stream dir:" >&2; cat "$workdir/serve4.log" >&2; exit 1; }
+job_body='{"workloads": ["mcf_like", "libquantum_like"], "policies": ["lru", "plru"], "ipv": "0,0,1,0,3,0,1,2,1,0,5,1,0,0,1,11,13"}'
+run_store_job >/dev/null
+metrics=$(curl -sf "http://$addr/metrics")
+for want in '"store_misses": 1' '"stream_captures": 3' '"stream_writes": 3' '"stream_corrupt": 0'; do
+    grep -q "$want" <<<"$metrics" || { echo "second capture: metrics lack $want: $metrics" >&2; exit 1; }
+done
+stop_store_daemon "4"
+
+echo "== streams: a later restart loads every phase"
+start_store_daemon "5" "5"
+job_body='{"workloads": ["mcf_like", "libquantum_like"], "policies": ["lru", "plru"], "ipv": "15,14,13,12,11,10,9,8,7,6,5,4,3,2,1,0,0"}'
+loaded=$(run_store_job)
+metrics=$(curl -sf "http://$addr/metrics")
+for want in '"store_misses": 1' '"stream_captures": 0' '"stream_loads": 3' '"stream_corrupt": 0'; do
+    grep -q "$want" <<<"$metrics" || { echo "restart over written streams: metrics lack $want: $metrics" >&2; exit 1; }
+done
+cold_cells=$(default_cells <<<"$cold")
+[[ $(wc -l <<<"$cold_cells") -eq 4 ]] || { echo "cold manifest has no 4 LRU/PLRU cells: $cold" >&2; exit 1; }
+if [[ "$(default_cells <<<"$loaded")" != "$cold_cells" ]]; then
+    echo "cells over loaded streams differ from the cold manifest's:" >&2
+    diff <(echo "$cold_cells") <(default_cells <<<"$loaded") >&2 || true
+    exit 1
+fi
+echo "   3 phases loaded, none captured; LRU and PLRU cells byte-identical to the cold run"
+stop_store_daemon "5"
 
 echo "PASS: serve smoke"
